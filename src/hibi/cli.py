@@ -3,11 +3,12 @@
 Subcommand reports are pure projections of library results: running the
 same command twice on the same input produces byte-identical text.  Exit
 codes: 0 success, 1 usage, 2 invalid input, 3 self-test violation,
-4 budget exceeded.
+4 budget exceeded (recursion too deep counts as one).
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -342,20 +343,28 @@ def _selftest_checks(name, p):
 
 
 def _cmd_selftest(args):
-    lines = []
-    failures = 0
-    for name, p in all_builtins():
-        for check, ok, detail in _selftest_checks(name, p):
-            if ok:
-                lines.append(f"ok   {name}: {check}")
-            else:
-                failures += 1
-                lines.append(f"FAIL {name}: {check} ({detail})")
-    if failures:
-        lines.append(f"selftest failed: {failures} violation(s)")
-        return 3, "\n".join(lines)
-    lines.append("selftest passed")
-    return 0, "\n".join(lines)
+    checks = [
+        (name, check, ok, detail)
+        for name, p in all_builtins()
+        for check, ok, detail in _selftest_checks(name, p)
+    ]
+    failures = sum(not ok for _, _, ok, _ in checks)
+    code = 3 if failures else 0
+    if args.format == "json":
+        payload = {
+            "passed": not failures,
+            "checks": [
+                {"poset": name, "check": check, "ok": ok, "detail": detail}
+                for name, check, ok, detail in checks
+            ],
+        }
+        return code, _json_text(payload)
+    lines = [
+        f"ok   {name}: {check}" if ok else f"FAIL {name}: {check} ({detail})"
+        for name, check, ok, detail in checks
+    ]
+    lines.append(f"selftest failed: {failures} violation(s)" if failures else "selftest passed")
+    return code, "\n".join(lines)
 
 
 def _add_common(sub, poset=True, eps=False, n=None):
@@ -426,7 +435,7 @@ def run_command(argv):
         return (exc.code or 0), ""
     try:
         return args.handler(args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, RecursionError) as exc:
         return 4, f"budget exceeded: {exc}"
     except ValueError as exc:
         return 2, f"invalid input: {exc}"
@@ -437,7 +446,13 @@ def run_command(argv):
 def main(argv=None):
     code, text = run_command(sys.argv[1:] if argv is None else argv)
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe (as `| head` does).  Point stdout at
+            # devnull so the flush at interpreter exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -6,9 +6,14 @@ as v1 + p^k * v2 with the parts drawn from the pieces of degrees k and
 e - k.  The count c_e of new elements bounds the complexity growth; the
 reports expose log_p(c_e)/e as a labeled estimate, never as a limit.
 
+The three targets -- a fiber cone (Poset), the Ehrhart ring of one
+sequence (ConeSection) and an inequality-given Polytope -- share one
+path: the e-th piece is the set of points of the (p^e - 1)-th dilation.
+
 Budgets guard every enumeration: primes and exponents are capped, and a
 piece larger than the cap aborts with an explicit error rather than
-truncating.  Only successful enumerations are cached.
+truncating.  Only successful enumerations are cached; a cached piece is
+checked against the cap again on every use.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -17,14 +22,13 @@ itself; the reports carry estimates either way and never assert limits.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import log
 
 from .cones import ConeSection, lattice_points
 from .errors import BudgetExceeded
 from .fiber import generators_via_sequences
-from .labelings import Labeling, zero_labeling
+from .labelings import Labeling
 from .poset import Poset
 
 
@@ -47,9 +51,14 @@ class Polytope:
     upper: tuple
 
     def __post_init__(self):
+        # fields given as lists are stored as tuples, so every polytope hashes
+        rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in self.inequalities)
+        object.__setattr__(self, "inequalities", rows)
+        object.__setattr__(self, "lower", tuple(self.lower))
+        object.__setattr__(self, "upper", tuple(self.upper))
         if len(self.lower) != self.dim or len(self.upper) != self.dim:
             raise ValueError("bounds must match the coordinate count")
-        for coeffs, _ in self.inequalities:
+        for coeffs, _ in rows:
             if len(coeffs) != self.dim:
                 raise ValueError("inequality width must match the coordinate count")
 
@@ -94,60 +103,47 @@ def _check_caps(prime, e, budget):
         raise BudgetExceeded(f"exponent {e} exceeds the cap {budget.max_e}")
 
 
-_fiber_pieces = {}
-_ehrhart_pieces = {}
+_TAGS = {Poset: "fiber cone", ConeSection: "ehrhart of sequence", Polytope: "raw polytope"}
+_pieces = {}
 
 
-def t_piece(p, prime, e, budget=None):
-    """Basis of the e-th twisted piece: minimal elements of degree 1 - prime**e.
+def _points(target, n, budget):
+    """Value tuples of the integer points in the n-th dilation of a target.
 
-    Assembled from the pinned sections (the box route computes the same
-    set; their agreement is asserted by the test battery at small n and
-    the sections stay enumerable when prime**e grows).
+    A polytope's dilation box is checked against the cap before the sweep.
     """
-    budget = budget or Budget()
-    _check_caps(prime, e, budget)
-    if e == 0:
-        return (zero_labeling(p),)
-    key = (p, prime, e)
-    cached = _fiber_pieces.get(key)
-    if cached is None:
-        cached = generators_via_sequences(p, 1 - prime**e)
-        if len(cached) > budget.max_piece:
-            raise BudgetExceeded(f"piece of size {len(cached)} exceeds the cap {budget.max_piece}")
-        _fiber_pieces[key] = cached
-    elif len(cached) > budget.max_piece:
-        raise BudgetExceeded(f"piece of size {len(cached)} exceeds the cap {budget.max_piece}")
-    return cached
-
-
-def _ehrhart_piece(c, prime, e, budget):
-    key = (c, prime, e)
-    cached = _ehrhart_pieces.get(key)
-    if cached is None:
-        cached = lattice_points(c, prime**e - 1)
-        if len(cached) > budget.max_piece:
-            raise BudgetExceeded(f"piece of size {len(cached)} exceeds the cap {budget.max_piece}")
-        _ehrhart_pieces[key] = cached
-    elif len(cached) > budget.max_piece:
-        raise BudgetExceeded(f"piece of size {len(cached)} exceeds the cap {budget.max_piece}")
-    return cached
-
-
-def _polytope_piece(delta, n, budget):
-    """Integer points of the n-fold dilation of an inequality-given polytope."""
+    if isinstance(target, Poset):
+        return tuple(nu.values for nu in generators_via_sequences(target, -n))
+    if isinstance(target, ConeSection):
+        return tuple(nu.values for nu in lattice_points(target, n))
+    if not isinstance(target, Polytope):
+        raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
     volume = 1
-    for lo, hi in zip(delta.lower, delta.upper):
+    for lo, hi in zip(target.lower, target.upper):
         volume *= n * hi - n * lo + 1
         if volume > budget.max_piece:
             raise BudgetExceeded(f"dilation box of size {volume} exceeds the cap {budget.max_piece}")
-    ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(delta.lower, delta.upper)]
-    rows = delta.inequalities
-    return [
+    ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(target.lower, target.upper)]
+    rows = target.inequalities
+    return tuple(
         pt
         for pt in product(*ranges)
         if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in rows)
-    ]
+    )
+
+
+def _piece(target, prime, e, budget):
+    """Value tuples of the e-th piece: the (prime**e - 1)-th dilation of target."""
+    budget = budget or Budget()
+    _check_caps(prime, e, budget)
+    key = (target, prime, e)
+    piece = _pieces.get(key)
+    if piece is None:
+        piece = _points(target, prime**e - 1, budget)
+    if len(piece) > budget.max_piece:
+        raise BudgetExceeded(f"piece of size {len(piece)} exceeds the cap {budget.max_piece}")
+    _pieces[key] = piece
+    return piece
 
 
 def _new_elements(pieces, prime, e):
@@ -157,8 +153,6 @@ def _new_elements(pieces, prime, e):
     so the candidates are looked up by residue class; this keeps the
     search near-linear in the piece sizes instead of quadratic.
     """
-    if e == 1:
-        return list(pieces[1])
     buckets = {}
     for k in range(1, e):
         mod = prime**k
@@ -182,88 +176,54 @@ def _new_elements(pieces, prime, e):
     return out
 
 
-def _fiber_new(p, prime, e, budget):
+def _fresh(target, prime, e, budget):
+    """Value tuples of the e-th piece that do not split over lower pieces."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    pieces = {k: [nu.values for nu in t_piece(p, prime, k, budget)] for k in range(1, e + 1)}
+    # top piece first: its caps bound the lower pieces
+    pieces = {k: _piece(target, prime, k, budget) for k in range(e, 0, -1)}
     return _new_elements(pieces, prime, e)
+
+
+def t_piece(p, prime, e, budget=None):
+    """Basis of the e-th twisted piece: minimal elements of degree 1 - prime**e.
+
+    Assembled from the pinned sections (the box route computes the same
+    set; their agreement is asserted by the test battery at small n and
+    the sections stay enumerable when prime**e grows).  e = 0 gives the
+    origin alone.
+    """
+    return tuple(Labeling(p, vals) for vals in _piece(p, prime, e, budget))
 
 
 def h_e_fiber(p, prime, e, budget=None):
     """The new labelings of the e-th twisted fiber piece (witnesses of c_e)."""
-    budget = budget or Budget()
-    return tuple(Labeling(p, vals) for vals in _fiber_new(p, prime, e, budget))
+    return tuple(Labeling(p, vals) for vals in _fresh(p, prime, e, budget))
 
 
 def c_e_fiber(p, prime, e, budget=None):
     """New-generator count of the e-th twisted piece of the fiber cone."""
-    budget = budget or Budget()
-    return len(_fiber_new(p, prime, e, budget))
-
-
-def _ehrhart_new(c, prime, e, budget):
-    _check_caps(prime, e, budget)
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    pieces = {
-        k: [nu.values for nu in _ehrhart_piece(c, prime, k, budget)] for k in range(1, e + 1)
-    }
-    return _new_elements(pieces, prime, e)
+    return len(_fresh(p, prime, e, budget))
 
 
 def h_e_ehrhart(c, prime, e, budget=None):
     """The new labelings among the section's dilation points at level e."""
-    budget = budget or Budget()
-    return tuple(Labeling(c.poset, vals) for vals in _ehrhart_new(c, prime, e, budget))
+    return tuple(Labeling(c.poset, vals) for vals in _fresh(c, prime, e, budget))
 
 
 def c_e_ehrhart(c, prime, e, budget=None):
     """New-generator count over the dilation lattice points of a section."""
-    budget = budget or Budget()
-    return len(_ehrhart_new(c, prime, e, budget))
-
-
-def _polytope_new(delta, prime, e, budget):
-    _check_caps(prime, e, budget)
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    pieces = {k: _polytope_piece(delta, prime**k - 1, budget) for k in range(1, e + 1)}
-    return _new_elements(pieces, prime, e)
+    return len(_fresh(c, prime, e, budget))
 
 
 def h_e_polytope(delta, prime, e, budget=None):
     """The new integer points at level e for an inequality-given polytope."""
-    budget = budget or Budget()
-    return tuple(_polytope_new(delta, prime, e, budget))
+    return tuple(_fresh(delta, prime, e, budget))
 
 
 def c_e_polytope(delta, prime, e, budget=None):
     """New-generator count for the Ehrhart ring of an inequality-given polytope."""
-    budget = budget or Budget()
-    return len(_polytope_new(delta, prime, e, budget))
-
-
-def _piece_size_and_count(target, prime, e, budget):
-    if isinstance(target, Poset):
-        dim_e = len(t_piece(target, prime, e, budget))
-        c_e = c_e_fiber(target, prime, e, budget)
-    elif isinstance(target, ConeSection):
-        dim_e = len(_ehrhart_piece(target, prime, e, budget))
-        c_e = c_e_ehrhart(target, prime, e, budget)
-    elif isinstance(target, Polytope):
-        dim_e = len(_polytope_piece(target, prime**e - 1, budget))
-        c_e = c_e_polytope(target, prime, e, budget)
-    else:
-        raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
-    return dim_e, c_e
-
-
-def _target_tag(target):
-    if isinstance(target, Poset):
-        return "fiber cone"
-    if isinstance(target, ConeSection):
-        return "ehrhart of sequence"
-    return "raw polytope"
+    return len(_fresh(delta, prime, e, budget))
 
 
 def tcx_report(target, primes, e_max, budget=None):
@@ -274,20 +234,18 @@ def tcx_report(target, primes, e_max, budget=None):
     consecutive quotient when both counts are positive.  Both are desk
     readings of an asymptotic quantity, never asserted values.
     """
-    budget = budget or Budget()
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    tag = _target_tag(target)
     tables = []
     for prime in primes:
-        rows = []
-        for e in range(1, e_max + 1):
-            _check_caps(prime, e, budget)
-            rows.append((e, *_piece_size_and_count(target, prime, e, budget)))
+        rows = tuple(
+            (e, len(_piece(target, prime, e, budget)), len(_fresh(target, prime, e, budget)))
+            for e in range(1, e_max + 1)
+        )
         last_c = rows[-1][2]
         estimate = log(last_c, prime) / e_max if last_c > 0 else float("-inf")
         ratio = None
         if len(rows) >= 2 and last_c > 0 and rows[-2][2] > 0:
             ratio = log(last_c / rows[-2][2], prime)
-        tables.append(TComplexityTable(prime, tag, tuple(rows), estimate, ratio))
+        tables.append(TComplexityTable(prime, _TAGS[type(target)], rows, estimate, ratio))
     return tuple(tables)

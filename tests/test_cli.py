@@ -1,9 +1,14 @@
 """Command-line front end: exit codes, output determinism, file input."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hibi
 import hibi.cli as cli
 from hibi.cli import main, run_command
 
@@ -228,3 +233,58 @@ def test_selftest_detects_breakage(monkeypatch):
     code, text = run_command(["selftest"])
     assert code == 3
     assert "FAIL" in text
+
+
+def test_selftest_json_lists_every_check():
+    code, text = run_command(["selftest", "--format", "json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["passed"] is True
+    table = run_command(["selftest"])[1].splitlines()
+    assert len(payload["checks"]) == len(table) - 1
+    first = payload["checks"][0]
+    assert first == {"poset": "P1", "check": "round-trip", "ok": True, "detail": ""}
+    assert table[0] == "ok   P1: round-trip"
+
+
+def test_selftest_json_reports_breakage(monkeypatch):
+    monkeypatch.setattr(cli, "dim_formula", lambda c: 99)
+    code, text = run_command(["selftest", "--format", "json"])
+    assert code == 3
+    payload = json.loads(text)
+    assert payload["passed"] is False
+    failed = [c for c in payload["checks"] if not c["ok"]]
+    assert failed and all(c["check"] == "dimension" and c["detail"] for c in failed)
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hibi", "generators", "P1", "--n", "-1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 0
+
+
+def test_deep_recursion_is_a_budget_exit(tmp_path):
+    names = [f"c{i}" for i in range(1500)]
+    doc = {
+        "name": "chain1500",
+        "elements": names,
+        "covers": [[a, b] for a, b in zip(names, names[1:])],
+        "bottom": "c0",
+    }
+    path = tmp_path / "chain1500.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["lattice", str(path)])
+    assert code == 4
+    assert text.startswith("budget exceeded:")

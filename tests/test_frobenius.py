@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import hibi.frobenius as frobenius
 from conftest import brute_new_count
 from hibi import (
     Budget,
@@ -246,3 +247,54 @@ def test_growth_table_validation(poset1):
         tcx_report(poset1, (2,), 0)
     with pytest.raises(TypeError):
         tcx_report("nope", (2,), 1)
+
+
+def test_growth_table_section_frozen(poset1):
+    c = build_C(poset1, -1, ("y", "x"))
+    tables = tcx_report(c, (2, 3), 3)
+    assert [t.target for t in tables] == ["ehrhart of sequence"] * 2
+    assert tables[0].rows == ((1, 3, 3), (2, 10, 1), (3, 36, 3))
+    assert tables[1].rows == ((1, 6, 6), (2, 45, 9), (3, 378, 54))
+
+
+def test_growth_table_polytope_frozen():
+    tables = tcx_report(TRIANGLE, (2, 5), 2)
+    assert [t.target for t in tables] == ["raw polytope"] * 2
+    assert tables[0].rows == ((1, 3, 3), (2, 10, 1))
+    assert tables[1].rows == ((1, 15, 15), (2, 325, 100))
+
+
+def test_list_built_polytope_matches_tuple_built(monkeypatch):
+    listed = Polytope(dim=2, inequalities=[([1, 1], 1)], lower=[0, 0], upper=[1, 1])
+    assert listed == TRIANGLE
+    want = tcx_report(TRIANGLE, (2, 5), 2)
+    want_fresh = h_e_polytope(TRIANGLE, 2, 3)
+    monkeypatch.setattr(frobenius, "_pieces", {})
+    assert tcx_report(listed, (2, 5), 2) == want
+    assert c_e_polytope(listed, 5, 2) == 100
+    assert h_e_polytope(listed, 2, 3) == want_fresh
+
+
+def test_validation_order_is_shared_by_every_target(poset1):
+    targets = (
+        (c_e_fiber, h_e_fiber, poset1),
+        (c_e_ehrhart, h_e_ehrhart, build_C(poset1, -1, ("y", "x"))),
+        (c_e_polytope, h_e_polytope, TRIANGLE),
+    )
+    for count, fresh, target in targets:
+        for fn in (count, fresh):
+            for prime in (7, 4, 2):
+                with pytest.raises(ValueError, match="e must be at least 1"):
+                    fn(target, prime, 0)
+            with pytest.raises(ValueError, match="not prime"):
+                fn(target, 4, 1)
+            with pytest.raises(BudgetExceeded, match="prime 7"):
+                fn(target, 7, 1)
+            with pytest.raises(BudgetExceeded, match="exponent 9"):
+                fn(target, 2, 9)
+
+
+def test_polytope_box_is_capped_before_the_sweep():
+    square = Polytope(dim=2, inequalities=(), lower=(0, 0), upper=(2, 2))
+    with pytest.raises(BudgetExceeded, match="dilation box"):
+        c_e_polytope(square, 5, 2, budget=Budget(max_piece=100))
