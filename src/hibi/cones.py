@@ -12,6 +12,7 @@ to the y anchors, which is why dim C = #(P minus G) + t.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BudgetExceeded
 from .labelings import Labeling, indicator, label_max
 from .poset import TOP, qdist
 from .sequences import as_seq, is_q_reduced, q_max, shifted_family
@@ -61,12 +62,13 @@ def dim_formula(c):
     return len(c.f_set) + c.seq.t
 
 
-def lattice_points(c, n):
+def lattice_points(c, n, limit=None):
     """Integer points of the n-fold dilation, in value-lexicographic order.
 
     Enumeration pins every G coordinate to its y anchor, then sweeps the
     free coordinates inside the degree box with cover propagation; each
-    output is a minimal element of T^(n eps).
+    output is a minimal element of T^(n eps).  With a limit, the sweep
+    stops with BudgetExceeded as soon as it has found more points than that.
     """
     if n < 1:
         raise ValueError("dilation must be positive")
@@ -90,6 +92,8 @@ def lattice_points(c, n):
     def assign(i):
         if i == len(order):
             out.append(Labeling(p, tuple(vals[z] for z in elems)))
+            if limit is not None and len(out) > limit:
+                raise BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
             return
         z = order[i]
         lo = lo_box[z]

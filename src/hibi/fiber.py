@@ -1,6 +1,7 @@
 """Fiber-cone numerics: Hilbert counts, analytic spread, level and purity tests."""
 
 from .cones import build_C, dim_formula, lattice_points
+from .errors import BudgetExceeded
 from .labelings import generators
 from .poset import is_pure
 from .sequences import enumerate_N, q0, q_max
@@ -54,20 +55,23 @@ def fiber_cone_decomposition(p, eps, n):
     return {seq: lattice_points(build_C(p, eps, seq), n) for seq in enumerate_N(p, eps)}
 
 
-def generators_via_sequences(p, n):
+def generators_via_sequences(p, n, limit=None):
     """Minimal elements of T^(n) assembled from the pinned sections.
 
     Fast complement to the box enumeration in generators(): unions the
     dilation-|n| points over the reduced sequences of matching sign and
     sorts.  Agreement of the two routes is part of the test battery; this
     one stays cheap when |n| grows because every section is pinned down
-    to its #F + t free coordinates.
+    to its #F + t free coordinates.  With a limit, it stops with
+    BudgetExceeded as soon as it has found more distinct points than that.
     """
     if n == 0:
         return (generators(p, 0)[0],)
     eps = 1 if n > 0 else -1
     seen = {}
     for seq in enumerate_N(p, eps):
-        for nu in lattice_points(build_C(p, eps, seq), abs(n)):
+        for nu in lattice_points(build_C(p, eps, seq), abs(n), limit=limit):
             seen[nu.values] = nu
+            if limit is not None and len(seen) > limit:
+                raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
     return tuple(seen[v] for v in sorted(seen))

@@ -11,9 +11,9 @@ sequence (ConeSection) and an inequality-given Polytope -- share one
 path: the e-th piece is the set of points of the (p^e - 1)-th dilation.
 
 Budgets guard every enumeration: primes and exponents are capped, and a
-piece larger than the cap aborts with an explicit error rather than
-truncating.  Only successful enumerations are cached; a cached piece is
-checked against the cap again on every use.
+piece enumeration aborts with an explicit error as soon as it passes the
+cap, rather than truncating.  Only successful enumerations are cached; a
+cached piece is checked against the cap again on every use.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -110,19 +110,21 @@ _pieces = {}
 def _points(target, n, budget):
     """Value tuples of the integer points in the n-th dilation of a target.
 
-    A polytope's dilation box is checked against the cap before the sweep.
+    Fiber and section enumerations stop as soon as they pass the cap; a
+    polytope's dilation box is checked against the cap before the sweep.
     """
+    cap = budget.max_piece
     if isinstance(target, Poset):
-        return tuple(nu.values for nu in generators_via_sequences(target, -n))
+        return tuple(nu.values for nu in generators_via_sequences(target, -n, limit=cap))
     if isinstance(target, ConeSection):
-        return tuple(nu.values for nu in lattice_points(target, n))
+        return tuple(nu.values for nu in lattice_points(target, n, limit=cap))
     if not isinstance(target, Polytope):
         raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
     volume = 1
     for lo, hi in zip(target.lower, target.upper):
         volume *= n * hi - n * lo + 1
-        if volume > budget.max_piece:
-            raise BudgetExceeded(f"dilation box of size {volume} exceeds the cap {budget.max_piece}")
+        if volume > cap:
+            raise BudgetExceeded(f"dilation box of size {volume} exceeds the cap {cap}")
     ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(target.lower, target.upper)]
     rows = target.inequalities
     return tuple(

@@ -7,6 +7,13 @@ Reducedness compares every shortcut quasi-distance against the zig-zag
 q-value and demands a strict win for the zig-zag; it is invariant under
 positive scaling of the parameter, so checking at +-1 settles all n of
 that sign.
+
+The reduced sequences are enumerated by a search over prefixes that
+checks the zig-zag conditions and every pair (x_i, y_j) with j < t as soon
+as y_j is placed: such a pair involves only x_i .. y_j, so a prefix that
+fails one can be dropped with all its extensions.  Only the pairs ending
+at the top bookend wait for the finished sequence, because reducedness
+itself is not prefix-closed.
 """
 
 from dataclasses import dataclass
@@ -102,6 +109,13 @@ def q_value(p, m, zigzag):
     return total
 
 
+def _pair_fails(p, m, zig, i, j):
+    """True when x_i <= y_j in zig and the zig-zag x_i .. y_j does not beat
+    the shortcut strictly: qdist(x_i, y_j) >= its q-value."""
+    xi, yj = zig[2 * i], zig[2 * j + 1]
+    return p.leq(xi, yj) and qdist(p, m, xi, yj) >= q_value(p, m, zig[2 * i : 2 * j + 2])
+
+
 def is_q_reduced(p, m, seq):
     """Every comparable bookended pair beats its shortcut strictly.
 
@@ -114,46 +128,43 @@ def is_q_reduced(p, m, seq):
         raise ValueError("sequence violates condition N")
     zig = seq.zigzag()
     t = seq.t
-    for i in range(t + 1):
-        xi = zig[2 * i]
-        for j in range(i + 1, t + 1):
-            yj = zig[2 * j + 1]
-            if not p.leq(xi, yj):
-                continue
-            if qdist(p, m, xi, yj) >= q_value(p, m, zig[2 * i : 2 * j + 2]):
-                return False
-    return True
+    return not any(_pair_fails(p, m, zig, i, j) for j in range(1, t + 1) for i in range(j))
 
 
 @lru_cache(maxsize=None)
 def enumerate_N(p, eps):
     """All q^(eps)-reduced zig-zag sequences, by length then lexicographically.
 
-    The search prunes on the zig-zag conditions incrementally (they are
-    prefix-closed) and filters by reducedness at the end (which is not).
+    An iterative depth-first search over prefixes (y_0, x_1, ..., y_{k-1}, x_k).
+    The zig-zag conditions are checked as each element is placed.  A new
+    y_k is dropped at once when a pair (x_i, y_k), i < k, fails: that pair
+    involves only x_i .. y_k, so every extension fails it too.  The pairs
+    ending at the top bookend change as the sequence grows, so each prefix
+    the search reaches is kept only if is_q_reduced accepts it whole.
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     idx = p.index
-    pool = p.elements[1:]
-    found = []
-
-    def extend(items, last_x):
-        for y in pool:
-            if last_x is not None and not _strictly_below(p, last_x, y):
+    above, pool = p._above, p.elements[1:]
+    ups = {z: tuple(w for w in pool if w != z and w in above[z]) for z in p.elements}
+    downs = {y: tuple(x for x in pool if x != y and y in above[x]) for y in pool}
+    bottom = p.bottom
+    reduced = []
+    stack = [()]
+    while stack:
+        items = stack.pop()
+        seq = CondNSeq(p, items)
+        if is_q_reduced(p, eps, seq):
+            reduced.append(seq)
+        k = len(items) // 2
+        zig = (bottom,) + items
+        for y in ups[items[-1] if items else bottom]:
+            ext = zig + (y,)
+            if any(_pair_fails(p, eps, ext, i, k) for i in range(k)):
                 continue
-            for x in pool:
-                if not _strictly_below(p, x, y):
-                    continue
-                if any(p.leq(x, items[2 * i]) for i in range(len(items) // 2)):
-                    continue
-                nxt = items + (y, x)
-                found.append(nxt)
-                extend(nxt, x)
-
-    extend((), None)
-    seqs = [CondNSeq(p, ())] + [CondNSeq(p, it) for it in found]
-    reduced = [s for s in seqs if is_q_reduced(p, eps, s)]
+            for x in downs[y]:
+                if not any(y_i in above[x] for y_i in items[0::2]):
+                    stack.append(items + (y, x))
     reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
     return tuple(reduced)
 

@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test battery.
 
 The oracles here recompute module outputs by a different route (exhaustive
-DFS, powerset filtering, brute-force pair search) so the library code is
-never checked against itself.
+DFS, powerset filtering, brute-force pair search, build-then-filter
+sequence enumeration) so the library code is never checked against itself.
 """
 
 from itertools import combinations
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.poset import TOP, build_poset
+from hibi.sequences import CondNSeq, is_q_reduced
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +57,40 @@ def downsets_powerset(p):
             if all(w in s for z in s for w in elems if p.leq(w, z)):
                 out.add(s)
     return out
+
+
+def enumerate_N_exhaustive(p, eps):
+    """Every condition-N sequence, filtered for reducedness once it is built.
+
+    No pruning on reducedness: the search extends every zig-zag prefix and
+    only the finished sequences are tested, so it needs about 2^n
+    candidates on an n-element chain.
+    """
+    idx = p.index
+    pool = p.elements[1:]
+    found = []
+
+    def below(a, b):
+        return a != b and p.leq(a, b)
+
+    def extend(items, last_x):
+        for y in pool:
+            if last_x is not None and not below(last_x, y):
+                continue
+            for x in pool:
+                if not below(x, y):
+                    continue
+                if any(p.leq(x, items[2 * i]) for i in range(len(items) // 2)):
+                    continue
+                nxt = items + (y, x)
+                found.append(nxt)
+                extend(nxt, x)
+
+    extend((), None)
+    seqs = [CondNSeq(p, ())] + [CondNSeq(p, it) for it in found]
+    reduced = [s for s in seqs if is_q_reduced(p, eps, s)]
+    reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
+    return tuple(reduced)
 
 
 def brute_new_count(pieces, prime, e):

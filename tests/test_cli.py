@@ -149,6 +149,13 @@ def test_frobenius_budget_exit():
     assert "budget" in text.lower()
 
 
+def test_frobenius_budget_stops_a_large_piece_early():
+    # the uncapped e=2 piece at prime 5 has about 1.5 million points
+    code, text = run_command(["frobenius", "P2", "--prime", "2,5", "--emax", "2", "--budget", "5000"])
+    assert code == 4
+    assert text.startswith("budget exceeded:")
+
+
 def test_frobenius_rejects_composite_prime():
     code, text = run_command(["frobenius", "P1", "--prime", "4"])
     assert code == 2

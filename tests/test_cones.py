@@ -6,6 +6,7 @@ import pytest
 
 from hibi import (
     TOP,
+    BudgetExceeded,
     affine_witnesses,
     build_C,
     dim_bruteforce,
@@ -166,6 +167,18 @@ def test_lattice_points_match_direct_enumeration(corpus):
                 c = build_C(p, eps, seq)
                 for n in (1, 2):
                     assert set(lattice_points(c, n)) == set(section_points_direct(c, n))
+
+
+def test_lattice_points_limit_is_exact(corpus):
+    for _, p in corpus:
+        for eps in (1, -1):
+            for seq in enumerate_N(p, eps):
+                c = build_C(p, eps, seq)
+                for n in (1, 3):
+                    pts = lattice_points(c, n)
+                    assert lattice_points(c, n, limit=len(pts)) == pts
+                    with pytest.raises(BudgetExceeded):
+                        lattice_points(c, n, limit=len(pts) - 1)
 
 
 def test_lattice_points_match_direct_enumeration_deeper(poset1):

@@ -3,6 +3,7 @@
 import pytest
 
 from hibi import (
+    BudgetExceeded,
     analytic_spread,
     degree_range,
     fiber_cone_decomposition,
@@ -121,3 +122,12 @@ def test_sequence_route_matches_box_route(corpus):
 
 def test_sequence_route_degenerate(poset1):
     assert generators_via_sequences(poset1, 0) == generators(poset1, 0)
+
+
+def test_generators_via_sequences_limit_counts_distinct_points(corpus):
+    for _, p in corpus:
+        for n in (-3, -1, 1, 2):
+            full = generators_via_sequences(p, n)
+            assert generators_via_sequences(p, n, limit=len(full)) == full
+            with pytest.raises(BudgetExceeded):
+                generators_via_sequences(p, n, limit=len(full) - 1)

@@ -298,3 +298,20 @@ def test_polytope_box_is_capped_before_the_sweep():
     square = Polytope(dim=2, inequalities=(), lower=(0, 0), upper=(2, 2))
     with pytest.raises(BudgetExceeded, match="dilation box"):
         c_e_polytope(square, 5, 2, budget=Budget(max_piece=100))
+
+
+def test_capped_piece_is_rejected_exactly_when_larger(corpus, monkeypatch):
+    monkeypatch.setattr(frobenius, "_pieces", {})
+    roomy = Budget(max_prime=3, max_e=2)
+    keys = [(name, p, prime, e) for name, p in corpus for prime in (2, 3) for e in (1, 2)]
+    sizes = {key: len(t_piece(key[1], key[2], key[3], budget=roomy)) for key in keys}
+    for key in keys:
+        _, p, prime, e = key
+        for cap in (10, 100, 1000):
+            frobenius._pieces.clear()
+            capped = Budget(max_prime=3, max_e=2, max_piece=cap)
+            if sizes[key] > cap:
+                with pytest.raises(BudgetExceeded):
+                    t_piece(p, prime, e, budget=capped)
+            else:
+                assert len(t_piece(p, prime, e, budget=capped)) == sizes[key]

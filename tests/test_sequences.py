@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_posets
+from conftest import enumerate_N_exhaustive, small_posets
 from hibi import (
     TOP,
     as_seq,
@@ -198,3 +198,27 @@ def test_reduced_families_random(p):
         for s in seqs:
             assert satisfies_condN(p, s.items)
             assert is_q_reduced(p, eps, s)
+
+
+def ordered_items(seqs):
+    return tuple(s.items for s in seqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets(max_extra=7))
+def test_pruned_enumeration_matches_exhaustive_random(p):
+    for eps in (1, -1):
+        assert ordered_items(enumerate_N(p, eps)) == ordered_items(enumerate_N_exhaustive(p, eps))
+
+
+def test_pruned_enumeration_matches_exhaustive_corpus_and_chain12(corpus):
+    for p in [p for _, p in corpus] + [chain(12)]:
+        for eps in (1, -1):
+            assert ordered_items(enumerate_N(p, eps)) == ordered_items(enumerate_N_exhaustive(p, eps))
+
+
+def test_long_chain_has_only_the_empty_sequence():
+    # about 2^30 condition-N candidates: without prefix pruning this runs for hours
+    p = chain(30)
+    for eps in (1, -1):
+        assert ordered_items(enumerate_N(p, eps)) == ((),)
