@@ -75,50 +75,63 @@ def lattice_points(c, n, limit=None):
     p = c.poset
     ne = n * c.epsilon
     qm = q_max(p, ne)
-    pins = {}
+    elems = p.elements
+    idx = p.index
+
+    def pos(z):
+        return -1 if z == TOP else idx[z]
+
+    pins = [[] for _ in elems]
     for (x, y, _), part in zip(c.equalities, c.g_parts):
         for z in part:
             if z == TOP or z == y:
                 continue
-            pins.setdefault(z, []).append((y, qdist(p, ne, z, y)))
+            pins[idx[z]].append((pos(y), qdist(p, ne, z, y)))
+    ups = [tuple(pos(b) for b in p.up_covers[z]) for z in elems]
+    lo_box = [qdist(p, ne, z, TOP) for z in elems]
+    hi_box = [qm - qdist(p, ne, p.bottom, z) for z in elems]
 
-    elems = p.elements
-    order = tuple(reversed(elems))
-    lo_box = {z: qdist(p, ne, z, TOP) for z in elems}
-    hi_box = {z: qm - qdist(p, ne, p.bottom, z) for z in elems}
-    vals = {TOP: 0}
+    # Depth-first sweep from the last element down to the bottom, so every
+    # up cover and every anchor is set before the element it bounds.  The
+    # explicit stack is the run of positions i..m-1: vals[j] holds the
+    # current value at each of them and ub[j] its upper end.
+    m = len(elems)
+    vals = [0] * m
+    ub = [0] * m
     out = []
-
-    def assign(i):
-        if i == len(order):
-            out.append(Labeling(p, tuple(vals[z] for z in elems)))
+    i = m - 1
+    entering = True
+    while i < m:
+        if entering:
+            lo, hi = lo_box[i], hi_box[i]
+            for b in ups[i]:
+                cap = (0 if b < 0 else vals[b]) + ne
+                if cap > lo:
+                    lo = cap
+            pinned = pins[i]
+            if pinned:
+                a, off = pinned[0]
+                v = (0 if a < 0 else vals[a]) + off
+                if lo <= v <= hi and all(
+                    (0 if a < 0 else vals[a]) + off == v for a, off in pinned[1:]
+                ):
+                    lo = hi = v
+                else:
+                    lo, hi = 1, 0  # no value fits
+            vals[i], ub[i] = lo, hi
+        else:
+            vals[i] += 1
+        if vals[i] > ub[i]:
+            i += 1
+            entering = False
+        elif i == 0:
+            out.append(Labeling(p, tuple(vals)))
             if limit is not None and len(out) > limit:
                 raise BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
-            return
-        z = order[i]
-        lo = lo_box[z]
-        for b in p.up_covers[z]:
-            cap = vals[b] + ne
-            if cap > lo:
-                lo = cap
-        hi = hi_box[z]
-        pinned = pins.get(z)
-        if pinned is not None:
-            v = vals[pinned[0][0]] + pinned[0][1]
-            for anchor, off in pinned[1:]:
-                if vals[anchor] + off != v:
-                    return
-            if lo <= v <= hi:
-                vals[z] = v
-                assign(i + 1)
-                del vals[z]
-            return
-        for v in range(lo, hi + 1):
-            vals[z] = v
-            assign(i + 1)
-        vals.pop(z, None)
-
-    assign(0)
+            entering = False
+        else:
+            i -= 1
+            entering = True
     out.sort(key=lambda nu: nu.values)
     return tuple(out)
 

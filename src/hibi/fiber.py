@@ -2,8 +2,8 @@
 
 from .cones import build_C, dim_formula, lattice_points
 from .errors import BudgetExceeded
-from .labelings import generators
-from .poset import is_pure
+from .labelings import generators, zero_labeling
+from .poset import TOP, is_pure
 from .sequences import enumerate_N, q0, q_max
 
 
@@ -56,22 +56,37 @@ def fiber_cone_decomposition(p, eps, n):
 
 
 def generators_via_sequences(p, n, limit=None):
-    """Minimal elements of T^(n) assembled from the pinned sections.
+    """Minimal elements of T^(n), value-lexicographic: the generator route.
 
-    Fast complement to the box enumeration in generators(): unions the
-    dilation-|n| points over the reduced sequences of matching sign and
-    sorts.  Agreement of the two routes is part of the test battery; this
-    one stays cheap when |n| grows because every section is pinned down
-    to its #F + t free coordinates.  With a limit, it stops with
-    BudgetExceeded as soon as it has found more distinct points than that.
+    The minimal elements are exactly the points of the |n|-fold dilated
+    sections over the reduced sequences of sign n.  Sections overlap, so
+    each point is emitted only by its first section in enumerate_N order
+    whose equalities it is tight on: a point of T^(n) tight on those pairs
+    lies in that section, so the test is exact and needs no index of the
+    points already found.  With a limit, it stops with BudgetExceeded as
+    soon as it has found more distinct points than that.
     """
     if n == 0:
-        return (generators(p, 0)[0],)
+        return (zero_labeling(p),)
     eps = 1 if n > 0 else -1
-    seen = {}
+    m = abs(n)
+    idx = p.index
+    out = []
+    earlier = []  # tight-pair tests of the sections already swept
     for seq in enumerate_N(p, eps):
-        for nu in lattice_points(build_C(p, eps, seq), abs(n), limit=limit):
-            seen[nu.values] = nu
-            if limit is not None and len(seen) > limit:
+        c = build_C(p, eps, seq)
+        for nu in lattice_points(c, m, limit=limit):
+            v = nu.values
+            if any(
+                all(v[ix] - (0 if iy < 0 else v[iy]) == d for ix, iy, d in pairs)
+                for pairs in earlier
+            ):
+                continue
+            out.append(nu)
+            if limit is not None and len(out) > limit:
                 raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
-    return tuple(seen[v] for v in sorted(seen))
+        earlier.append(
+            tuple((idx[x], -1 if y == TOP else idx[y], m * d) for x, y, d in c.equalities)
+        )
+    out.sort(key=lambda nu: nu.values)
+    return tuple(out)

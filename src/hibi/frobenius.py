@@ -190,10 +190,8 @@ def _fresh(target, prime, e, budget):
 def t_piece(p, prime, e, budget=None):
     """Basis of the e-th twisted piece: minimal elements of degree 1 - prime**e.
 
-    Assembled from the pinned sections (the box route computes the same
-    set; their agreement is asserted by the test battery at small n and
-    the sections stay enumerable when prime**e grows).  e = 0 gives the
-    origin alone.
+    Assembled from the pinned sections, the same route as generators().
+    e = 0 gives the origin alone.
     """
     return tuple(Labeling(p, vals) for vals in _piece(p, prime, e, budget))
 

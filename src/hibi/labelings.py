@@ -165,110 +165,18 @@ def is_minimal(p, n, nu):
     return True
 
 
-@lru_cache(maxsize=None)
-def _below_indices(p):
-    """For each element position, positions of the elements weakly below it."""
-    idx = p.index
-    return tuple(
-        tuple(idx[w] for w in p.elements if p.leq(w, z)) for z in p.elements
-    )
-
-
-@lru_cache(maxsize=None)
-def _up_cover_indices(p):
-    idx = p.index
-    return tuple(
-        tuple(-1 if b == TOP else idx[b] for b in p.up_covers[z]) for z in p.elements
-    )
-
-
-def _closure_minimal(p, n, vals):
-    """Minimality decided without scanning every down-set.
-
-    Subtracting a down-set indicator breaks T^(n) exactly when a tight
-    cover (gap == n) crosses the boundary.  Down-sets avoiding all tight
-    covers are closed under intersection and all contain the bottom, so
-    one exists iff the closure of {bottom} under down-closure and tight
-    covers misses the top.  Same criterion as is_minimal, evaluated by
-    one graph search instead of one pass per down-set.
-    """
-    ups = _up_cover_indices(p)
-    below = _below_indices(p)
-    seen = [False] * len(vals)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if seen[i]:
-            continue
-        seen[i] = True
-        for j in below[i]:
-            if not seen[j]:
-                stack.append(j)
-        for ib in ups[i]:
-            if vals[i] - (0 if ib < 0 else vals[ib]) == n:
-                if ib < 0:
-                    return True
-                if not seen[ib]:
-                    stack.append(ib)
-    return False
-
-
-def _box_values(p, n):
-    """Yield the value tuples of T^(n) inside the degree box, value-lex.
-
-    The box bounds qdist(n,z,top) <= nu(z) <= q_max(n) - qdist(n,x0,z) hold
-    for every minimal element, so the box contains all of generators(n).
-    """
-    from .sequences import q_max  # deferred: sequences imports this module
-
-    qm = q_max(p, n)
-    elems = p.elements
-    idx = p.index
-    lo = [qdist(p, n, z, TOP) for z in elems]
-    hi = [qm - qdist(p, n, p.bottom, z) for z in elems]
-    down = [[idx[a] for a in p.down_covers[z]] for z in elems]
-    m = len(elems)
-    vals = [0] * m
-    ub = [0] * m
-    i = 0
-    entering = True
-    while i >= 0:
-        if entering:
-            b = hi[i]
-            for j in down[i]:
-                cap = vals[j] - n
-                if cap < b:
-                    b = cap
-            ub[i] = b
-            vals[i] = lo[i]
-        else:
-            vals[i] += 1
-        if vals[i] > ub[i]:
-            i -= 1
-            entering = False
-        elif i == m - 1:
-            yield tuple(vals)
-            entering = False
-        else:
-            i += 1
-            entering = True
-
-
-def t_box(p, n):
-    """All of T^(n) inside the degree box, in value-lexicographic order."""
-    return tuple(Labeling(p, vals) for vals in _box_values(p, n))
-
-
 def generators(p, n):
     """Minimal elements of T^(n), the monomial generators of the n-th power.
 
     n = 0 yields the zero labeling alone.  Output is deterministic
-    (value-lexicographic).  The box is streamed and filtered by the
-    closure test; is_minimal gives the same answer element by element.
+    (value-lexicographic).  The elements are the union of the lattice
+    points of the |n|-fold dilated sections over the reduced sequences
+    (fiber.generators_via_sequences); is_minimal gives the same answer
+    element by element.
     """
-    return tuple(
-        Labeling(p, vals) for vals in _box_values(p, n) if _closure_minimal(p, n, vals)
-    )
+    from .fiber import generators_via_sequences  # deferred: fiber imports this module
+
+    return generators_via_sequences(p, n)
 
 
 def split(p, nu, n):

@@ -2,17 +2,20 @@
 
 The oracles here recompute module outputs by a different route (exhaustive
 DFS, powerset filtering, brute-force pair search, build-then-filter
-sequence enumeration) so the library code is never checked against itself.
+sequence enumeration, the degree-box sweep of T^(n)) so the library code
+is never checked against itself.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
 from hibi.corpus import all_builtins, p1, p2, p3
-from hibi.poset import TOP, build_poset
-from hibi.sequences import CondNSeq, is_q_reduced
+from hibi.labelings import Labeling
+from hibi.poset import TOP, build_poset, qdist
+from hibi.sequences import CondNSeq, is_q_reduced, q_max
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +94,111 @@ def enumerate_N_exhaustive(p, eps):
     reduced = [s for s in seqs if is_q_reduced(p, eps, s)]
     reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
     return tuple(reduced)
+
+
+@lru_cache(maxsize=None)
+def _below_indices(p):
+    """For each element position, positions of the elements weakly below it."""
+    idx = p.index
+    return tuple(
+        tuple(idx[w] for w in p.elements if p.leq(w, z)) for z in p.elements
+    )
+
+
+@lru_cache(maxsize=None)
+def _up_cover_indices(p):
+    idx = p.index
+    return tuple(
+        tuple(-1 if b == TOP else idx[b] for b in p.up_covers[z]) for z in p.elements
+    )
+
+
+def closure_minimal(p, n, vals):
+    """Minimality decided without scanning every down-set.
+
+    Subtracting a down-set indicator breaks T^(n) exactly when a tight
+    cover (gap == n) crosses the boundary.  Down-sets avoiding all tight
+    covers are closed under intersection and all contain the bottom, so
+    one exists iff the closure of {bottom} under down-closure and tight
+    covers misses the top.  Same criterion as is_minimal, evaluated by
+    one graph search instead of one pass per down-set.
+    """
+    ups = _up_cover_indices(p)
+    below = _below_indices(p)
+    seen = [False] * len(vals)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if seen[i]:
+            continue
+        seen[i] = True
+        for j in below[i]:
+            if not seen[j]:
+                stack.append(j)
+        for ib in ups[i]:
+            if vals[i] - (0 if ib < 0 else vals[ib]) == n:
+                if ib < 0:
+                    return True
+                if not seen[ib]:
+                    stack.append(ib)
+    return False
+
+
+def box_values(p, n):
+    """Yield the value tuples of T^(n) inside the degree box, value-lex.
+
+    The box bounds qdist(n,z,top) <= nu(z) <= q_max(n) - qdist(n,x0,z) hold
+    for every minimal element, so the box contains all of generators(n).
+    """
+    qm = q_max(p, n)
+    elems = p.elements
+    idx = p.index
+    lo = [qdist(p, n, z, TOP) for z in elems]
+    hi = [qm - qdist(p, n, p.bottom, z) for z in elems]
+    down = [[idx[a] for a in p.down_covers[z]] for z in elems]
+    m = len(elems)
+    vals = [0] * m
+    ub = [0] * m
+    i = 0
+    entering = True
+    while i >= 0:
+        if entering:
+            b = hi[i]
+            for j in down[i]:
+                cap = vals[j] - n
+                if cap < b:
+                    b = cap
+            ub[i] = b
+            vals[i] = lo[i]
+        else:
+            vals[i] += 1
+        if vals[i] > ub[i]:
+            i -= 1
+            entering = False
+        elif i == m - 1:
+            yield tuple(vals)
+            entering = False
+        else:
+            i += 1
+            entering = True
+
+
+def t_box(p, n):
+    """All of T^(n) inside the degree box, in value-lexicographic order."""
+    return tuple(Labeling(p, vals) for vals in box_values(p, n))
+
+
+def generators_box(p, n):
+    """Minimal elements of T^(n) by the box route, value-lexicographic.
+
+    Walks every point of T^(n) inside the degree box and keeps those that
+    pass the closure test; independent of the sections and sequences the
+    library's generators() is assembled from.  n = 0 yields the zero
+    labeling alone.
+    """
+    return tuple(
+        Labeling(p, vals) for vals in box_values(p, n) if closure_minimal(p, n, vals)
+    )
 
 
 def brute_new_count(pieces, prime, e):

@@ -8,6 +8,7 @@ larger sweeps compare two independent computation routes.
 
 import time
 
+from conftest import generators_box, t_box
 from hibi import (
     analytic_spread,
     build_C,
@@ -37,7 +38,6 @@ from hibi import (
     poset_isomorphic,
     q0,
     q_max,
-    t_box,
     tcx_report,
     truncate,
     witness_sequence,
@@ -144,7 +144,7 @@ def test_criterion_04_fiber_cone_decomposition():
                 union = set()
                 for c in sections:
                     union.update(lattice_points(c, n))
-                ok &= union == set(generators(p, n * eps))
+                ok &= union == set(generators_box(p, n * eps))
     elapsed = time.monotonic() - start
     ok &= elapsed < 300
     report(4, ok, f"section unions == power generators, n=1..4 both signs ({elapsed:.1f}s < 300s)")

@@ -295,3 +295,31 @@ def test_deep_recursion_is_a_budget_exit(tmp_path):
     code, text = run_command(["lattice", str(path)])
     assert code == 4
     assert text.startswith("budget exceeded:")
+
+
+def _fan_document(tmp_path, size=1100):
+    """A bottom x0 covered by size - 1 incomparable elements."""
+    names = ["x0"] + [f"e{i}" for i in range(1, size)]
+    doc = {
+        "name": f"fan{size}",
+        "elements": names,
+        "covers": [["x0", z] for z in names[1:]],
+        "bottom": "x0",
+    }
+    path = tmp_path / f"fan{size}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_wide_fan_generators_do_not_recurse(tmp_path):
+    path = _fan_document(tmp_path)
+    for n in ("1", "-1"):
+        code, text = run_command(["generators", str(path), "--n", n])
+        assert code == 0
+        assert text.startswith(f"poset fan1100: 1 generators for n = {n}\n")
+
+
+def test_wide_fan_polytope_does_not_recurse(tmp_path):
+    code, text = run_command(["polytope", str(_fan_document(tmp_path))])
+    assert code == 0
+    assert text.splitlines()[1].split() == ["seq", "()", "dim", "0", "free", "-", "points(n=1)", "1"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import t_box
 from hibi import (
     TOP,
     BudgetExceeded,
@@ -19,7 +20,6 @@ from hibi import (
     lattice_points,
     p_nonmax,
     p_nonmin,
-    t_box,
     witness_partition,
 )
 from hibi.corpus import chain

@@ -1,7 +1,9 @@
 """Fiber-cone counts, analytic spreads, level and Gorenstein checks."""
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import generators_box, small_posets
 from hibi import (
     BudgetExceeded,
     analytic_spread,
@@ -15,6 +17,7 @@ from hibi import (
     is_gorenstein,
     is_level,
     is_pure,
+    zero_labeling,
 )
 from hibi.corpus import UPWARD_PURE_NAMES, antichain, builtin, chain, upward_pure
 from test_labelings import V1, V2, V3
@@ -106,7 +109,7 @@ def test_decomposition_union_matches_generators(poset2):
     for n in (1, 2, 3):
         parts = fiber_cone_decomposition(poset2, -1, n)
         union = {nu for pts in parts.values() for nu in pts}
-        assert union == set(generators(poset2, -n))
+        assert union == set(generators_box(poset2, -n))
 
 
 def test_decomposition_rejects_nonpositive(poset1):
@@ -117,11 +120,29 @@ def test_decomposition_rejects_nonpositive(poset1):
 def test_sequence_route_matches_box_route(corpus):
     for _, p in corpus:
         for n in (1, -1, 2, -2):
-            assert generators_via_sequences(p, n) == generators(p, n)
+            assert generators_via_sequences(p, n) == generators_box(p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_extra=5))
+def test_sequence_route_matches_box_route_random(p):
+    for n in (1, -1, 2, -2):
+        assert generators(p, n) == generators_box(p, n)
+
+
+def test_sequence_route_matches_box_route_on_overlapping_sections(poset2):
+    sections = fiber_cone_decomposition(poset2, -1, 2)
+    assert sum(len(pts) for pts in sections.values()) == 159
+    full = generators(poset2, -2)
+    assert len(full) == 114
+    assert full == generators_box(poset2, -2)
+    assert generators_via_sequences(poset2, -2, limit=len(full)) == full
+    with pytest.raises(BudgetExceeded):
+        generators_via_sequences(poset2, -2, limit=len(full) - 1)
 
 
 def test_sequence_route_degenerate(poset1):
-    assert generators_via_sequences(poset1, 0) == generators(poset1, 0)
+    assert generators_via_sequences(poset1, 0) == (zero_labeling(poset1),)
 
 
 def test_generators_via_sequences_limit_counts_distinct_points(corpus):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_posets
+from conftest import closure_minimal, small_posets, t_box
 from hibi import (
     InvalidPoset,
     Labeling,
@@ -19,12 +19,10 @@ from hibi import (
     leq_T,
     qdist,
     split,
-    t_box,
     truncate,
     zero_labeling,
 )
 from hibi.corpus import chain
-from hibi.labelings import _closure_minimal
 
 V1 = {"x0": -2, "w": -1, "x": -2, "z": -1, "y": 0, "v": -1}
 V2 = {"x0": -3, "w": -2, "x": -2, "z": -1, "y": -1, "v": -1}
@@ -144,7 +142,7 @@ def test_closure_filter_matches_ideal_subtraction(corpus):
         for n in (1, -1, 2, -2):
             for nu in t_box(p, n):
                 want = is_minimal(p, n, nu)
-                assert _closure_minimal(p, n, nu.values) == want, (name, n, nu.values)
+                assert closure_minimal(p, n, nu.values) == want, (name, n, nu.values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,7 +150,7 @@ def test_closure_filter_matches_ideal_subtraction(corpus):
 def test_closure_filter_matches_ideal_subtraction_random(p):
     for n in (1, -1):
         for nu in t_box(p, n):
-            assert _closure_minimal(p, n, nu.values) == is_minimal(p, n, nu)
+            assert closure_minimal(p, n, nu.values) == is_minimal(p, n, nu)
 
 
 def test_anticanonical_generators_p1(poset1, vertices):
