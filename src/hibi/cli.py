@@ -2,8 +2,9 @@
 
 Subcommand reports are pure projections of library results: running the
 same command twice on the same input produces byte-identical text.  Exit
-codes: 0 success, 1 usage, 2 invalid input, 3 self-test violation,
-4 budget exceeded (recursion too deep counts as one).
+codes: 0 success, 1 usage, 2 invalid input (a value past the 64-bit range
+counts as one), 3 self-test violation, 4 budget exceeded (recursion too
+deep counts as one).
 """
 
 import argparse
@@ -436,7 +437,7 @@ def run_command(argv):
         return args.handler(args)
     except (BudgetExceeded, RecursionError) as exc:
         return 4, f"budget exceeded: {exc}"
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return 2, f"invalid input: {exc}"
     except OSError as exc:
         return 2, f"cannot read input: {exc}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .labelings import Labeling, indicator, label_max
+from .labelings import INT64_MAX, INT64_MIN, Labeling, indicator, label_max
 from .poset import TOP, qdist
 from .sequences import as_seq, is_q_reduced, q_max, shifted_family
 
@@ -65,75 +65,180 @@ def dim_formula(c):
 def lattice_points(c, n, limit=None):
     """Integer points of the n-fold dilation, in value-lexicographic order.
 
-    Enumeration pins every G coordinate to its y anchor, then sweeps the
-    free coordinates inside the degree box with cover propagation; each
-    output is a minimal element of T^(n eps).  With a limit, the sweep
-    stops with BudgetExceeded as soon as it has found more points than that.
+    Each output is a minimal element of T^(n eps).  With a limit, the
+    enumeration stops with BudgetExceeded as soon as it has found more
+    points than that.
+    """
+    return tuple(Labeling(c.poset, vals) for vals in _section_values(c, n, limit))
+
+
+_INF = float("inf")
+
+
+def _closure(c, n):
+    """The n-fold dilation as closed difference constraints, or None if empty.
+
+    The pins of the G parts tie coordinates together at fixed offsets, so
+    each tied class is contracted first: to the top when it holds the top,
+    else to its first coordinate.  Returns (pins, d).  pins[i] = (k, off)
+    says nu(i) = x_k + off, where the classes x_0 .. x_K are numbered in
+    canonical order of their first coordinate and x_K is the top's class,
+    fixed at 0.  d[a][b] is the tightest upper bound on x_b - x_a implied
+    by the cover gaps (at least n eps) and the degree box, closed by
+    Floyd-Warshall over the finite entries only, so that sparse inputs
+    stay near quadratic; a negative cycle means the dilation is empty.
     """
     if n < 1:
         raise ValueError("dilation must be positive")
     p = c.poset
     ne = n * c.epsilon
     qm = q_max(p, ne)
-    elems = p.elements
     idx = p.index
-
-    def pos(z):
-        return -1 if z == TOP else idx[z]
-
-    pins = [[] for _ in elems]
-    for (x, y, _), part in zip(c.equalities, c.g_parts):
+    m = len(p.elements)
+    ties = [[] for _ in range(m + 1)]  # (j, w): nu(j) = nu(i) + w; m is the top
+    for (_, y, _), part in zip(c.equalities, c.g_parts):
+        a = m if y == TOP else idx[y]
         for z in part:
-            if z == TOP or z == y:
-                continue
-            pins[idx[z]].append((pos(y), qdist(p, ne, z, y)))
-    ups = [tuple(pos(b) for b in p.up_covers[z]) for z in elems]
-    lo_box = [qdist(p, ne, z, TOP) for z in elems]
-    hi_box = [qm - qdist(p, ne, p.bottom, z) for z in elems]
+            if z != TOP and z != y:
+                off = qdist(p, ne, z, y)
+                ties[a].append((idx[z], off))
+                ties[idx[z]].append((a, -off))
+    root = [None] * (m + 1)
+    offset = [0] * (m + 1)
+    reps = []
+    for r in [m] + list(range(m)):
+        if root[r] is not None:
+            continue
+        root[r] = r
+        reps.append(r)
+        stack = [r]
+        while stack:
+            a = stack.pop()
+            for b, w in ties[a]:
+                if root[b] is None:
+                    root[b], offset[b] = r, offset[a] + w
+                    stack.append(b)
+                elif offset[b] != offset[a] + w:
+                    return None
+    number = {r: k for k, r in enumerate(reps[1:] + [m])}  # reps[0] is the top
+    pins = [(number[root[i]], offset[i]) for i in range(m + 1)]
+    size = len(reps)
+    d = [[_INF] * size for _ in range(size)]
+    for k in range(size):
+        d[k][k] = 0
 
-    # Depth-first sweep from the last element down to the bottom, so every
-    # up cover and every anchor is set before the element it bounds.  The
-    # explicit stack is the run of positions i..m-1: vals[j] holds the
-    # current value at each of them and ub[j] its upper end.
-    m = len(elems)
-    vals = [0] * m
-    ub = [0] * m
+    def bound(a, b, w):  # nu(b) - nu(a) <= w
+        (ka, oa), (kb, ob) = pins[a], pins[b]
+        w += oa - ob
+        if w < d[ka][kb]:
+            d[ka][kb] = w
+
+    for i, z in enumerate(p.elements):
+        bound(m, i, qm - qdist(p, ne, p.bottom, z))
+        bound(i, m, -qdist(p, ne, z, TOP))
+        for b in p.up_covers[z]:
+            bound(i, m if b == TOP else idx[b], -ne)
+    for k in range(size):
+        # only the finite entries of row k and column k can shorten a path
+        out_k = [(j, b) for j, b in enumerate(d[k]) if b != _INF and j != k]
+        for i in [i for i, row in enumerate(d) if row[k] != _INF and i != k]:
+            row = d[i]
+            dik = row[k]
+            for j, b in out_k:
+                if dik + b < row[j]:
+                    row[j] = dik + b
+    if any(d[k][k] < 0 for k in range(size)):
+        return None
+    return pins[:m], d
+
+
+def _section_values(c, n, limit=None):
+    """Value tuples of the n-fold dilation's points, in lexicographic order.
+
+    A closed system of difference constraints is backtrack-free (Dechter,
+    Meiri and Pearl, "Temporal constraint networks", 1991): every value
+    inside the bounds set by the classes already fixed extends to a point.
+    So the free classes are walked in canonical order of their first
+    coordinates, which makes the output lexicographic, and the last free
+    class's whole range is emitted at once.
+    """
+    closed = _closure(c, n)
+    if closed is None:
+        return []
+    pins, d = closed
+    top = len(d) - 1
+    dtop = d[top]
+    for k, off in pins:
+        # each class attains both closed bounds, so this check is exact
+        for v in (off - d[k][top], off + dtop[k]):
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+    # A class the closure fixes to the top is a constant.  One fixed to an
+    # earlier free class would just get a one-value range in the walk; no
+    # section has shown one, as the G pins are already contracted.
+    x = [0] * (top + 1)
+    free = []
+    for k in range(top):
+        if dtop[k] + d[k][top] == 0:
+            x[k] = dtop[k]
+        else:
+            free.append(k)
+    # bounds on each free class: (lo, hi) through the top, then the earlier
+    # free classes whose bounds are not implied through the top
+    ups, lows = [], []
+    for t, f in enumerate(free):
+        df = d[f]
+        ups.append([(u, d[u][f]) for u in free[:t] if d[u][f] != d[u][top] + dtop[f]])
+        lows.append([(u, df[u]) for u in free[:t] if df[u] != df[top] + dtop[u]])
+    last = free[-1] if free else top
+    moving = [i for i, (k, _) in enumerate(pins) if k == last] if free else []
     out = []
-    i = m - 1
+
+    def emit(lo, hi):
+        """Append the points whose last free class runs over lo..hi."""
+        if limit is not None and len(out) + hi - lo + 1 > limit:
+            raise BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
+        x[last] = lo
+        row = [x[k] + off for k, off in pins]
+        for _ in range(lo, hi + 1):
+            out.append(tuple(row))
+            for i in moving:
+                row[i] += 1
+
+    if not free:
+        emit(0, 0)
+        return out
+    # Depth-first walk over the free classes; ub[t] is the upper end of
+    # the t-th one's range.  The closure leaves no dead ends.
+    r = len(free)
+    ub = [0] * r
+    t = 0
     entering = True
-    while i < m:
+    while t >= 0:
+        f = free[t]
         if entering:
-            lo, hi = lo_box[i], hi_box[i]
-            for b in ups[i]:
-                cap = (0 if b < 0 else vals[b]) + ne
-                if cap > lo:
-                    lo = cap
-            pinned = pins[i]
-            if pinned:
-                a, off = pinned[0]
-                v = (0 if a < 0 else vals[a]) + off
-                if lo <= v <= hi and all(
-                    (0 if a < 0 else vals[a]) + off == v for a, off in pinned[1:]
-                ):
-                    lo = hi = v
-                else:
-                    lo, hi = 1, 0  # no value fits
-            vals[i], ub[i] = lo, hi
+            lo, hi = -d[f][top], dtop[f]
+            for u, w in ups[t]:
+                if x[u] + w < hi:
+                    hi = x[u] + w
+            for u, w in lows[t]:
+                if x[u] - w > lo:
+                    lo = x[u] - w
+            if t == r - 1:
+                emit(lo, hi)
+                t -= 1
+                entering = False
+                continue
+            x[f], ub[t] = lo, hi
         else:
-            vals[i] += 1
-        if vals[i] > ub[i]:
-            i += 1
-            entering = False
-        elif i == 0:
-            out.append(Labeling(p, tuple(vals)))
-            if limit is not None and len(out) > limit:
-                raise BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
+            x[f] += 1
+        if x[f] > ub[t]:
+            t -= 1
             entering = False
         else:
-            i -= 1
+            t += 1
             entering = True
-    out.sort(key=lambda nu: nu.values)
-    return tuple(out)
+    return out
 
 
 def dim_bruteforce(c):

@@ -1,8 +1,8 @@
 """Fiber-cone numerics: Hilbert counts, analytic spread, level and purity tests."""
 
-from .cones import build_C, dim_formula, lattice_points
+from .cones import _section_values, build_C, dim_formula, lattice_points
 from .errors import BudgetExceeded
-from .labelings import generators, zero_labeling
+from .labelings import Labeling, generators
 from .poset import TOP, is_pure
 from .sequences import enumerate_N, q0, q_max
 
@@ -59,34 +59,49 @@ def generators_via_sequences(p, n, limit=None):
     """Minimal elements of T^(n), value-lexicographic: the generator route.
 
     The minimal elements are exactly the points of the |n|-fold dilated
-    sections over the reduced sequences of sign n.  Sections overlap, so
-    each point is emitted only by its first section in enumerate_N order
-    whose equalities it is tight on: a point of T^(n) tight on those pairs
-    lies in that section, so the test is exact and needs no index of the
-    points already found.  With a limit, it stops with BudgetExceeded as
-    soon as it has found more distinct points than that.
+    sections over the reduced sequences of sign n.  With a limit, it stops
+    with BudgetExceeded as soon as it has found more distinct points than
+    that.
+    """
+    return tuple(Labeling(p, vals) for vals in _generator_values(p, n, limit))
+
+
+def _generator_values(p, n, limit=None):
+    """Value tuples of the minimal elements of T^(n), in lexicographic order.
+
+    Sections overlap, so each point is emitted only by its first section
+    in enumerate_N order whose equalities it is tight on: a point of T^(n)
+    tight on those pairs lies in that section, so the test is exact and
+    needs no index of the points already found.
     """
     if n == 0:
-        return (zero_labeling(p),)
+        return [(0,) * len(p.elements)]
     eps = 1 if n > 0 else -1
     m = abs(n)
     idx = p.index
+    top = len(p.elements)
     out = []
     earlier = []  # tight-pair tests of the sections already swept
+
+    def seen(v):
+        w = v + (0,)  # the top's value sits at index top
+        for pairs in earlier:
+            for ix, iy, d in pairs:
+                if w[ix] - w[iy] != d:
+                    break
+            else:
+                return True
+        return False
+
     for seq in enumerate_N(p, eps):
         c = build_C(p, eps, seq)
-        for nu in lattice_points(c, m, limit=limit):
-            v = nu.values
-            if any(
-                all(v[ix] - (0 if iy < 0 else v[iy]) == d for ix, iy, d in pairs)
-                for pairs in earlier
-            ):
-                continue
-            out.append(nu)
-            if limit is not None and len(out) > limit:
-                raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
+        for v in _section_values(c, m, limit):
+            if not seen(v):
+                out.append(v)
+                if limit is not None and len(out) > limit:
+                    raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
         earlier.append(
-            tuple((idx[x], -1 if y == TOP else idx[y], m * d) for x, y, d in c.equalities)
+            tuple((idx[x], top if y == TOP else idx[y], m * d) for x, y, d in c.equalities)
         )
-    out.sort(key=lambda nu: nu.values)
-    return tuple(out)
+    out.sort()
+    return out

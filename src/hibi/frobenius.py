@@ -24,10 +24,11 @@ itself; the reports carry estimates either way and never assert limits.
 from dataclasses import dataclass
 from itertools import product
 from math import log
+from operator import sub
 
-from .cones import ConeSection, lattice_points
+from .cones import ConeSection, _section_values
 from .errors import BudgetExceeded
-from .fiber import generators_via_sequences
+from .fiber import _generator_values
 from .labelings import Labeling
 from .poset import Poset
 
@@ -81,18 +82,38 @@ class TComplexityTable:
         )
 
 
+# Miller-Rabin with the prime bases up to 37 is exact below the least
+# strong pseudoprime to all of them, far above the 64-bit range of labels.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin primality for 0 <= p < _MR_EXACT_BELOW."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def _check_caps(prime, e, budget):
+    if prime >= _MR_EXACT_BELOW:
+        raise ValueError(f"{prime} is out of the 64-bit range")
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     if e < 0:
@@ -115,9 +136,9 @@ def _points(target, n, budget):
     """
     cap = budget.max_piece
     if isinstance(target, Poset):
-        return tuple(nu.values for nu in generators_via_sequences(target, -n, limit=cap))
+        return tuple(_generator_values(target, -n, cap))
     if isinstance(target, ConeSection):
-        return tuple(nu.values for nu in lattice_points(target, n, limit=cap))
+        return tuple(_section_values(target, n, cap))
     if not isinstance(target, Polytope):
         raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
     volume = 1
@@ -152,30 +173,28 @@ def _new_elements(pieces, prime, e):
     """Top-piece vectors with no split v = v1 + prime**k * v2.
 
     A valid first part v1 is congruent to v coordinatewise mod prime**k,
-    so the candidates are looked up by residue class; this keeps the
-    search near-linear in the piece sizes instead of quadratic.
+    so the candidates are looked up by residue class, and the remainder
+    v - v1 is looked up among the second parts already scaled by prime**k;
+    this keeps the search near-linear in the piece sizes.
     """
-    buckets = {}
+    parts = []
     for k in range(1, e):
         mod = prime**k
+        residue = mod.__rmod__  # a -> a % mod
         residues = {}
         for v1 in pieces[k]:
-            residues.setdefault(tuple(a % mod for a in v1), []).append(v1)
-        buckets[k] = (mod, residues, frozenset(pieces[e - k]))
-    out = []
-    for v in pieces[e]:
-        decomposed = False
-        for k in range(1, e):
-            mod, residues, second_parts = buckets[k]
-            for v1 in residues.get(tuple(a % mod for a in v), ()):
-                if tuple((a - b) // mod for a, b in zip(v, v1)) in second_parts:
-                    decomposed = True
-                    break
-            if decomposed:
-                break
-        if not decomposed:
-            out.append(v)
-    return out
+            residues.setdefault(tuple(map(residue, v1)), []).append(v1)
+        scaled = {tuple(map(mod.__mul__, v2)) for v2 in pieces[e - k]}
+        parts.append((residue, residues, scaled))
+
+    def splits(v):
+        for residue, residues, scaled in parts:
+            for v1 in residues.get(tuple(map(residue, v)), ()):
+                if tuple(map(sub, v, v1)) in scaled:
+                    return True
+        return False
+
+    return [v for v in pieces[e] if not splits(v)]
 
 
 def _fresh(target, prime, e, budget):

@@ -2,8 +2,8 @@
 
 The oracles here recompute module outputs by a different route (exhaustive
 DFS, powerset filtering, brute-force pair search, build-then-filter
-sequence enumeration, the degree-box sweep of T^(n)) so the library code
-is never checked against itself.
+sequence enumeration, the degree-box sweeps of T^(n) and of one section)
+so the library code is never checked against itself.
 """
 
 from functools import lru_cache
@@ -199,6 +199,72 @@ def generators_box(p, n):
     return tuple(
         Labeling(p, vals) for vals in box_values(p, n) if closure_minimal(p, n, vals)
     )
+
+
+def lattice_points_sweep(c, n):
+    """Value tuples of the n-fold dilation of a section, value-lex, by a box sweep.
+
+    Pins every G coordinate to its y anchor and sweeps the free
+    coordinates inside the degree box from the last element down, with
+    cover propagation only: conflicts with pins and the box are found when
+    the sweep reaches them.  Independent of the closed constraint system
+    the library enumerates from.
+    """
+    p = c.poset
+    ne = n * c.epsilon
+    qm = q_max(p, ne)
+    elems = p.elements
+    idx = p.index
+
+    def pos(z):
+        return -1 if z == TOP else idx[z]
+
+    pins = [[] for _ in elems]
+    for (x, y, _), part in zip(c.equalities, c.g_parts):
+        for z in part:
+            if z == TOP or z == y:
+                continue
+            pins[idx[z]].append((pos(y), qdist(p, ne, z, y)))
+    ups = [tuple(pos(b) for b in p.up_covers[z]) for z in elems]
+    lo_box = [qdist(p, ne, z, TOP) for z in elems]
+    hi_box = [qm - qdist(p, ne, p.bottom, z) for z in elems]
+    m = len(elems)
+    vals = [0] * m
+    ub = [0] * m
+    out = []
+    i = m - 1
+    entering = True
+    while i < m:
+        if entering:
+            lo, hi = lo_box[i], hi_box[i]
+            for b in ups[i]:
+                cap = (0 if b < 0 else vals[b]) + ne
+                if cap > lo:
+                    lo = cap
+            pinned = pins[i]
+            if pinned:
+                a, off = pinned[0]
+                v = (0 if a < 0 else vals[a]) + off
+                if lo <= v <= hi and all(
+                    (0 if a < 0 else vals[a]) + off == v for a, off in pinned[1:]
+                ):
+                    lo = hi = v
+                else:
+                    lo, hi = 1, 0  # no value fits
+            vals[i], ub[i] = lo, hi
+        else:
+            vals[i] += 1
+        if vals[i] > ub[i]:
+            i += 1
+            entering = False
+        elif i == 0:
+            out.append(tuple(vals))
+            entering = False
+        else:
+            i -= 1
+            entering = True
+    out.sort()
+    return tuple(out)
 
 
 def brute_new_count(pieces, prime, e):

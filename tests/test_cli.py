@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,31 @@ def test_frobenius_rejects_composite_prime():
     code, text = run_command(["frobenius", "P1", "--prime", "4"])
     assert code == 2
     assert "prime" in text
+
+
+def test_frobenius_overflow_is_invalid_input():
+    # the e = 3 piece of chain3 has values near -4 * 1000000007**3
+    code, text = run_command(["frobenius", "chain3", "--prime", "1000000007", "--emax", "3"])
+    assert code == 2
+    assert text.startswith("invalid input: labeling value -4000000084")
+    assert text.endswith("exceeds the 64-bit range")
+
+
+def test_frobenius_large_prime_is_checked_quickly():
+    start = time.perf_counter()
+    code, text = run_command(["frobenius", "chain3", "--prime", "1000000000000000003", "--emax", "1"])
+    assert code == 0
+    assert "prime 1000000000000000003" in text
+    big = str(10**24)
+    assert run_command(["frobenius", "chain3", "--prime", big]) == (
+        2,
+        f"invalid input: {big} is out of the 64-bit range",
+    )
+    assert run_command(["frobenius", "chain3", "--prime", "1000000000000000001"]) == (
+        2,
+        "invalid input: 1000000000000000001 is not prime",
+    )
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lattice_summary(capsys):

@@ -1,10 +1,12 @@
 """Pinned sections: G/F bookkeeping, dimensions, lattice points, standardness."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import t_box
+from conftest import lattice_points_sweep, small_posets, t_box
 from hibi import (
     TOP,
     BudgetExceeded,
@@ -22,7 +24,9 @@ from hibi import (
     p_nonmin,
     witness_partition,
 )
+from hibi.cones import _closure
 from hibi.corpus import chain
+from hibi.labelings import INT64_MAX, INT64_MIN
 from test_labelings import V1, V2, V3
 
 
@@ -179,6 +183,91 @@ def test_lattice_points_limit_is_exact(corpus):
                     assert lattice_points(c, n, limit=len(pts)) == pts
                     with pytest.raises(BudgetExceeded):
                         lattice_points(c, n, limit=len(pts) - 1)
+
+
+def test_lattice_points_limit_inside_a_batched_row(poset1):
+    # one free coordinate: the whole dilation is a single batched row
+    c = build_C(poset1, -1, ())
+    pts = lattice_points(c, 4)
+    assert len(pts) == 5
+    assert lattice_points(c, 4, limit=5) == pts
+    for limit in range(5):
+        with pytest.raises(BudgetExceeded, match="dilation 4 has more than"):
+            lattice_points(c, 4, limit=limit)
+
+
+def _values(c, n):
+    return tuple(nu.values for nu in lattice_points(c, n))
+
+
+def test_closed_kernel_matches_sweep_on_corpus(corpus):
+    for _, p in corpus:
+        for eps in (1, -1):
+            for seq in enumerate_N(p, eps):
+                c = build_C(p, eps, seq)
+                for n in range(1, 6):
+                    assert _values(c, n) == lattice_points_sweep(c, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets(max_extra=7))
+def test_closed_kernel_matches_sweep_random(p):
+    for eps in (1, -1):
+        for seq in enumerate_N(p, eps):
+            c = build_C(p, eps, seq)
+            for n in (1, 2, 3):
+                assert _values(c, n) == lattice_points_sweep(c, n)
+
+
+def test_closed_kernel_matches_sweep_on_sections_of_the_other_sign(corpus):
+    # G parts built for eps pin coordinates the -eps cover gaps may not
+    # allow, so some of these sections are empty
+    empty = 0
+    for _, p in corpus:
+        for eps in (1, -1):
+            for seq in enumerate_N(p, eps):
+                c = replace(build_C(p, eps, seq), epsilon=-eps)
+                for n in (1, 2):
+                    want = lattice_points_sweep(c, n)
+                    assert _values(c, n) == want
+                    assert (_closure(c, n) is None) == (not want)
+                    empty += not want
+    assert empty > 0
+
+
+def test_contradictory_pins_give_an_empty_section(poset1):
+    # x tied to y and to the top, w to both as well: the two ties from the
+    # top to y disagree (y = 0 through x, y = -1 through w)
+    c = build_C(poset1, -1, ("y", "x"))
+    g0, g1 = c.g_parts
+    pinned = replace(c, g_parts=(g0 | {"x"}, g1 | {"w"}))
+    assert lattice_points_sweep(pinned, 1) == ()
+    assert _closure(pinned, 1) is None
+    assert lattice_points(pinned, 1) == ()
+
+
+def test_closed_bounds_are_attained(corpus):
+    for _, p in corpus:
+        for eps in (1, -1):
+            for seq in enumerate_N(p, eps):
+                c = build_C(p, eps, seq)
+                for n in (1, 2, 3):
+                    pins, d = _closure(c, n)
+                    top = len(d) - 1
+                    pts = _values(c, n)
+                    for i, (k, off) in enumerate(pins):
+                        column = [v[i] for v in pts]
+                        assert min(column) == off - d[k][top]
+                        assert max(column) == off + d[top][k]
+
+
+def test_values_past_64_bits_overflow_exactly():
+    # chain(3) has the single point n * (4, 3, 2, 1) for eps = 1, its negative for -1
+    for eps, n_ok in ((1, INT64_MAX // 4), (-1, -(INT64_MIN // 4))):
+        c = build_C(chain(3), eps, ())
+        assert lattice_points(c, n_ok)[0].values[0] == eps * 4 * n_ok
+        with pytest.raises(OverflowError, match="exceeds the 64-bit range"):
+            lattice_points(c, n_ok + 1)
 
 
 def test_lattice_points_match_direct_enumeration_deeper(poset1):

@@ -294,6 +294,22 @@ def test_validation_order_is_shared_by_every_target(poset1):
                 fn(target, 2, 9)
 
 
+def test_primality_matches_trial_division():
+    def trial(k):
+        return k >= 2 and all(k % d for d in range(2, int(k**0.5) + 1))
+
+    assert [k for k in range(20000) if frobenius._is_prime(k)] == [
+        k for k in range(20000) if trial(k)
+    ]
+    # strong pseudoprimes to the first few bases, then Carmichael numbers
+    strong = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383)
+    strong += (341550071728321, 3825123056546413051)
+    for k in strong + (561, 41041, 825265):
+        assert not frobenius._is_prime(k)
+    for k in (2**31 - 1, 1000000007, 2**61 - 1, 10**18 + 3):
+        assert frobenius._is_prime(k)
+
+
 def test_polytope_box_is_capped_before_the_sweep():
     square = Polytope(dim=2, inequalities=(), lower=(0, 0), upper=(2, 2))
     with pytest.raises(BudgetExceeded, match="dilation box"):
