@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .birkhoff import (
@@ -377,7 +378,9 @@ def _add_common(sub, poset=True, eps=False, n=None):
         sub.add_argument("poset", help="built-in name or document file")
 
 
+@cache
 def build_parser():
+    """The one parser of the process; parse_args returns a fresh Namespace per call."""
     parser = _Parser(prog="hibi", description="poset divisor calculators")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 

@@ -205,6 +205,34 @@ def test_usage_errors_exit_one():
     assert code == 1
 
 
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    default_emax = ["frobenius", "P1", "--prime", "2"]
+    polytope = ["polytope", "P1", "--eps", "-1", "--seq", "y,x"]
+    calls = [
+        default_emax,
+        ["frobenius", "P1", "--prime", "2", "--emax", "1"],
+        default_emax,
+        polytope,
+        ["polytope", "P1", "--bogus"],
+        ["polytope", "--help"],
+        polytope,
+    ]
+    first = {}
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first[tuple(argv)] = run_command(argv)
+    capsys.readouterr()
+    cli.build_parser.cache_clear()
+    results = [run_command(argv) for argv in calls]
+    assert results == [first[tuple(argv)] for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    # the default --emax 2 still applies after an explicit --emax 1
+    assert "    2     10      1" in results[2][1]
+    assert "    2 " not in results[1][1]
+    assert results[4][0] == 1 and results[5] == (0, "")
+    assert "usage: hibi polytope" in capsys.readouterr().out
+
+
 def test_validation_errors_exit_two(tmp_path):
     code, text = run_command(["analyze", "NoSuchPoset"])
     assert code == 2
