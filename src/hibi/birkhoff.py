@@ -8,7 +8,7 @@ the convention that lattice elements correspond to nonempty down-sets).
 The round trip through either side is the identity up to isomorphism.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import NotALattice, NotDistributive
@@ -16,19 +16,15 @@ from .labelings import indicator
 from .poset import build_poset, poset_ideals
 
 
-@dataclass(frozen=True)
-class DistLattice:
+class DistLattice(namedtuple("DistLattice", "elements order joins meets")):
     """Finite lattice: element order, full order relation, join/meet tables.
 
     joins and meets are square tables indexed by element positions and
     holding element positions.  build_dist_lattice is the validating
     constructor; it computes the tables from the order relation.
-    """
 
-    elements: tuple
-    order: frozenset
-    joins: tuple
-    meets: tuple
+    No __slots__: the cached properties below live in the instance dict.
+    """
 
     @cached_property
     def index(self):

@@ -9,8 +9,7 @@ half distances add up exactly; on G the coordinates are pinned affinely
 to the y anchors, which is why dim C = #(P minus G) + t.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import BudgetExceeded
 from .labelings import INT64_MAX, INT64_MIN, Labeling, indicator, label_max
@@ -18,18 +17,20 @@ from .poset import TOP, qdist
 from .sequences import as_seq, is_q_reduced, q_max, shifted_family
 
 
-@dataclass(frozen=True)
-class ConeSection:
-    """One pinned polytope: equalities along the sequence, gap inequalities elsewhere."""
+class ConeSection(
+    namedtuple(
+        "ConeSection", "poset epsilon seq equalities inequalities g_parts g_set f_set"
+    )
+):
+    """One pinned polytope: equalities along the sequence, gap inequalities elsewhere.
 
-    poset: object
-    epsilon: int
-    seq: object
-    equalities: tuple  # (x_i, y_i, qdist(eps, x_i, y_i)) per bookended pair
-    inequalities: tuple  # covers (a, b) of P+, meaning nu(a) - nu(b) >= eps
-    g_parts: tuple  # frozensets G_0 .. G_t, subsets of P+
-    g_set: frozenset
-    f_set: frozenset  # P minus G
+    equalities holds (x_i, y_i, qdist(eps, x_i, y_i)) per bookended pair,
+    inequalities the covers (a, b) of P+, meaning nu(a) - nu(b) >= eps,
+    g_parts the frozensets G_0 .. G_t (subsets of P+), g_set their union
+    and f_set the rest of P.
+    """
+
+    __slots__ = ()
 
 
 def build_C(p, eps, seq):
@@ -247,6 +248,8 @@ def dim_bruteforce(c):
     Valid as a dimension oracle because the witness construction already
     exhibits #F + t + 1 affinely independent integer points.
     """
+    from fractions import Fraction  # only the self-test needs exact rationals
+
     pts = lattice_points(c, 1)
     base = pts[0].values
     rows = [[Fraction(v - b) for v, b in zip(q.values, base)] for q in pts[1:]]

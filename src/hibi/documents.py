@@ -8,20 +8,17 @@ always emits the poset form, making serialize(parse(text)) idempotent.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .birkhoff import build_dist_lattice, join_irreducibles
 from .errors import DocumentError
-from .poset import Poset, build_poset
+from .poset import build_poset
 
 
-@dataclass(frozen=True)
-class PosetDocument:
+class PosetDocument(namedtuple("PosetDocument", "name poset lattice", defaults=(None,))):
     """Named poset parsed from a document; keeps the lattice when given one."""
 
-    name: str
-    poset: Poset
-    lattice: object = None
+    __slots__ = ()
 
 
 def _want(payload, key, kind, kindname):

@@ -21,7 +21,7 @@ upper bound for the module-generator number rather than the number
 itself; the reports carry estimates either way and never assert limits.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import log
 from operator import sub
@@ -33,46 +33,38 @@ from .labelings import Labeling
 from .poset import Poset
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(
+    namedtuple("Budget", "max_prime max_e max_piece", defaults=(5, 3, 1_000_000))
+):
     """Caps for the piece enumerations; exceeding any cap is an error."""
 
-    max_prime: int = 5
-    max_e: int = 3
-    max_piece: int = 1_000_000
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(namedtuple("Polytope", "dim inequalities lower upper")):
     """Integral polytope cut out by (coeffs . x <= rhs) rows inside a box."""
 
-    dim: int
-    inequalities: tuple
-    lower: tuple
-    upper: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim, inequalities, lower, upper):
         # fields given as lists are stored as tuples, so every polytope hashes
-        rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in self.inequalities)
-        object.__setattr__(self, "inequalities", rows)
-        object.__setattr__(self, "lower", tuple(self.lower))
-        object.__setattr__(self, "upper", tuple(self.upper))
-        if len(self.lower) != self.dim or len(self.upper) != self.dim:
+        rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in inequalities)
+        lower, upper = tuple(lower), tuple(upper)
+        if len(lower) != dim or len(upper) != dim:
             raise ValueError("bounds must match the coordinate count")
         for coeffs, _ in rows:
-            if len(coeffs) != self.dim:
+            if len(coeffs) != dim:
                 raise ValueError("inequality width must match the coordinate count")
+        return super().__new__(cls, dim, rows, lower, upper)
 
 
-@dataclass(frozen=True)
-class TComplexityTable:
-    """Rows (e, dim_e, c_e) for one prime, plus the labeled growth estimates."""
+class TComplexityTable(namedtuple("TComplexityTable", "prime target rows estimate last_ratio")):
+    """Rows (e, dim_e, c_e) for one prime, plus the labeled growth estimates.
 
-    prime: int
-    target: str
-    rows: tuple
-    estimate: float
-    last_ratio: object  # float, or None when a count vanishes
+    last_ratio is a float, or None when a count vanishes.
+    """
+
+    __slots__ = ()
 
     @property
     def row_estimates(self):

@@ -8,29 +8,28 @@ the ideal-subtraction test: nu is minimal iff nu - 1_I leaves T^(n) for
 every nonempty down-set I.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidPoset
-from .poset import TOP, Poset, poset_ideals, qdist
+from .poset import TOP, poset_ideals, qdist
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(namedtuple("Labeling", "poset values")):
     """Integer map on P+ with value 0 at the top, stored in canonical order."""
 
-    poset: Poset
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != len(self.poset.elements):
+    def __new__(cls, poset, values):
+        if len(values) != len(poset.elements):
             raise ValueError("labeling needs one value per poset element")
-        for v in self.values:
+        for v in values:
             if not INT64_MIN <= v <= INT64_MAX:
                 raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+        return super().__new__(cls, poset, values)
 
     def __call__(self, z):
         """Value at z; the top maps to 0."""

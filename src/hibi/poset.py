@@ -11,7 +11,7 @@ topological order and cached; everything else derives from them.
 """
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import InvalidPoset
@@ -19,19 +19,16 @@ from .errors import InvalidPoset
 TOP = "∞"
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(namedtuple("Poset", "elements covers bottom")):
     """Finite poset: canonical element order, irredundant covers, bottom.
 
     elements are stored in the canonical order (input order refined by a
     topological sort of the cover relation), so elements[0] is always the
     bottom.  covers holds the Hasse diagram of P only; covers into the
     virtual top are implicit (one from each maximal element).
-    """
 
-    elements: tuple
-    covers: frozenset
-    bottom: object
+    No __slots__: the cached properties below live in the instance dict.
+    """
 
     @cached_property
     def index(self):

@@ -16,7 +16,7 @@ at the top bookend wait for the finished sequence, because reducedness
 itself is not prefix-closed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidPoset
@@ -24,8 +24,7 @@ from .labelings import Labeling
 from .poset import TOP, qdist
 
 
-@dataclass(frozen=True)
-class CondNSeq:
+class CondNSeq(namedtuple("CondNSeq", "poset items")):
     """Alternating sequence (y_0, x_1, ..., y_{t-1}, x_t) in P minus the bottom.
 
     The empty sequence (t = 0) is allowed and is often the important one.
@@ -33,17 +32,17 @@ class CondNSeq:
     of satisfies_condN.
     """
 
-    poset: object
-    items: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.items) % 2:
+    def __new__(cls, poset, items):
+        if len(items) % 2:
             raise ValueError("alternating sequence must have even length")
-        for z in self.items:
-            if z == TOP or z not in self.poset.index:
+        for z in items:
+            if z == TOP or z not in poset.index:
                 raise InvalidPoset(f"unknown element id {z!r}")
-            if z == self.poset.bottom:
+            if z == poset.bottom:
                 raise ValueError("the bottom element cannot appear in a sequence")
+        return super().__new__(cls, poset, items)
 
     @property
     def t(self):

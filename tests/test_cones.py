@@ -1,6 +1,5 @@
 """Pinned sections: G/F bookkeeping, dimensions, lattice points, standardness."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -226,7 +225,7 @@ def test_closed_kernel_matches_sweep_on_sections_of_the_other_sign(corpus):
     for _, p in corpus:
         for eps in (1, -1):
             for seq in enumerate_N(p, eps):
-                c = replace(build_C(p, eps, seq), epsilon=-eps)
+                c = build_C(p, eps, seq)._replace(epsilon=-eps)
                 for n in (1, 2):
                     want = lattice_points_sweep(c, n)
                     assert _values(c, n) == want
@@ -240,7 +239,7 @@ def test_contradictory_pins_give_an_empty_section(poset1):
     # top to y disagree (y = 0 through x, y = -1 through w)
     c = build_C(poset1, -1, ("y", "x"))
     g0, g1 = c.g_parts
-    pinned = replace(c, g_parts=(g0 | {"x"}, g1 | {"w"}))
+    pinned = c._replace(g_parts=(g0 | {"x"}, g1 | {"w"}))
     assert lattice_points_sweep(pinned, 1) == ()
     assert _closure(pinned, 1) is None
     assert lattice_points(pinned, 1) == ()

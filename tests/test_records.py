@@ -1,0 +1,166 @@
+"""Value records: hashing, printing, immutability, validation and import cost."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hibi
+from hibi.birkhoff import DistLattice, lattice_from_poset
+from hibi.cones import ConeSection, build_C
+from hibi.corpus import p1
+from hibi.documents import PosetDocument, parse_poset_document
+from hibi.errors import InvalidPoset
+from hibi.frobenius import Budget, Polytope, TComplexityTable, tcx_report
+from hibi.labelings import Labeling, zero_labeling
+from hibi.poset import TOP, Poset
+from hibi.sequences import CondNSeq
+
+# Field names in declaration order, written out so that a record which
+# gained, lost or reordered a field fails here.
+FIELDS = {
+    Poset: ("elements", "covers", "bottom"),
+    Labeling: ("poset", "values"),
+    CondNSeq: ("poset", "items"),
+    ConeSection: (
+        "poset",
+        "epsilon",
+        "seq",
+        "equalities",
+        "inequalities",
+        "g_parts",
+        "g_set",
+        "f_set",
+    ),
+    DistLattice: ("elements", "order", "joins", "meets"),
+    PosetDocument: ("name", "poset", "lattice"),
+    Budget: ("max_prime", "max_e", "max_piece"),
+    Polytope: ("dim", "inequalities", "lower", "upper"),
+    TComplexityTable: ("prime", "target", "rows", "estimate", "last_ratio"),
+}
+
+TRIANGLE = ((((1, 1), 2), ((-1, 0), 0), ((0, -1), 0)), (0, 0), (2, 2))
+
+
+def _records():
+    p = p1()
+    p.index, p.up_covers  # fill cached properties; they must not show anywhere
+    lattice = lattice_from_poset(p)
+    lattice.bottom
+    return [
+        p,
+        zero_labeling(p),
+        CondNSeq(p, ("y", "x")),
+        build_C(p, -1, ()),
+        lattice,
+        PosetDocument("P1", p, lattice),
+        Budget(max_prime=3),
+        Polytope(2, *TRIANGLE),
+        tcx_report(p, (2,), 2)[0],
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_record_hash_repr_and_immutability(record):
+    names = FIELDS[type(record)]
+    fields = tuple(getattr(record, name) for name in names)
+    assert hash(record) == hash(fields)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields))
+    assert repr(record) == f"{type(record).__name__}({shown})"
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert tuple(getattr(record, name) for name in names) == fields
+
+
+def test_every_record_is_covered():
+    assert set(FIELDS) == {type(r) for r in _records()}
+
+
+def _raises(kind, text, build):
+    with pytest.raises(kind) as info:
+        build()
+    assert type(info.value) is kind
+    assert str(info.value) == text
+
+
+def test_labeling_validation():
+    p = p1()
+    _raises(ValueError, "labeling needs one value per poset element", lambda: Labeling(p, (0,) * 5))
+    big = 1 << 63
+    _raises(
+        OverflowError,
+        f"labeling value {big} exceeds the 64-bit range",
+        lambda: Labeling(p, (0, 0, big, 0, 0, 0)),
+    )
+    assert Labeling(p, (-big, 0, 0, 0, 0, big - 1)).values[0] == -big
+
+
+def test_sequence_validation():
+    p = p1()
+    _raises(ValueError, "alternating sequence must have even length", lambda: CondNSeq(p, ("y",)))
+    _raises(InvalidPoset, "unknown element id 'q'", lambda: CondNSeq(p, ("y", "q")))
+    _raises(InvalidPoset, f"unknown element id {TOP!r}", lambda: CondNSeq(p, (TOP, "x")))
+    _raises(
+        ValueError,
+        "the bottom element cannot appear in a sequence",
+        lambda: CondNSeq(p, ("y", "x0")),
+    )
+
+
+def test_polytope_validation_and_list_fields():
+    rows, lower, upper = TRIANGLE
+    _raises(
+        ValueError,
+        "bounds must match the coordinate count",
+        lambda: Polytope(2, rows, (0,), upper),
+    )
+    _raises(
+        ValueError,
+        "bounds must match the coordinate count",
+        lambda: Polytope(2, rows, lower, (2, 2, 2)),
+    )
+    _raises(
+        ValueError,
+        "inequality width must match the coordinate count",
+        lambda: Polytope(2, rows + (((1,), 1),), lower, upper),
+    )
+    listed = Polytope(2, [[list(c), r] for c, r in rows], list(lower), list(upper))
+    built = Polytope(2, rows, lower, upper)
+    assert listed == built
+    assert hash(listed) == hash(built)
+    assert listed.inequalities == rows and listed.lower == lower and listed.upper == upper
+
+
+def test_defaults():
+    assert Budget() == Budget(5, 3, 1_000_000)
+    assert (Budget().max_prime, Budget().max_e, Budget().max_piece) == (5, 3, 1_000_000)
+    assert Budget(max_piece=7) == Budget(5, 3, 7)
+    doc = PosetDocument("P1", p1())
+    assert doc.lattice is None
+    text = '{"name": "two", "elements": ["a", "b"], "covers": [["a", "b"]], "bottom": "a"}'
+    assert parse_poset_document(text).lattice is None
+
+
+def test_cli_import_skips_dataclasses_and_fractions():
+    probe = (
+        "import runpy, sys\n"
+        "import hibi.cli\n"
+        "first = sorted(m for m in ('dataclasses', 'fractions') if m in sys.modules)\n"
+        "sys.argv = ['hibi', 'level', 'P1']\n"
+        "try:\n"
+        "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "after = sorted(m for m in ('dataclasses', 'fractions') if m in sys.modules)\n"
+        "print(first, after, code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "level: true" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[] [] 0"
