@@ -157,10 +157,12 @@ def build_poset(elements, covers, bottom):
     if missing:
         raise InvalidPoset(f"bottom {bottom!r} is not below {missing[0]!r}: not the unique minimum")
 
+    # (a, b) is implied when b lies strictly above another upper neighbour of
+    # a, so an element with a single upper neighbour has no implied pair
     reduced = set()
-    for a, b in pairs:
-        if not any(c != b and b in above[c] for c in ups[a]):
-            reduced.add((a, b))
+    for a, bs in ups.items():
+        implied = set().union(*(above[c] - {c} for c in bs)) if len(bs) > 1 else ()
+        reduced.update((a, b) for b in bs if b not in implied)
 
     return Poset(tuple(order), frozenset(reduced), bottom)
 

@@ -50,6 +50,31 @@ def chain_lengths_dfs(p, x, y):
     return out
 
 
+def reduced_covers_pairwise(elements, covers):
+    """Irredundant covers by a per-pair test over depth-first reachability.
+
+    (a, b) is dropped when another upper neighbour c of a has b above it.
+    """
+    ups = {z: {b for a, b in covers if a == z} for z in elements}
+
+    def reach(z):
+        seen, stack = {z}, [z]
+        while stack:
+            for b in ups[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    above = {z: reach(z) for z in elements}
+    return frozenset(
+        (a, b)
+        for a in elements
+        for b in ups[a]
+        if not any(c != b and b in above[c] for c in ups[a])
+    )
+
+
 def downsets_powerset(p):
     """Every nonempty down-set of P, found by filtering the whole powerset."""
     elems = p.elements

@@ -2,8 +2,14 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chain_lengths_dfs, downsets_powerset, small_posets
+from conftest import (
+    chain_lengths_dfs,
+    downsets_powerset,
+    reduced_covers_pairwise,
+    small_posets,
+)
 from hibi import (
     InvalidPoset,
     TOP,
@@ -56,6 +62,25 @@ def test_build_rejects_missing_bottom():
 def test_transitive_cover_is_dropped():
     p = build_poset(("x0", "a", "b"), (("x0", "a"), ("a", "b"), ("x0", "b")), "x0")
     assert p.covers == frozenset({("x0", "a"), ("a", "b")})
+
+
+@settings(max_examples=100)
+@given(small_posets(max_extra=7), st.data())
+def test_cover_filter_matches_pairwise_oracle(p, data):
+    comparable = sorted(
+        (a, b) for a in p.elements for b in p.elements if a != b and p.leq(a, b)
+    )
+    extra = data.draw(st.lists(st.sampled_from(comparable), unique=True))
+    covers = data.draw(st.permutations(sorted(p.covers) + extra))
+    q = build_poset(p.elements, covers, p.bottom)
+    assert q.covers == reduced_covers_pairwise(p.elements, covers) == p.covers
+
+
+def test_cover_filter_on_corpus_with_every_comparable_pair(corpus):
+    for _, p in corpus:
+        covers = [(a, b) for a in p.elements for b in p.elements if a != b and p.leq(a, b)]
+        assert build_poset(p.elements, covers, p.bottom).covers == p.covers
+        assert reduced_covers_pairwise(p.elements, covers) == p.covers
 
 
 def test_element_order_is_stable(poset1):
