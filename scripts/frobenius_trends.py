@@ -5,6 +5,10 @@ The estimates are reported, not asserted: the interesting question is
 whether log_p(c_e)/e drifts toward analytic_spread(P, -1) - 1 as the
 prime grows, and desk-scale primes can only hint at that.
 
+P1 is also read at larger primes, where the pieces stay small enough to
+list: e <= 3 at p = 7 and e <= 2 at p = 11 and 13.  --emax sets the
+exponent range at primes 2, 3 and 5.
+
 Usage: python3 scripts/frobenius_trends.py [--emax E]
 """
 
@@ -16,10 +20,12 @@ from hibi.corpus import builtin
 from hibi.frobenius import Budget
 
 
-def show(name, p, primes, e_max, budget):
+def show(name, p, runs, budget):
+    """Print one table per prime for each (primes, e_max) run."""
     target = analytic_spread(p, -1) - 1
     print(f"{name}: reference value spread(-1) - 1 = {target}")
-    for table in tcx_report(p, primes, e_max, budget=budget):
+    tables = [t for primes, e_max in runs for t in tcx_report(p, primes, e_max, budget=budget)]
+    for table in tables:
         print(f"  prime {table.prime} ({table.target})")
         print(f"    {'e':>3} {'dim_e':>8} {'c_e':>8} {'log_p(c_e)/e':>13}")
         for (e, dim_e, c_e), est in zip(table.rows, table.row_estimates):
@@ -36,9 +42,10 @@ def main():
     parser.add_argument("--emax", type=int, default=3)
     args = parser.parse_args()
 
-    budget = Budget(max_prime=5, max_e=max(3, args.emax), max_piece=2_000_000)
-    show("P1", builtin("P1"), (2, 3, 5), args.emax, budget)
-    show("chain3", builtin("chain3"), (2, 3, 5), args.emax, budget)
+    budget = Budget(max_prime=13, max_e=max(3, args.emax), max_piece=2_000_000)
+    small = ((2, 3, 5), args.emax)
+    show("P1", builtin("P1"), (small, ((7,), 3), ((11, 13), 2)), budget)
+    show("chain3", builtin("chain3"), (small,), budget)
 
 
 if __name__ == "__main__":
