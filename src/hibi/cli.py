@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 from .birkhoff import (
@@ -55,13 +55,23 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
+@lru_cache(maxsize=32)
+def _document(text):
+    """The parsed document of a text, interned by the text.
+
+    A poset read again is then the same object and keeps the data it owns.
+    A text that fails to parse raises on every call: errors are not kept.
+    """
+    return parse_poset_document(text)
+
+
 def _load(ref):
     """Resolve a poset reference: built-in name, then file, then file stem."""
     if ref in BUILTIN_NAMES:
         return ref, builtin(ref)
     path = Path(ref)
     if path.exists():
-        doc = parse_poset_document(path.read_text(encoding="utf-8"))
+        doc = _document(path.read_text(encoding="utf-8"))
         return doc.name, doc.poset
     stem = path.name[:-5] if path.name.endswith(".json") else path.name
     if stem in BUILTIN_NAMES:

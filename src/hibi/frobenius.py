@@ -12,8 +12,9 @@ path: the e-th piece is the set of points of the (p^e - 1)-th dilation.
 
 Budgets guard every enumeration: primes and exponents are capped, and a
 piece enumeration aborts with an explicit error as soon as it passes the
-cap, rather than truncating.  Only successful enumerations are cached; a
-cached piece is checked against the cap again on every use.
+cap, rather than truncating.  Nothing is cached between calls: a piece
+lives only as long as the call that builds it, and tcx_report builds each
+piece once per prime, from the bottom up.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -117,7 +118,6 @@ def _check_caps(prime, e, budget):
 
 
 _TAGS = {Poset: "fiber cone", ConeSection: "ehrhart of sequence", Polytope: "raw polytope"}
-_pieces = {}
 
 
 def _points(target, n, budget):
@@ -151,14 +151,7 @@ def _piece(target, prime, e, budget):
     """Value tuples of the e-th piece: the (prime**e - 1)-th dilation of target."""
     budget = budget or Budget()
     _check_caps(prime, e, budget)
-    key = (target, prime, e)
-    piece = _pieces.get(key)
-    if piece is None:
-        piece = _points(target, prime**e - 1, budget)
-    if len(piece) > budget.max_piece:
-        raise BudgetExceeded(f"piece of size {len(piece)} exceeds the cap {budget.max_piece}")
-    _pieces[key] = piece
-    return piece
+    return _points(target, prime**e - 1, budget)
 
 
 def _new_elements(pieces, prime, e):
@@ -249,10 +242,11 @@ def tcx_report(target, primes, e_max, budget=None):
         raise ValueError("e_max must be at least 1")
     tables = []
     for prime in primes:
-        rows = tuple(
-            (e, len(_piece(target, prime, e, budget)), len(_fresh(target, prime, e, budget)))
-            for e in range(1, e_max + 1)
-        )
+        pieces, rows = {}, []
+        for e in range(1, e_max + 1):
+            pieces[e] = _piece(target, prime, e, budget)
+            rows.append((e, len(pieces[e]), len(_new_elements(pieces, prime, e))))
+        rows = tuple(rows)
         last_c = rows[-1][2]
         estimate = log(last_c, prime) / e_max if last_c > 0 else float("-inf")
         ratio = None

@@ -9,10 +9,9 @@ every nonempty down-set I.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .errors import InvalidPoset
-from .poset import TOP, poset_ideals, qdist
+from .poset import TOP, qdist
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -105,18 +104,6 @@ def label_min(a, b):
     return Labeling(a.poset, tuple(map(min, a.values, b.values)))
 
 
-@lru_cache(maxsize=None)
-def _cover_pairs(p):
-    """Covers of P+ as index pairs; -1 stands for the top."""
-    idx = p.index
-    out = []
-    for a in p.elements:
-        ia = idx[a]
-        for b in p.up_covers[a]:
-            out.append((ia, -1 if b == TOP else idx[b]))
-    return tuple(out)
-
-
 def _gaps_ok(vals, pairs, n):
     for ia, ib in pairs:
         if vals[ia] - (0 if ib < 0 else vals[ib]) < n:
@@ -126,7 +113,7 @@ def _gaps_ok(vals, pairs, n):
 
 def in_T(p, n, nu):
     """nu lies in T^(n): every cover gap of P+, top included, is at least n."""
-    return _gaps_ok(nu.values, _cover_pairs(p), n)
+    return _gaps_ok(nu.values, p._cover_pairs, n)
 
 
 def leq_T(p, n, nu, nu2):
@@ -137,19 +124,13 @@ def leq_T(p, n, nu, nu2):
     return in_T(p, 0, nu2 - nu)
 
 
-@lru_cache(maxsize=None)
-def _ideal_index_sets(p):
-    idx = p.index
-    return tuple(frozenset(idx[z] for z in ideal) for ideal in poset_ideals(p))
-
-
 def is_minimal(p, n, nu):
     """True iff subtracting any nonempty down-set indicator leaves T^(n)."""
     if not in_T(p, n, nu):
         raise ValueError("labeling is not in T^(n)")
-    pairs = _cover_pairs(p)
+    pairs = p._cover_pairs
     vals = nu.values
-    for members in _ideal_index_sets(p):
+    for members in p._ideal_index_sets:
         for ia, ib in pairs:
             gap = vals[ia] - (0 if ib < 0 else vals[ib])
             if ia in members:

@@ -7,12 +7,23 @@ top is the reserved id TOP and is never part of the input element list.
 
 Saturated-chain lengths (shortest and longest) between comparable pairs
 are computed once per poset by dynamic programming over a fixed
-topological order and cached; everything else derives from them.
+topological order; the distances derive from them.
+
+The poset is the one owner of the data derived from it.  Each item is
+built on first use, lives in the instance dict, and goes away with the
+poset; no module keeps a cache keyed by a poset.  It owns:
+
+- index, up_covers, down_covers, plus_elements: the canonical layout;
+- _above: the up-set of every element of P+;
+- _chain_lengths: shortest and longest saturated chains per comparable pair;
+- _cover_pairs: the covers of P+ as index pairs (for the T^(n) tests);
+- _ideals and _ideal_index_sets: the nonempty down-sets (poset_ideals);
+- _reduced: the reduced sequences per sign eps (sequences.enumerate_N).
 """
 
 import heapq
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import InvalidPoset
 
@@ -95,6 +106,49 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
                         hi = bhi + 1 if hi is None else max(hi, bhi + 1)
                 table[(x, y)] = (lo, hi)
         return table
+
+    @cached_property
+    def _cover_pairs(self):
+        """Covers of P+ as index pairs; -1 stands for the top."""
+        idx = self.index
+        return tuple(
+            (idx[a], -1 if b == TOP else idx[b]) for a in self.elements for b in self.up_covers[a]
+        )
+
+    @cached_property
+    def _ideals(self):
+        """The nonempty down-sets, in the order poset_ideals documents."""
+        idx = self.index
+        downs = {z: [a for a in self.down_covers[z] if a != TOP] for z in self.elements}
+        ideals = []
+
+        def extend(i, current):
+            if i == len(self.elements):
+                if current:
+                    ideals.append(frozenset(current))
+                return
+            z = self.elements[i]
+            extend(i + 1, current)
+            if all(a in current for a in downs[z]):
+                current.add(z)
+                extend(i + 1, current)
+                current.remove(z)
+
+        extend(0, set())
+        ideals.sort(key=lambda s: (len(s), sorted(idx[z] for z in s)))
+        return tuple(ideals)
+
+    @cached_property
+    def _ideal_index_sets(self):
+        """The nonempty down-sets as frozensets of canonical indices."""
+        # through the public name, which perfbench/spans.py wraps and counts
+        idx = self.index
+        return tuple(frozenset(idx[z] for z in ideal) for ideal in poset_ideals(self))
+
+    @cached_property
+    def _reduced(self):
+        """eps -> reduced sequences; filled by sequences.enumerate_N."""
+        return {}
 
     def leq(self, x, y):
         """x <= y in P+."""
@@ -212,32 +266,13 @@ def _require_leq(p, x, y):
         raise InvalidPoset(f"{x!r} is not below {y!r}")
 
 
-@lru_cache(maxsize=None)
 def poset_ideals(p):
     """All nonempty down-sets of P, as frozensets, in a deterministic order.
 
     Every nonempty down-set contains the bottom.  Ordered by cardinality,
     then lexicographically by canonical element indices.
     """
-    idx = p.index
-    downs = {z: [a for a in p.down_covers[z] if a != TOP] for z in p.elements}
-    ideals = []
-
-    def extend(i, current):
-        if i == len(p.elements):
-            if current:
-                ideals.append(frozenset(current))
-            return
-        z = p.elements[i]
-        extend(i + 1, current)
-        if all(a in current for a in downs[z]):
-            current.add(z)
-            extend(i + 1, current)
-            current.remove(z)
-
-    extend(0, set())
-    ideals.sort(key=lambda s: (len(s), sorted(idx[z] for z in s)))
-    return tuple(ideals)
+    return p._ideals
 
 
 def is_pure(p):

@@ -17,7 +17,6 @@ itself is not prefix-closed.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .errors import InvalidPoset
 from .labelings import Labeling
@@ -130,24 +129,33 @@ def is_q_reduced(p, m, seq):
     return not any(_pair_fails(p, m, zig, i, j) for j in range(1, t + 1) for i in range(j))
 
 
-@lru_cache(maxsize=None)
 def enumerate_N(p, eps):
     """All q^(eps)-reduced zig-zag sequences, by length then lexicographically.
 
+    Computed once per poset and sign; the poset keeps the result.
+
     An iterative depth-first search over prefixes (y_0, x_1, ..., y_{k-1}, x_k).
-    The zig-zag conditions are checked as each element is placed.  A new
-    y_k is dropped at once when a pair (x_i, y_k), i < k, fails: that pair
-    involves only x_i .. y_k, so every extension fails it too.  The pairs
-    ending at the top bookend change as the sequence grows, so each prefix
-    the search reaches is kept only if is_q_reduced accepts it whole.
+    The zig-zag conditions are checked as each element is placed: a y lies
+    strictly above the element before it and an x strictly below its y,
+    read off the up-sets.  A new y_k is dropped at once when a pair
+    (x_i, y_k), i < k, fails: that pair involves only x_i .. y_k, so every
+    extension fails it too.  The pairs ending at the top bookend change as
+    the sequence grows, so each prefix the search reaches is kept only if
+    is_q_reduced accepts it whole.
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
+    if eps in p._reduced:
+        return p._reduced[eps]
     idx = p.index
-    above, pool = p._above, p.elements[1:]
-    ups = {z: tuple(w for w in pool if w != z and w in above[z]) for z in p.elements}
-    downs = {y: tuple(x for x in pool if x != y and y in above[x]) for y in pool}
-    bottom = p.bottom
+    above, bottom = p._above, p.bottom
+    # ups[z]: elements of P strictly above z; downs[y]: the same relation
+    # inverted, without the bottom (it cannot appear in a sequence)
+    ups = {z: sorted(above[z] - {z, TOP}, key=idx.__getitem__) for z in p.elements}
+    downs = {y: [] for y in p.elements}
+    for x in p.elements[1:]:
+        for y in ups[x]:
+            downs[y].append(x)
     reduced = []
     stack = [()]
     while stack:
@@ -165,7 +173,8 @@ def enumerate_N(p, eps):
                 if not any(y_i in above[x] for y_i in items[0::2]):
                     stack.append(items + (y, x))
     reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
-    return tuple(reduced)
+    p._reduced[eps] = reduced = tuple(reduced)
+    return reduced
 
 
 def mu(p, n, seq):

@@ -12,6 +12,7 @@ import pytest
 import hibi
 import hibi.cli as cli
 from hibi.cli import main, run_command
+from hibi.errors import DocumentError
 
 P1_TEXT = """{
   "name": "mine",
@@ -260,6 +261,25 @@ def test_file_input(tmp_path):
     code, text = run_command(["spread", str(doc), "--eps", "-1"])
     assert code == 0
     assert text == "3"
+
+
+def test_documents_are_interned_by_text(tmp_path):
+    doc = tmp_path / "mine.json"
+    doc.write_text(P1_TEXT)
+    name, first = cli._load(str(doc))
+    assert cli._load(str(doc)) == (name, first)
+    assert cli._load(str(doc))[1] is first
+    before = run_command(["sequences", str(doc)])
+    doc.write_text(P1_TEXT.replace('["x", "v"]', '["w", "v"]'))
+    changed = cli._load(str(doc))[1]
+    assert changed is not first and changed != first
+    after = run_command(["sequences", str(doc)])
+    assert after[0] == 0 and after != before
+    doc.write_text('{"name": "x"')
+    for _ in range(2):
+        with pytest.raises(DocumentError):
+            cli._load(str(doc))
+        assert run_command(["sequences", str(doc)])[0] == 2
 
 
 def test_builtin_stem_resolution(tmp_path, monkeypatch):

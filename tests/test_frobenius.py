@@ -264,12 +264,11 @@ def test_growth_table_polytope_frozen():
     assert tables[1].rows == ((1, 15, 15), (2, 325, 100))
 
 
-def test_list_built_polytope_matches_tuple_built(monkeypatch):
+def test_list_built_polytope_matches_tuple_built():
     listed = Polytope(dim=2, inequalities=[([1, 1], 1)], lower=[0, 0], upper=[1, 1])
     assert listed == TRIANGLE
     want = tcx_report(TRIANGLE, (2, 5), 2)
     want_fresh = h_e_polytope(TRIANGLE, 2, 3)
-    monkeypatch.setattr(frobenius, "_pieces", {})
     assert tcx_report(listed, (2, 5), 2) == want
     assert c_e_polytope(listed, 5, 2) == 100
     assert h_e_polytope(listed, 2, 3) == want_fresh
@@ -316,15 +315,13 @@ def test_polytope_box_is_capped_before_the_sweep():
         c_e_polytope(square, 5, 2, budget=Budget(max_piece=100))
 
 
-def test_capped_piece_is_rejected_exactly_when_larger(corpus, monkeypatch):
-    monkeypatch.setattr(frobenius, "_pieces", {})
+def test_capped_piece_is_rejected_exactly_when_larger(corpus):
     roomy = Budget(max_prime=3, max_e=2)
     keys = [(name, p, prime, e) for name, p in corpus for prime in (2, 3) for e in (1, 2)]
     sizes = {key: len(t_piece(key[1], key[2], key[3], budget=roomy)) for key in keys}
     for key in keys:
         _, p, prime, e = key
         for cap in (10, 100, 1000):
-            frobenius._pieces.clear()
             capped = Budget(max_prime=3, max_e=2, max_piece=cap)
             if sizes[key] > cap:
                 with pytest.raises(BudgetExceeded):

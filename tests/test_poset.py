@@ -1,4 +1,6 @@
-"""Poset construction, chain distances, down-sets, purity."""
+"""Poset construction, chain distances, down-sets, purity, owned data."""
+
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +16,19 @@ from hibi import (
     InvalidPoset,
     TOP,
     build_poset,
+    c_e_fiber,
     dist,
+    enumerate_N,
+    generators,
+    is_minimal,
     is_pure,
     p_nonmax,
     p_nonmin,
     poset_ideals,
     qdist,
 )
-from hibi.corpus import antichain, chain
+from hibi.corpus import antichain, chain, p1
+from hibi.poset import Poset
 
 
 def test_build_rejects_duplicate_ids():
@@ -199,3 +206,18 @@ def test_nonmax_nonmin_disjoint_on_corpus(corpus):
         if is_pure(p):
             assert p_nonmax(p) == frozenset()
             assert p_nonmin(p) == frozenset()
+
+
+def test_dropped_poset_is_collected_with_its_data():
+    # P1 under ids no other test uses, so that no other live poset matches
+    rename = {z: f"dropped-{z}" for z in p1().elements}
+    covers = [(rename[a], rename[b]) for a, b in p1().covers]
+    p = build_poset(tuple(rename.values()), covers, rename["x0"])
+    assert all(enumerate_N(p, eps) for eps in (1, -1))
+    assert all(is_minimal(p, -2, nu) for nu in generators(p, -2))
+    assert len(poset_ideals(p)) > 1
+    assert c_e_fiber(p, 2, 2) > 0
+    ids = frozenset(p.elements)
+    del p
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, Poset) and set(o.elements) == ids]
