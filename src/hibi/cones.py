@@ -14,7 +14,7 @@ from collections import namedtuple
 from .errors import BudgetExceeded
 from .labelings import INT64_MAX, INT64_MIN, Labeling, indicator, label_max
 from .poset import TOP, qdist
-from .sequences import as_seq, is_q_reduced, q_max, shifted_family
+from .sequences import as_seq, is_q_reduced, shifted_family
 
 
 class ConeSection(
@@ -85,15 +85,17 @@ def _closure(c, n):
     says nu(i) = x_k + off, where the classes x_0 .. x_K are numbered in
     canonical order of their first coordinate and x_K is the top's class,
     fixed at 0.  d[a][b] is the tightest upper bound on x_b - x_a implied
-    by the cover gaps (at least n eps) and the degree box, closed by
-    Floyd-Warshall over the finite entries only, so that sparse inputs
-    stay near quadratic; a negative cycle means the dilation is empty.
+    by the cover gaps (at least n eps), closed by Floyd-Warshall over the
+    finite entries only, so that sparse inputs stay near quadratic; a
+    negative cycle means the dilation is empty.  No degree box is needed:
+    cover paths to the top bound each coordinate below, and the pins with
+    the cover gaps bound the bottom, hence every coordinate, above by the
+    sequence's q-value.
     """
     if n < 1:
         raise ValueError("dilation must be positive")
     p = c.poset
     ne = n * c.epsilon
-    qm = q_max(p, ne)
     idx = p.index
     m = len(p.elements)
     ties = [[] for _ in range(m + 1)]  # (j, w): nu(j) = nu(i) + w; m is the top
@@ -135,8 +137,6 @@ def _closure(c, n):
             d[ka][kb] = w
 
     for i, z in enumerate(p.elements):
-        bound(m, i, qm - qdist(p, ne, p.bottom, z))
-        bound(i, m, -qdist(p, ne, z, TOP))
         for b in p.up_covers[z]:
             bound(i, m if b == TOP else idx[b], -ne)
     for k in range(size):

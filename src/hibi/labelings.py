@@ -3,9 +3,11 @@
 A labeling nu assigns an integer to every element of P and (implicitly) 0
 to the virtual top.  T^(n) collects the labelings whose gap across every
 cover of P+ is at least n; its minimal elements are the monomial
-generators of the n-th (anti)canonical power.  Minimality is decided by
+generators of the n-th (anti)canonical power.  Minimality is defined by
 the ideal-subtraction test: nu is minimal iff nu - 1_I leaves T^(n) for
-every nonempty down-set I.
+every nonempty down-set I.  It is decided without listing the down-sets,
+by one search: the closure of the bottom under lower covers and tight
+upper covers (gap exactly n) must reach the top.
 """
 
 from collections import namedtuple
@@ -125,24 +127,27 @@ def leq_T(p, n, nu, nu2):
 
 
 def is_minimal(p, n, nu):
-    """True iff subtracting any nonempty down-set indicator leaves T^(n)."""
+    """True iff subtracting any nonempty down-set indicator leaves T^(n).
+
+    nu - 1_I stays in T^(n) exactly when no tight cover (gap n) leaves I.
+    Every down-set holds the bottom, so nu is minimal iff the closure of
+    the bottom under lower covers and tight upper covers reaches the top.
+    """
     if not in_T(p, n, nu):
         raise ValueError("labeling is not in T^(n)")
-    pairs = p._cover_pairs
-    vals = nu.values
-    for members in p._ideal_index_sets:
-        for ia, ib in pairs:
-            gap = vals[ia] - (0 if ib < 0 else vals[ib])
-            if ia in members:
-                gap -= 1
-            if ib >= 0 and ib in members:
-                gap += 1
-            if gap < n:
-                break
-        else:
-            # nu - 1_I is still in T^(n), so nu was not minimal
-            return False
-    return True
+    vals = nu.values + (0,)  # the top sits at index -1
+    nbrs = [[] for _ in vals]
+    for ia, ib in p._cover_pairs:
+        nbrs[ib].append(ia)
+        if vals[ia] - vals[ib] == n:
+            nbrs[ia].append(ib)
+    seen, stack = {0}, [0]
+    while stack:
+        for j in nbrs[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return -1 in seen
 
 
 def generators(p, n):

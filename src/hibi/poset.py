@@ -6,18 +6,20 @@ P+ obtained by adjoining a virtual top above all maximal elements.  The
 top is the reserved id TOP and is never part of the input element list.
 
 Saturated-chain lengths (shortest and longest) between comparable pairs
-are computed once per poset by dynamic programming over a fixed
-topological order; the distances derive from them.
+are computed once per poset in one pass over the canonical order,
+backwards: the row of x is x itself at (0, 0) plus the rows of its upper
+covers, each length one longer, keeping the minimum and the maximum.
+Comparability, the distances and the chain strata all read that table.
 
 The poset is the one owner of the data derived from it.  Each item is
 built on first use, lives in the instance dict, and goes away with the
 poset; no module keeps a cache keyed by a poset.  It owns:
 
 - index, up_covers, down_covers, plus_elements: the canonical layout;
-- _above: the up-set of every element of P+;
-- _chain_lengths: shortest and longest saturated chains per comparable pair;
+- _chains: per source x, the shortest and longest saturated chain to every
+  y >= x in P+ (its keys are the up-set of x);
 - _cover_pairs: the covers of P+ as index pairs (for the T^(n) tests);
-- _ideals and _ideal_index_sets: the nonempty down-sets (poset_ideals);
+- _ideals: the nonempty down-sets (poset_ideals);
 - _reduced: the reduced sequences per sign eps (sequences.enumerate_N).
 """
 
@@ -73,39 +75,22 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
         return self.elements + (TOP,)
 
     @cached_property
-    def _above(self):
-        """id -> frozenset of elements of P+ weakly above it."""
-        above = {TOP: frozenset({TOP})}
-        for z in reversed(self.plus_elements):
-            if z == TOP:
-                continue
-            acc = {z}
-            for b in self.up_covers[z]:
-                acc.update(above[b])
-            above[z] = frozenset(acc)
-        return above
-
-    @cached_property
-    def _chain_lengths(self):
-        """(x, y) -> (shortest, longest) saturated chain length, x <= y in P+."""
-        table = {(TOP, TOP): (0, 0)}
-        order = self.plus_elements
-        for i in range(len(order) - 1, -1, -1):
-            x = order[i]
-            if x == TOP:
-                continue
-            table[(x, x)] = (0, 0)
-            for y in self._above[x]:
-                if y == x:
-                    continue
-                lo = hi = None
-                for b in self.up_covers[x]:
-                    if y in self._above[b]:
-                        blo, bhi = table[(b, y)]
-                        lo = blo + 1 if lo is None else min(lo, blo + 1)
-                        hi = bhi + 1 if hi is None else max(hi, bhi + 1)
-                table[(x, y)] = (lo, hi)
-        return table
+    def _chains(self):
+        """x -> {y: (shortest, longest) saturated chain length} for every y >= x in P+."""
+        chains = {TOP: {TOP: (0, 0)}}
+        for x in reversed(self.elements):
+            first, *rest = self.up_covers[x]
+            row = {y: (lo + 1, hi + 1) for y, (lo, hi) in chains[first].items()}
+            for b in rest:
+                for y, (lo, hi) in chains[b].items():
+                    if y in row:
+                        olo, ohi = row[y]
+                        row[y] = (min(olo, lo + 1), max(ohi, hi + 1))
+                    else:
+                        row[y] = (lo + 1, hi + 1)
+            row[x] = (0, 0)
+            chains[x] = row
+        return chains
 
     @cached_property
     def _cover_pairs(self):
@@ -139,13 +124,6 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
         return tuple(ideals)
 
     @cached_property
-    def _ideal_index_sets(self):
-        """The nonempty down-sets as frozensets of canonical indices."""
-        # through the public name, which perfbench/spans.py wraps and counts
-        idx = self.index
-        return tuple(frozenset(idx[z] for z in ideal) for ideal in poset_ideals(self))
-
-    @cached_property
     def _reduced(self):
         """eps -> reduced sequences; filled by sequences.enumerate_N."""
         return {}
@@ -154,7 +132,7 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
         """x <= y in P+."""
         self._check_id(x)
         self._check_id(y)
-        return y in self._above.get(x, ())
+        return y in self._chains.get(x, ())
 
     def interval(self, x, y):
         """Elements z of P+ with x <= z <= y, in canonical order."""
@@ -247,7 +225,7 @@ def _toposort(elements, ups):
 def dist(p, x, y):
     """Minimum length of a saturated chain from x to y in P+."""
     _require_leq(p, x, y)
-    return p._chain_lengths[(x, y)][0]
+    return p._chains[x][y][0]
 
 
 def qdist(p, n, x, y):
@@ -257,7 +235,7 @@ def qdist(p, n, x, y):
     shortest for n < 0; qdist(-1, x, y) == -dist(x, y).
     """
     _require_leq(p, x, y)
-    lo, hi = p._chain_lengths[(x, y)]
+    lo, hi = p._chains[x][y]
     return n * (hi if n >= 0 else lo)
 
 
@@ -277,25 +255,25 @@ def poset_ideals(p):
 
 def is_pure(p):
     """True iff all maximal chains of P have equal length."""
-    lo, hi = p._chain_lengths[(p.bottom, TOP)]
+    lo, hi = p._chains[p.bottom][TOP]
     return lo == hi
 
 
 def p_nonmax(p):
     """Elements lying on no chain of P of maximal length."""
-    table = p._chain_lengths
-    total = table[(p.bottom, TOP)][1]
+    chains = p._chains
+    from_bottom = chains[p.bottom]
+    total = from_bottom[TOP][1]
     return frozenset(
-        z for z in p.elements
-        if table[(p.bottom, z)][1] + table[(z, TOP)][1] < total
+        z for z in p.elements if from_bottom[z][1] + chains[z][TOP][1] < total
     )
 
 
 def p_nonmin(p):
     """Elements lying on no maximal chain of P of minimal length."""
-    table = p._chain_lengths
-    total = table[(p.bottom, TOP)][0]
+    chains = p._chains
+    from_bottom = chains[p.bottom]
+    total = from_bottom[TOP][0]
     return frozenset(
-        z for z in p.elements
-        if table[(p.bottom, z)][0] + table[(z, TOP)][0] > total
+        z for z in p.elements if from_bottom[z][0] + chains[z][TOP][0] > total
     )

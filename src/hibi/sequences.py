@@ -148,10 +148,10 @@ def enumerate_N(p, eps):
     if eps in p._reduced:
         return p._reduced[eps]
     idx = p.index
-    above, bottom = p._above, p.bottom
+    chains, bottom = p._chains, p.bottom
     # ups[z]: elements of P strictly above z; downs[y]: the same relation
     # inverted, without the bottom (it cannot appear in a sequence)
-    ups = {z: sorted(above[z] - {z, TOP}, key=idx.__getitem__) for z in p.elements}
+    ups = {z: sorted(chains[z].keys() - {z, TOP}, key=idx.__getitem__) for z in p.elements}
     downs = {y: [] for y in p.elements}
     for x in p.elements[1:]:
         for y in ups[x]:
@@ -170,7 +170,7 @@ def enumerate_N(p, eps):
             if any(_pair_fails(p, eps, ext, i, k) for i in range(k)):
                 continue
             for x in downs[y]:
-                if not any(y_i in above[x] for y_i in items[0::2]):
+                if not any(y_i in chains[x] for y_i in items[0::2]):
                     stack.append(items + (y, x))
     reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
     p._reduced[eps] = reduced = tuple(reduced)

@@ -2,8 +2,9 @@
 
 The oracles here recompute module outputs by a different route (exhaustive
 DFS, powerset filtering, brute-force pair search, build-then-filter
-sequence enumeration, the degree-box sweeps of T^(n) and of one section)
-so the library code is never checked against itself.
+sequence enumeration, the down-set scan for minimality, the degree-box
+sweeps of T^(n) and of one section) so the library code is never checked
+against itself.
 """
 
 from functools import lru_cache
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.labelings import Labeling
-from hibi.poset import TOP, build_poset, qdist
+from hibi.poset import TOP, build_poset, poset_ideals, qdist
 from hibi.sequences import CondNSeq, is_q_reduced, q_max
 
 
@@ -138,6 +139,38 @@ def _up_cover_indices(p):
     )
 
 
+@lru_cache(maxsize=None)
+def _down_set_scan_tables(p):
+    """The covers of P+ and the nonempty down-sets, as canonical positions (top -1)."""
+    idx = p.index
+    pairs = tuple(
+        (idx[a], -1 if b == TOP else idx[b]) for a in p.elements for b in p.up_covers[a]
+    )
+    return pairs, tuple(frozenset(idx[z] for z in ideal) for ideal in poset_ideals(p))
+
+
+def ideal_subtraction_minimal(p, n, vals):
+    """Minimality by its definition: nu - 1_I leaves T^(n) for every down-set I.
+
+    Scans every nonempty down-set of poset_ideals and recomputes each
+    cover gap of P+ after the subtraction.
+    """
+    pairs, down_sets = _down_set_scan_tables(p)
+    for members in down_sets:
+        for ia, ib in pairs:
+            gap = vals[ia] - (0 if ib < 0 else vals[ib])
+            if ia in members:
+                gap -= 1
+            if ib >= 0 and ib in members:
+                gap += 1
+            if gap < n:
+                break
+        else:
+            # nu - 1_I is still in T^(n), so nu was not minimal
+            return False
+    return True
+
+
 def closure_minimal(p, n, vals):
     """Minimality decided without scanning every down-set.
 
@@ -145,8 +178,9 @@ def closure_minimal(p, n, vals):
     cover (gap == n) crosses the boundary.  Down-sets avoiding all tight
     covers are closed under intersection and all contain the bottom, so
     one exists iff the closure of {bottom} under down-closure and tight
-    covers misses the top.  Same criterion as is_minimal, evaluated by
-    one graph search instead of one pass per down-set.
+    covers misses the top.  Same criterion as is_minimal, but on bare
+    value tuples with the down-closures precomputed, so the box oracles
+    build no Labeling per point.
     """
     ups = _up_cover_indices(p)
     below = _below_indices(p)

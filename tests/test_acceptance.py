@@ -8,7 +8,7 @@ larger sweeps compare two independent computation routes.
 
 import time
 
-from conftest import generators_box, t_box
+from conftest import generators_box, ideal_subtraction_minimal, t_box
 from hibi import (
     analytic_spread,
     build_C,
@@ -176,9 +176,14 @@ def test_criterion_07_minimality_oracle_agreement():
     for name, p in all_builtins():
         for n in (1, -1, 2, -2):
             for nu in t_box(p, n):
-                ok &= is_minimal(p, n, nu) == has_witness(p, n, nu)
+                want = ideal_subtraction_minimal(p, n, nu.values)
+                ok &= want == has_witness(p, n, nu) == is_minimal(p, n, nu)
                 checked += 1
-    report(7, ok, f"ideal-subtraction oracle == tight-sequence witness on {checked} box points")
+    report(
+        7,
+        ok,
+        f"ideal-subtraction oracle == tight-sequence witness == is_minimal on {checked} box points",
+    )
 
 
 def test_criterion_08_anchored_minimals_and_truncation():

@@ -1,13 +1,16 @@
 """Labelings, the T^(n) tiers, minimal elements, split and truncate."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import closure_minimal, small_posets, t_box
+from conftest import closure_minimal, ideal_subtraction_minimal, small_posets, t_box
 from hibi import (
     InvalidPoset,
     Labeling,
     TOP,
+    build_poset,
     exist_witness,
     from_dict,
     generators,
@@ -141,8 +144,9 @@ def test_closure_filter_matches_ideal_subtraction(corpus):
             continue
         for n in (1, -1, 2, -2):
             for nu in t_box(p, n):
-                want = is_minimal(p, n, nu)
+                want = ideal_subtraction_minimal(p, n, nu.values)
                 assert closure_minimal(p, n, nu.values) == want, (name, n, nu.values)
+                assert is_minimal(p, n, nu) == want, (name, n, nu.values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,7 +154,29 @@ def test_closure_filter_matches_ideal_subtraction(corpus):
 def test_closure_filter_matches_ideal_subtraction_random(p):
     for n in (1, -1):
         for nu in t_box(p, n):
-            assert closure_minimal(p, n, nu.values) == is_minimal(p, n, nu)
+            want = ideal_subtraction_minimal(p, n, nu.values)
+            assert closure_minimal(p, n, nu.values) == want
+            assert is_minimal(p, n, nu) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(max_extra=6))
+def test_is_minimal_matches_down_set_scan(p):
+    for n in (0, 1, -1, 2, -2):
+        for nu in t_box(p, n):
+            assert is_minimal(p, n, nu) == ideal_subtraction_minimal(p, n, nu.values)
+
+
+def test_is_minimal_wide_fan_is_fast():
+    """18 incomparable leaves have 2^18 down-sets; the closure search lists none."""
+    leaves = tuple(f"e{i}" for i in range(1, 19))
+    p = build_poset(("x0",) + leaves, tuple(("x0", z) for z in leaves), "x0")
+    gens = generators(p, -1)
+    lifted = gens[0] + indicator(p, ("x0",))
+    start = time.perf_counter()
+    assert all(is_minimal(p, -1, nu) for nu in gens)
+    assert not is_minimal(p, -1, lifted)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_anticanonical_generators_p1(poset1, vertices):

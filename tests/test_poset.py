@@ -149,10 +149,15 @@ def test_dist_matches_chain_oracle(corpus):
 @settings(max_examples=60)
 @given(small_posets())
 def test_dist_matches_chain_oracle_random(p):
-    for x in p.elements:
-        lengths = chain_lengths_dfs(p, x, TOP)
-        assert qdist(p, 1, x, TOP) == max(lengths)
-        assert qdist(p, -1, x, TOP) == -min(lengths)
+    for x in p.plus_elements:
+        for y in p.plus_elements:
+            lengths = chain_lengths_dfs(p, x, y)
+            assert p.leq(x, y) == bool(lengths)
+            if not lengths:
+                continue
+            assert dist(p, x, y) == min(lengths)
+            for n in (-2, -1, 0, 1, 2):
+                assert qdist(p, n, x, y) == n * (max(lengths) if n >= 0 else min(lengths))
 
 
 def test_ideals_two_chain():
