@@ -6,14 +6,24 @@ A finite distributive lattice is reconstructed from the subposet of its
 join-irreducible elements (the bottom counts as join-irreducible, matching
 the convention that lattice elements correspond to nonempty down-sets).
 The round trip through either side is the identity up to isomorphism.
+
+Every lattice element x is the join of the set J(x) of join-irreducibles
+below it, so x -> J(x) maps the lattice one-to-one into the nonempty
+down-sets of its join-irreducibles.  By Birkhoff's representation theorem
+(Birkhoff, "Rings of sets", 1937; Davey & Priestley, Introduction to
+Lattices and Order, 2002, ch. 5) the lattice is distributive exactly when
+that map is onto, that is when the two sets have the same size.
+is_distributive decides by that count, in time quadratic in the lattice
+size, instead of testing the distributive law on every triple.
 """
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import islice
 
 from .errors import NotALattice, NotDistributive
 from .labelings import indicator
-from .poset import build_poset, poset_ideals
+from .poset import bit_positions, build_poset, down_set_masks, poset_ideals
 
 
 class DistLattice(namedtuple("DistLattice", "elements order joins meets")):
@@ -44,6 +54,26 @@ class DistLattice(namedtuple("DistLattice", "elements order joins meets")):
                 return z
         raise NotALattice("no maximum element")
 
+    @cached_property
+    def _irreducibles(self):
+        """Join-irreducible positions along a linear extension, with masks.
+
+        The bottom counts as join-irreducible.  An element is reducible
+        when it is the join of two elements other than itself, both then
+        strictly below it.  The second item gives, for each position of the
+        extension, the bitmask of the earlier positions below it.
+        """
+        joins = self.joins
+        reducible = {
+            k for i, row in enumerate(joins) for j, k in enumerate(row) if k != i and k != j
+        }
+        irr = [i for i in range(len(joins)) if i not in reducible]
+        below = {k: [j for j in irr if j != k and joins[j][k] == k] for k in irr}
+        # fewer elements below comes first, so this is a linear extension
+        ext = sorted(irr, key=lambda k: len(below[k]))
+        pos = {k: t for t, k in enumerate(ext)}
+        return tuple(ext), tuple(sum(1 << pos[j] for j in below[k]) for k in ext)
+
     def leq(self, a, b):
         return (a, b) in self.order
 
@@ -64,6 +94,11 @@ def build_dist_lattice(elements, pairs):
     partial order or some pair of elements lacks a join or a meet.
     Distributivity is deliberately not checked here, so nondistributive
     lattices can be built and fed to join_irreducibles for its error path.
+
+    Elements are bitmask rows: up[i] holds the positions above i and
+    down[i] those below it.  The join of i and j is the element whose up
+    row is exactly up[i] & up[j], found by one dict lookup; meets likewise
+    on the down rows.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
@@ -73,85 +108,68 @@ def build_dist_lattice(elements, pairs):
     if n == 0:
         raise NotALattice("empty element list")
 
-    up = [1 << i for i in range(n)]
+    succ = [[] for _ in range(n)]
     for a, b in pairs:
         if a not in idx or b not in idx:
             raise NotALattice(f"unknown id in order pair ({a!r}, {b!r})")
-        up[idx[a]] |= 1 << idx[b]
+        succ[idx[a]].append(idx[b])
+    up = [1 << i for i in range(n)]
+    # Sweeps from the last element to the first; when every pair goes from
+    # an earlier to a later element, the first sweep closes the relation.
     changed = True
     while changed:
         changed = False
-        for i in range(n):
+        for i in reversed(range(n)):
             acc = up[i]
-            scan = acc
-            while scan:
-                low = scan & -scan
-                acc |= up[low.bit_length() - 1]
-                scan ^= low
+            for j in succ[i]:
+                acc |= up[j]
             if acc != up[i]:
                 up[i] = acc
                 changed = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise NotALattice(
-                    f"order is not antisymmetric: {elements[i]!r} and {elements[j]!r}"
-                )
+    where_up = {mask: i for i, mask in enumerate(up)}
+    if len(where_up) < n:
+        # two equal up rows are two elements each below the other
+        for i in range(n):
+            for j in range(i + 1, n):
+                if up[i] == up[j]:
+                    raise NotALattice(
+                        f"order is not antisymmetric: {elements[i]!r} and {elements[j]!r}"
+                    )
 
     down = [0] * n
-    for i in range(n):
-        scan = up[i]
-        while scan:
-            low = scan & -scan
-            down[low.bit_length() - 1] |= 1 << i
-            scan ^= low
+    order = []
+    for i, mask in enumerate(up):
+        for j in bit_positions(mask):
+            down[j] |= 1 << i
+            order.append((elements[i], elements[j]))
+    where_down = {mask: i for i, mask in enumerate(down)}
 
-    def extremum(masks, bounds, kind, i, j):
-        scan = bounds
-        while scan:
-            low = scan & -scan
-            k = low.bit_length() - 1
-            if masks[k] & bounds == bounds:
-                return k
-            scan ^= low
-        raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no {kind}")
-
-    joins = [[0] * n for _ in range(n)]
-    meets = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ub = up[i] & up[j]
-            lb = down[i] & down[j]
-            if not ub:
-                raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no join")
-            if not lb:
-                raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no meet")
-            joins[i][j] = joins[j][i] = extremum(up, ub, "join", i, j)
-            meets[i][j] = meets[j][i] = extremum(down, lb, "meet", i, j)
-
-    order = frozenset(
-        (elements[i], elements[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
-    )
-    return DistLattice(
-        elements,
-        order,
-        tuple(tuple(row) for row in joins),
-        tuple(tuple(row) for row in meets),
-    )
+    # -1 marks a pair without a join (or meet); the scan below names the first
+    joins = tuple(tuple(where_up.get(u & v, -1) for v in up) for u in up)
+    meets = tuple(tuple(where_down.get(d & e, -1) for e in down) for d in down)
+    if any(-1 in row for row in joins) or any(-1 in row for row in meets):
+        for i in range(n):
+            for j in range(i, n):
+                if not up[i] & up[j]:
+                    raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no join")
+                if not down[i] & down[j]:
+                    raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no meet")
+                if joins[i][j] < 0:
+                    raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no join")
+                if meets[i][j] < 0:
+                    raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no meet")
+    return DistLattice(elements, frozenset(order), joins, meets)
 
 
 def is_distributive(h):
-    """Exhaustive check of the meet-over-join law on all triples."""
+    """Birkhoff's count: as many elements as the join-irreducibles have down-sets.
+
+    The count stops as soon as it passes the lattice size.
+    """
     n = len(h.elements)
-    joins, meets = h.joins, h.meets
-    for a in range(n):
-        row = meets[a]
-        for b in range(n):
-            ab = row[b]
-            for c in range(n):
-                if row[joins[b][c]] != joins[ab][row[c]]:
-                    return False
-    return True
+    # the empty down-set is counted too, and matches no element
+    found = sum(1 for _ in islice(down_set_masks(h._irreducibles[1]), n + 2))
+    return found == n + 1
 
 
 def _ideal_label(p, ideal):
@@ -162,17 +180,21 @@ def lattice_from_poset(p):
     """Lattice of nonempty down-sets of P ordered by inclusion.
 
     Join is union and meet is intersection; element ids spell out the
-    members in canonical order, so the output is deterministic.
+    members in canonical order, so the output is deterministic.  The order
+    is passed as its covers I < I + {z}, each from a smaller down-set to a
+    larger one, which build_dist_lattice closes in one sweep.
     """
     ideals = poset_ideals(p)
     labels = tuple(_ideal_label(p, ideal) for ideal in ideals)
-    pairs = [
-        (labels[i], labels[j])
-        for i, small in enumerate(ideals)
-        for j, big in enumerate(ideals)
-        if small <= big
+    where = {ideal: i for i, ideal in enumerate(ideals)}
+    downs = p.down_covers
+    covers = [
+        (labels[i], labels[where[ideal | {z}]])
+        for i, ideal in enumerate(ideals)
+        for z in p.elements
+        if z not in ideal and all(a in ideal for a in downs[z])
     ]
-    return build_dist_lattice(labels, pairs)
+    return build_dist_lattice(labels, covers)
 
 
 def join_irreducibles(h):
@@ -184,16 +206,17 @@ def join_irreducibles(h):
     """
     if not is_distributive(h):
         raise NotDistributive("lattice violates the distributive law")
-    n = len(h.elements)
-    reducible = [False] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            j = h.joins[a][b]
-            if j != a and j != b:
-                reducible[j] = True
-    ji = [z for i, z in enumerate(h.elements) if not reducible[i]]
-    pairs = [(a, b) for a in ji for b in ji if a != b and h.leq(a, b)]
-    return build_poset(ji, pairs, h.bottom)
+    ext, below = h._irreducibles
+    names = [h.elements[k] for k in ext]
+    covers = []
+    for t, mask in enumerate(below):
+        # s is covered by t when it is below no other element below t
+        inner = 0
+        for s in bit_positions(mask):
+            inner |= below[s]
+        covers += [(names[s], names[t]) for s in bit_positions(mask & ~inner)]
+    ji = [h.elements[k] for k in sorted(ext)]
+    return build_poset(ji, covers, h.bottom)
 
 
 def hibi_generators(p):
@@ -239,28 +262,28 @@ def poset_isomorphic(p, q):
     p_cov, q_cov = p.covers, q.covers
     mapping = {}
     used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
+    # tries[i] yields the candidates still untried for order[i]; the stack
+    # of them replaces one recursion level per element
+    tries = [iter(cands[order[0]])]
+    while tries:
+        i = len(tries) - 1
         z = order[i]
-        for w in cands[z]:
+        for w in tries[-1]:
             if w in used:
                 continue
-            ok = True
-            for z2, w2 in mapping.items():
-                if ((z, z2) in p_cov) != ((w, w2) in q_cov) or (
-                    (z2, z) in p_cov
-                ) != ((w2, w) in q_cov):
-                    ok = False
-                    break
-            if ok:
+            if all(
+                ((z, z2) in p_cov) == ((w, w2) in q_cov)
+                and ((z2, z) in p_cov) == ((w2, w) in q_cov)
+                for z2, w2 in mapping.items()
+            ):
                 mapping[z] = w
                 used.add(w)
-                if extend(i + 1):
+                if i + 1 == len(order):
                     return True
-                del mapping[z]
-                used.discard(w)
-        return False
-
-    return extend(0)
+                tries.append(iter(cands[order[i + 1]]))
+                break
+        else:
+            tries.pop()
+            if tries:
+                used.discard(mapping.pop(order[i - 1]))
+    return False

@@ -32,10 +32,14 @@ from .fiber import (
 )
 from .frobenius import Budget, tcx_report
 from .labelings import generators, in_T
-from .poset import is_pure
+from .poset import count_ideals, is_pure
 from .sequences import as_seq, enumerate_N, nu_down, nu_up, q0, q_max
 from .documents import parse_poset_document
 from .labelings import is_minimal
+
+# hibi lattice builds join and meet tables with one entry per pair of
+# down-sets, so it refuses a poset with more down-sets than this
+MAX_DOWN_SETS = 1000
 
 
 class UsageError(Exception):
@@ -296,6 +300,8 @@ def _cmd_frobenius(args):
 
 def _cmd_lattice(args):
     name, p = _load(args.poset)
+    if count_ideals(p, MAX_DOWN_SETS) > MAX_DOWN_SETS:
+        raise BudgetExceeded(f"poset {name} has more than {MAX_DOWN_SETS} down-sets")
     h = lattice_from_poset(p)
     roundtrip = poset_isomorphic(p, join_irreducibles(h))
     if args.format == "json":

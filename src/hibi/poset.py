@@ -26,6 +26,7 @@ poset; no module keeps a cache keyed by a poset.  It owns:
 import heapq
 from collections import namedtuple
 from functools import cached_property
+from itertools import islice
 
 from .errors import InvalidPoset
 
@@ -103,25 +104,10 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
     @cached_property
     def _ideals(self):
         """The nonempty down-sets, in the order poset_ideals documents."""
-        idx = self.index
-        downs = {z: [a for a in self.down_covers[z] if a != TOP] for z in self.elements}
-        ideals = []
-
-        def extend(i, current):
-            if i == len(self.elements):
-                if current:
-                    ideals.append(frozenset(current))
-                return
-            z = self.elements[i]
-            extend(i + 1, current)
-            if all(a in current for a in downs[z]):
-                current.add(z)
-                extend(i + 1, current)
-                current.remove(z)
-
-        extend(0, set())
-        ideals.sort(key=lambda s: (len(s), sorted(idx[z] for z in s)))
-        return tuple(ideals)
+        keyed = sorted(
+            (m.bit_count(), bit_positions(m)) for m in down_set_masks(_lower_cover_masks(self)) if m
+        )
+        return tuple(frozenset(self.elements[i] for i in members) for _, members in keyed)
 
     @cached_property
     def _reduced(self):
@@ -242,6 +228,45 @@ def qdist(p, n, x, y):
 def _require_leq(p, x, y):
     if not p.leq(x, y):
         raise InvalidPoset(f"{x!r} is not below {y!r}")
+
+
+def bit_positions(mask):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    # bin(mask)[:1:-1] spells the bits lowest first, without the "0b"
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def down_set_masks(required):
+    """Yield every down-set of an order on positions 0 .. k-1, as a bitmask.
+
+    Positions are numbered along a linear extension, and a down-set holding
+    position t must hold every position of required[t] (its lower covers,
+    or everything below it).  The empty down-set is included.  The search
+    branches on one position at a time with an explicit stack, so it visits
+    at most k + 1 prefixes per down-set and never recurses.
+    """
+    k = len(required)
+    stack = [(0, 0)]
+    while stack:
+        t, mask = stack.pop()
+        if t == k:
+            yield mask
+            continue
+        stack.append((t + 1, mask))
+        need = required[t]
+        if need & mask == need:
+            stack.append((t + 1, mask | 1 << t))
+
+
+def _lower_cover_masks(p):
+    idx = p.index
+    return [sum(1 << idx[a] for a in p.down_covers[z]) for z in p.elements]
+
+
+def count_ideals(p, limit):
+    """Number of nonempty down-sets of P; stops counting at limit + 1."""
+    found = islice(down_set_masks(_lower_cover_masks(p)), limit + 2)
+    return sum(1 for _ in found) - 1
 
 
 def poset_ideals(p):

@@ -3,8 +3,9 @@
 The oracles here recompute module outputs by a different route (exhaustive
 DFS, powerset filtering, brute-force pair search, build-then-filter
 sequence enumeration, the down-set scan for minimality, the degree-box
-sweeps of T^(n) and of one section) so the library code is never checked
-against itself.
+sweeps of T^(n) and of one section, the bound scans of lattice joins and
+meets, the distributive law on every triple) so the library code is never
+checked against itself.
 """
 
 from functools import lru_cache
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hibi.corpus import all_builtins, p1, p2, p3
+from hibi.errors import NotALattice
 from hibi.labelings import Labeling
 from hibi.poset import TOP, build_poset, poset_ideals, qdist
 from hibi.sequences import CondNSeq, is_q_reduced, q_max
@@ -343,6 +345,119 @@ def brute_new_count(pieces, prime, e):
         if not decomposed:
             fresh.append(v)
     return fresh
+
+
+def lattice_tables_scan(elements, pairs):
+    """(order, joins, meets) of a finite lattice, by scanning common bounds.
+
+    Closes the relation by merging the up-sets of every member until
+    nothing changes, checks antisymmetry pair by pair, and finds each join
+    (meet) as the common upper (lower) bound whose own up-set (down-set)
+    holds all the others.  Raises NotALattice with the texts that
+    build_dist_lattice uses, for the same first offending pair.
+    """
+    elements = tuple(elements)
+    if len(set(elements)) != len(elements):
+        raise NotALattice("duplicate element ids")
+    idx = {z: i for i, z in enumerate(elements)}
+    n = len(elements)
+    if n == 0:
+        raise NotALattice("empty element list")
+
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        if a not in idx or b not in idx:
+            raise NotALattice(f"unknown id in order pair ({a!r}, {b!r})")
+        up[idx[a]] |= 1 << idx[b]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = up[i]
+            for k in range(n):
+                if acc >> k & 1:
+                    acc |= up[k]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1 and up[j] >> i & 1:
+                raise NotALattice(
+                    f"order is not antisymmetric: {elements[i]!r} and {elements[j]!r}"
+                )
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+
+    def extremum(masks, bounds, kind, i, j):
+        for k in range(n):
+            if bounds >> k & 1 and masks[k] & bounds == bounds:
+                return k
+        raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no {kind}")
+
+    joins = [[0] * n for _ in range(n)]
+    meets = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ub = up[i] & up[j]
+            lb = down[i] & down[j]
+            if not ub:
+                raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no join")
+            if not lb:
+                raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no meet")
+            joins[i][j] = joins[j][i] = extremum(up, ub, "join", i, j)
+            meets[i][j] = meets[j][i] = extremum(down, lb, "meet", i, j)
+    order = frozenset(
+        (elements[i], elements[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
+    )
+    return order, tuple(map(tuple, joins)), tuple(map(tuple, meets))
+
+
+def distributive_law(h):
+    """The meet-over-join law checked on every triple of elements."""
+    n = len(h.elements)
+    joins, meets = h.joins, h.meets
+    for a in range(n):
+        row = meets[a]
+        for b in range(n):
+            ab = row[b]
+            for c in range(n):
+                if row[joins[b][c]] != joins[ab][row[c]]:
+                    return False
+    return True
+
+
+@st.composite
+def closure_systems(draw, points=5):
+    """A finite lattice as an intersection-closed family of subsets.
+
+    Up to `points` points; the drawn subsets are closed under intersection
+    and the full set is added, and every finite lattice arises this way,
+    ordered by inclusion.  Returns (elements, pairs): the sets in a drawn
+    order, and either every strict inclusion or only the covering ones, in
+    a drawn order.
+    """
+    k = draw(st.integers(min_value=0, max_value=points))
+    full = (1 << k) - 1
+    family = {full} | set(draw(st.lists(st.integers(0, full), max_size=8)))
+    while True:
+        meets = {a & b for a in family for b in family}
+        if meets <= family:
+            break
+        family |= meets
+    sets = draw(st.permutations(sorted(family)))
+    names = ["{" + ",".join(str(i) for i in range(k) if s >> i & 1) + "}" for s in sets]
+    below = [
+        (a, b) for a in range(len(sets)) for b in range(len(sets))
+        if a != b and sets[a] & sets[b] == sets[a]
+    ]
+    if draw(st.booleans()):
+        inner = set(below)
+        below = [
+            (a, b) for a, b in below
+            if not any((a, c) in inner and (c, b) in inner for c in range(len(sets)))
+        ]
+    pairs = draw(st.permutations([(names[a], names[b]) for a, b in below]))
+    return names, pairs
 
 
 @st.composite

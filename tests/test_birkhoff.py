@@ -2,8 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import small_posets
+from conftest import closure_systems, distributive_law, lattice_tables_scan, small_posets
 from hibi import (
     NotALattice,
     NotDistributive,
@@ -22,6 +23,26 @@ from hibi.corpus import antichain, chain
 DIAMOND = (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"))
 M3 = (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"))
 N5 = (("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1"))
+BOWTIE = (("a", "b", "c", "d"), (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")))
+TWO_CYCLE = (("a", "b"), (("a", "b"), ("b", "a")))
+
+
+def _outcome(build, elements, pairs):
+    """The tables a lattice builder returns, or the text of its NotALattice."""
+    try:
+        result = build(elements, pairs)
+    except NotALattice as exc:
+        return str(exc)
+    if hasattr(result, "joins"):
+        return result.order, result.joins, result.meets
+    return result
+
+
+def _agrees_with_oracles(elements, pairs):
+    h = build_dist_lattice(elements, pairs)
+    assert (h.order, h.joins, h.meets) == lattice_tables_scan(elements, pairs)
+    assert is_distributive(h) == distributive_law(h)
+    return h
 
 
 def test_diamond_is_distributive():
@@ -49,15 +70,65 @@ def test_n5_is_not_distributive():
 
 def test_bowtie_is_not_a_lattice():
     with pytest.raises(NotALattice):
-        build_dist_lattice(
-            ("a", "b", "c", "d"),
-            (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")),
-        )
+        build_dist_lattice(*BOWTIE)
 
 
 def test_antisymmetry_violation():
     with pytest.raises(NotALattice):
-        build_dist_lattice(("a", "b"), (("a", "b"), ("b", "a")))
+        build_dist_lattice(*TWO_CYCLE)
+
+
+@pytest.mark.parametrize("elements, pairs", [BOWTIE, TWO_CYCLE], ids=["bowtie", "2-cycle"])
+def test_non_lattice_text_matches_scan_oracle(elements, pairs):
+    text = _outcome(build_dist_lattice, elements, pairs)
+    assert isinstance(text, str)
+    assert text == _outcome(lattice_tables_scan, elements, pairs)
+
+
+@pytest.mark.parametrize(
+    "elements, pairs",
+    [
+        (("0", "a", "b", "1"), DIAMOND),
+        (("0", "a", "b", "c", "1"), M3),
+        (("0", "a", "b", "c", "1"), N5),
+    ],
+    ids=["diamond", "M3", "N5"],
+)
+def test_small_lattices_match_oracles(elements, pairs):
+    _agrees_with_oracles(elements, pairs)
+
+
+def test_corpus_ideal_lattices_match_oracles(corpus):
+    for name, p in corpus:
+        h = lattice_from_poset(p)
+        pairs = [(a, b) for a, b in h.order if a != b]
+        assert _agrees_with_oracles(h.elements, pairs) == h, name
+        assert is_distributive(h), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_systems())
+def test_closure_system_lattices_match_oracles(system):
+    h = _agrees_with_oracles(*system)
+    if is_distributive(h):
+        assert len(poset_ideals(join_irreducibles(h))) == len(h.elements)
+    else:
+        with pytest.raises(NotDistributive):
+            join_irreducibles(h)
+
+
+@st.composite
+def order_relations(draw):
+    """Random relations on at most 6 ids: cycles, gaps and lattices alike."""
+    names = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    ids = st.sampled_from(names)
+    return names, draw(st.lists(st.tuples(ids, ids), max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_relations())
+def test_random_relations_fail_like_the_scan_oracle(relation):
+    assert _outcome(build_dist_lattice, *relation) == _outcome(lattice_tables_scan, *relation)
 
 
 def test_order_closure_is_transitive():
@@ -139,3 +210,7 @@ def test_isomorphism_negative_same_size():
 
 def test_isomorphism_negative_different_size(poset2, poset3):
     assert not poset_isomorphic(poset2, poset3)
+
+
+def test_isomorphism_of_a_long_chain_does_not_recurse():
+    assert poset_isomorphic(chain(1100), chain(1100))

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, output determinism, file input."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -369,6 +370,68 @@ def test_deep_recursion_is_a_budget_exit(tmp_path):
     code, text = run_command(["lattice", str(path)])
     assert code == 4
     assert text.startswith("budget exceeded:")
+
+
+def test_lattice_of_too_many_down_sets_is_a_budget_exit(tmp_path):
+    # a bottom under 40 incomparable elements has 2^40 down-sets
+    names = ["x0"] + [f"e{i}" for i in range(40)]
+    covers = [["x0", z] for z in names[1:]]
+    doc = {"name": "fan41", "elements": names, "covers": covers, "bottom": "x0"}
+    path = tmp_path / "fan41.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["lattice", str(path)]) == (
+        4,
+        f"budget exceeded: poset fan41 has more than {cli.MAX_DOWN_SETS} down-sets",
+    )
+
+
+# Random rooted poset with 350 nonempty down-sets (the benchmark's rooted16a shape).
+ROOTED16A = {
+    "name": "rooted16a",
+    "elements": ["x0"] + [f"e{i}" for i in range(1, 16)],
+    "covers": [
+        ["e1", "e2"], ["e1", "e3"], ["e1", "e4"], ["e10", "e12"], ["e12", "e13"], ["e14", "e15"],
+        ["e2", "e3"], ["e2", "e4"], ["e2", "e7"], ["e3", "e11"], ["e3", "e14"], ["e3", "e5"],
+        ["e3", "e8"], ["e4", "e6"], ["e5", "e12"], ["e6", "e10"], ["e6", "e8"], ["e6", "e9"],
+        ["x0", "e1"], ["x0", "e10"], ["x0", "e2"], ["x0", "e5"], ["x0", "e7"],
+    ],
+    "bottom": "x0",
+}
+
+
+def _output_digest(argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, text = run_command(argv)
+        h.update(f"{code}\n{text}\n".encode())
+    return h.hexdigest()
+
+
+def test_lattice_and_selftest_outputs_are_pinned(tmp_path):
+    """Exit codes and texts, hashed, as the scan-and-triple-loop lattice code gave them."""
+    rooted = tmp_path / "rooted16a.json"
+    rooted.write_text(json.dumps(ROOTED16A))
+    block = tmp_path / "p3lattice.json"
+    h = hibi.lattice_from_poset(hibi.corpus.p3())
+    order = sorted([a, b] for a, b in h.order if a != b)
+    lattice = {"elements": list(h.elements), "order": order}
+    block.write_text(json.dumps({"name": "P3lattice", "lattice": lattice}))
+    formats = ("table", "json")
+    groups = {
+        "corpus": [
+            ["lattice", name, "--format", f] for name in hibi.corpus.BUILTIN_NAMES for f in formats
+        ],
+        "rooted16a": [["lattice", str(rooted), "--format", f] for f in formats],
+        "selftest": [["selftest", "--format", "json"]],
+        "lattice block": [[c, str(block)] for c in ("lattice", "analyze")],
+    }
+    assert len(hibi.poset_ideals(cli._load(str(rooted))[1])) == 350
+    assert {k: _output_digest(v) for k, v in groups.items()} == {
+        "corpus": "3a21ee55d0723a9c8b5730638b2777851a11b70dc2f85cda5a949665ba1a0342",
+        "rooted16a": "776fb660a92e5a859ab16b322813c7e6a252ed903362575754ea0c14ff082485",
+        "selftest": "90df6cad543e06b34eea807c97cdbc4b10628ff9b09e2f2aef8eebeba178e00f",
+        "lattice block": "08381799ccf7b7d4ad556acc79190e571e897aec86d5450faf9567debf28baf3",
+    }
 
 
 def _fan_document(tmp_path, size=1100):

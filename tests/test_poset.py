@@ -165,6 +165,11 @@ def test_ideals_two_chain():
     assert poset_ideals(p) == (frozenset({"x0"}), frozenset({"x0", "a1"}))
 
 
+def test_ideals_of_a_long_chain_do_not_recurse():
+    # chain(1100) has 1101 elements, and each of them tops one down-set
+    assert len(poset_ideals(chain(1100))) == 1101
+
+
 def test_ideals_antichain_pair():
     assert len(poset_ideals(antichain(2))) == 4
 
