@@ -20,22 +20,29 @@ from .birkhoff import (
     lattice_from_poset,
     poset_isomorphic,
 )
-from .cones import build_C, dim_bruteforce, dim_formula, is_standard, lattice_points
+from .cones import (
+    _section_count,
+    build_C,
+    dim_bruteforce,
+    dim_formula,
+    is_standard,
+    lattice_points,
+)
 from .corpus import BUILTIN_NAMES, UPWARD_PURE_NAMES, all_builtins, builtin, upward_pure
+from .documents import parse_poset_document
 from .errors import BudgetExceeded
 from .fiber import (
     analytic_spread,
     degree_range,
+    fiber_hilbert,
     is_anticanonical_level,
     is_gorenstein,
     is_level,
 )
 from .frobenius import Budget, tcx_report
-from .labelings import generators, in_T
+from .labelings import generators, in_T, is_minimal
 from .poset import count_ideals, is_pure
 from .sequences import as_seq, enumerate_N, nu_down, nu_up, q0, q_max
-from .documents import parse_poset_document
-from .labelings import is_minimal
 
 # hibi lattice builds join and meet tables with one entry per pair of
 # down-sets, so it refuses a poset with more down-sets than this
@@ -83,8 +90,14 @@ def _load(ref):
     raise ValueError(f"no file or built-in poset named {ref!r}")
 
 
-def _render_values(p, nu):
-    return " ".join(f"{z}={v}" for z, v in zip(p.elements, nu.values))
+def _row_format(p, head):
+    """One format string for a row of values: head, then id=value per element.
+
+    Element ids are brace-escaped, so format(*values) fills in the values
+    and nothing else; {0} in head is the bottom's value.
+    """
+    ids = (z.replace("{", "{{").replace("}", "}}") for z in p.elements)
+    return head + " ".join(f"{z}={{{i}}}" for i, z in enumerate(ids))
 
 
 def _render_seq(seq):
@@ -109,7 +122,7 @@ def _parse_primes(text):
 def _cmd_analyze(args):
     name, p = _load(args.poset)
     ranges = {n: (q0(p, n), q_max(p, n)) for n in (1, -1)}
-    counts = {n: len(generators(p, n)) for n in (1, -1)}
+    counts = {n: fiber_hilbert(p, n, 1) for n in (1, -1)}
     if args.format == "json":
         payload = {
             "name": name,
@@ -151,9 +164,9 @@ def _cmd_generators(args):
             ],
         }
         return 0, _json_text(payload)
+    row = _row_format(p, "  degree {0:>4}  ").format
     lines = [f"poset {name}: {len(gens)} generators for n = {args.n}"]
-    for nu in gens:
-        lines.append(f"  degree {nu.degree:>4}  {_render_values(p, nu)}")
+    lines += [row(*nu.values) for nu in gens]
     return 0, "\n".join(lines)
 
 
@@ -189,7 +202,7 @@ def _cmd_polytope(args):
     rows = []
     for seq in seqs:
         c = build_C(p, args.eps, seq)
-        rows.append((seq, dim_formula(c), c.f_set, len(lattice_points(c, args.n))))
+        rows.append((seq, dim_formula(c), c.f_set, _section_count(c, args.n)))
     if args.format == "json":
         payload = {
             "name": name,
@@ -236,7 +249,8 @@ def _polytope_intersection(name, p, args):
         f"poset {name}: {_render_seq(first)} and {_render_seq(second)} share "
         f"{len(common)} points at n={args.n}"
     ]
-    lines += [f"  {_render_values(p, nu)}" for nu in common]
+    row = _row_format(p, "  ").format
+    lines += [row(*nu.values) for nu in common]
     return 0, "\n".join(lines)
 
 
@@ -325,7 +339,7 @@ def _selftest_checks(name, p):
     checks.append(("round-trip", poset_isomorphic(p, join_irreducibles(h)), ""))
     ok = all(in_T(p, 0, nu) and nu.degree == 1 for nu in hibi_generators(p))
     checks.append(("monomial generators", ok, ""))
-    ok = is_gorenstein(p) == (len(generators(p, 1)) == 1)
+    ok = is_gorenstein(p) == (fiber_hilbert(p, 1, 1) == 1)
     checks.append(("gorenstein criterion", ok, ""))
 
     results = {"dimension": (True, ""), "standardness": (True, ""), "witnesses": (True, "")}

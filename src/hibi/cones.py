@@ -12,7 +12,7 @@ to the y anchors, which is why dim C = #(P minus G) + t.
 from collections import namedtuple
 
 from .errors import BudgetExceeded
-from .labelings import INT64_MAX, INT64_MIN, Labeling, indicator, label_max
+from .labelings import INT64_MAX, INT64_MIN, _kernel_labelings, indicator, label_max
 from .poset import TOP, qdist
 from .sequences import as_seq, is_q_reduced, shifted_family
 
@@ -70,7 +70,7 @@ def lattice_points(c, n, limit=None):
     enumeration stops with BudgetExceeded as soon as it has found more
     points than that.
     """
-    return tuple(Labeling(c.poset, vals) for vals in _section_values(c, n, limit))
+    return _kernel_labelings(c.poset, _section_values(c, n, limit))
 
 
 _INF = float("inf")
@@ -153,19 +153,23 @@ def _closure(c, n):
     return pins[:m], d
 
 
-def _section_values(c, n, limit=None):
-    """Value tuples of the n-fold dilation's points, in lexicographic order.
+def _section_runs(c, n):
+    """Runs of the n-fold dilation's points, in lexicographic order.
 
     A closed system of difference constraints is backtrack-free (Dechter,
     Meiri and Pearl, "Temporal constraint networks", 1991): every value
     inside the bounds set by the classes already fixed extends to a point.
     So the free classes are walked in canonical order of their first
     coordinates, which makes the output lexicographic, and the last free
-    class's whole range is emitted at once.
+    class's whole range is one run.  Each run is (row, moving, length):
+    the point where the last free class takes its lowest value, the
+    coordinates of that class, and the number of points; along the run
+    the moving coordinates rise by one per step.  Beyond the closure the
+    walk holds O(depth) values.
     """
     closed = _closure(c, n)
     if closed is None:
-        return []
+        return
     pins, d = closed
     top = len(d) - 1
     dtop = d[top]
@@ -184,6 +188,9 @@ def _section_values(c, n, limit=None):
             x[k] = dtop[k]
         else:
             free.append(k)
+    if not free:
+        yield tuple([x[k] + off for k, off in pins]), (), 1
+        return
     # bounds on each free class: (lo, hi) through the top, then the earlier
     # free classes whose bounds are not implied through the top
     ups, lows = [], []
@@ -191,24 +198,8 @@ def _section_values(c, n, limit=None):
         df = d[f]
         ups.append([(u, d[u][f]) for u in free[:t] if d[u][f] != d[u][top] + dtop[f]])
         lows.append([(u, df[u]) for u in free[:t] if df[u] != df[top] + dtop[u]])
-    last = free[-1] if free else top
-    moving = [i for i, (k, _) in enumerate(pins) if k == last] if free else []
-    out = []
-
-    def emit(lo, hi):
-        """Append the points whose last free class runs over lo..hi."""
-        if limit is not None and len(out) + hi - lo + 1 > limit:
-            raise BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
-        x[last] = lo
-        row = [x[k] + off for k, off in pins]
-        for _ in range(lo, hi + 1):
-            out.append(tuple(row))
-            for i in moving:
-                row[i] += 1
-
-    if not free:
-        emit(0, 0)
-        return out
+    last = free[-1]
+    moving = tuple(i for i, (k, _) in enumerate(pins) if k == last)
     # Depth-first walk over the free classes; ub[t] is the upper end of
     # the t-th one's range.  The closure leaves no dead ends.
     r = len(free)
@@ -226,7 +217,8 @@ def _section_values(c, n, limit=None):
                 if x[u] - w > lo:
                     lo = x[u] - w
             if t == r - 1:
-                emit(lo, hi)
+                x[f] = lo
+                yield tuple([x[k] + off for k, off in pins]), moving, hi - lo + 1
                 t -= 1
                 entering = False
                 continue
@@ -239,7 +231,38 @@ def _section_values(c, n, limit=None):
         else:
             t += 1
             entering = True
+
+
+def _run_rows(row, moving, length):
+    """The points of one run, in order."""
+    if length == 1:
+        return (row,)
+    rows = [row]
+    step = list(row)
+    for _ in range(length - 1):
+        for i in moving:
+            step[i] += 1
+        rows.append(tuple(step))
+    return rows
+
+
+def _section_values(c, n, limit=None):
+    """Value tuples of the n-fold dilation's points, in lexicographic order.
+
+    With a limit, it raises BudgetExceeded before the run that would take
+    the output past that many points.
+    """
+    out = []
+    for row, moving, length in _section_runs(c, n):
+        if limit is not None and len(out) + length > limit:
+            raise BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
+        out.extend(_run_rows(row, moving, length))
     return out
+
+
+def _section_count(c, n):
+    """Number of points of the n-fold dilation, summed run by run without listing them."""
+    return sum(length for _, _, length in _section_runs(c, n))
 
 
 def dim_bruteforce(c):
@@ -250,9 +273,9 @@ def dim_bruteforce(c):
     """
     from fractions import Fraction  # only the self-test needs exact rationals
 
-    pts = lattice_points(c, 1)
-    base = pts[0].values
-    rows = [[Fraction(v - b) for v, b in zip(q.values, base)] for q in pts[1:]]
+    pts = _section_values(c, 1)
+    base = pts[0]
+    rows = [[Fraction(v - b) for v, b in zip(q, base)] for q in pts[1:]]
     return _rank(rows)
 
 
@@ -317,19 +340,15 @@ def is_standard(c, n_max):
     """Every dilation point up to n_max splits off a dilation-1 point."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    tiers = {n: lattice_points(c, n) for n in range(1, n_max + 1)}
-    value_sets = {n: {nu.values for nu in pts} for n, pts in tiers.items()}
+    tiers = {n: _section_values(c, n) for n in range(1, n_max + 1)}
     for n in range(2, n_max + 1):
-        lower = value_sets[n - 1]
+        lower = set(tiers[n - 1])
         for point in tiers[n]:
-            if not any(
-                tuple(a - b for a, b in zip(point.values, one.values)) in lower
-                for one in tiers[1]
-            ):
+            if not any(tuple(a - b for a, b in zip(point, one)) in lower for one in tiers[1]):
                 return False
     return True
 
 
 def ehrhart_counts(c, n_max):
     """Lattice point counts of the dilations 0..n_max; the 0-th count is 1."""
-    return tuple([1] + [len(lattice_points(c, n)) for n in range(1, n_max + 1)])
+    return tuple([1] + [_section_count(c, n) for n in range(1, n_max + 1)])

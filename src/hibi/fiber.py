@@ -1,8 +1,8 @@
 """Fiber-cone numerics: Hilbert counts, analytic spread, level and purity tests."""
 
-from .cones import _section_values, build_C, dim_formula, lattice_points
+from .cones import _run_rows, _section_runs, build_C, dim_formula, lattice_points
 from .errors import BudgetExceeded
-from .labelings import Labeling, generators
+from .labelings import _kernel_labelings
 from .poset import TOP, is_pure
 from .sequences import enumerate_N, q0, q_max
 
@@ -11,9 +11,7 @@ def fiber_hilbert(p, eps, n):
     """Number of generators of the (n eps)-th power; degree 0 contributes 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    return len(generators(p, n * eps))
+    return _generator_count(p, n * eps)
 
 
 def analytic_spread(p, eps):
@@ -26,7 +24,7 @@ def degree_range(p, n):
     if n == 0:
         raise ValueError("n must be nonzero")
     lo, hi = q0(p, n), q_max(p, n)
-    degrees = {nu.degree for nu in generators(p, n)}
+    degrees = {v[0] for v in _generator_values(p, n)}
     return lo, hi, degrees == set(range(lo, hi + 1))
 
 
@@ -60,48 +58,118 @@ def generators_via_sequences(p, n, limit=None):
 
     The minimal elements are exactly the points of the |n|-fold dilated
     sections over the reduced sequences of sign n.  With a limit, it stops
-    with BudgetExceeded as soon as it has found more distinct points than
-    that.
+    with BudgetExceeded at the first section with more points than that,
+    or at the end of the section that takes the distinct points past it.
     """
-    return tuple(Labeling(p, vals) for vals in _generator_values(p, n, limit))
+    return _kernel_labelings(p, _generator_values(p, n, limit))
 
 
 def _generator_values(p, n, limit=None):
-    """Value tuples of the minimal elements of T^(n), in lexicographic order.
-
-    Sections overlap, so each point is emitted only by its first section
-    in enumerate_N order whose equalities it is tight on: a point of T^(n)
-    tight on those pairs lies in that section, so the test is exact and
-    needs no index of the points already found.
-    """
+    """Value tuples of the minimal elements of T^(n), in lexicographic order."""
     if n == 0:
         return [(0,) * len(p.elements)]
+    out = []
+    for row, moving, length, covered in _generator_runs(p, n, limit):
+        if not covered:
+            out.extend(_run_rows(row, moving, length))
+        elif len(covered) < length:
+            rows = _run_rows(row, moving, length)
+            out.extend(v for j, v in enumerate(rows) if j not in covered)
+    out.sort()
+    return out
+
+
+def _generator_count(p, n):
+    """Number of minimal elements of T^(n), counted run by run without listing them."""
+    if n == 0:
+        return 1
+    return sum(length - len(covered) for _, _, length, covered in _generator_runs(p, n))
+
+
+def _generator_runs(p, n, limit=None):
+    """The sections' runs (cones._section_runs), each with the steps it repeats.
+
+    Sections overlap, so each point is kept only by its first section in
+    enumerate_N order whose equalities it is tight on: a point of T^(n)
+    tight on those pairs lies in that section, so the test is exact and
+    needs no index of the points already found.  Along a run only the
+    moving coordinates rise, by one per step, so a tight pair of an
+    earlier section holds at every step, at no step, or at exactly one;
+    all of a section's pairs then hold at every step, at none, or at one,
+    and the run is checked in O(pairs).  Yields (row, moving, length,
+    covered): covered holds the steps some earlier section already has,
+    as a set, or as range(length) when one has them all.
+
+    With a limit, it raises BudgetExceeded once a section has more than
+    that many points, or, at the end of a section, once more than that
+    many distinct points have been found.
+    """
     eps = 1 if n > 0 else -1
     m = abs(n)
     idx = p.index
     top = len(p.elements)
-    out = []
-    earlier = []  # tight-pair tests of the sections already swept
-
-    def seen(v):
-        w = v + (0,)  # the top's value sits at index top
-        for pairs in earlier:
-            for ix, iy, d in pairs:
-                if w[ix] - w[iy] != d:
-                    break
-            else:
-                return True
-        return False
-
+    earlier = []  # tight pairs (ix, iy, d) of the sections already swept
+    found = 0
     for seq in enumerate_N(p, eps):
         c = build_C(p, eps, seq)
-        for v in _section_values(c, m, limit):
-            if not seen(v):
-                out.append(v)
-                if limit is not None and len(out) > limit:
-                    raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
+        tests = None
+        size = 0
+        for row, moving, length in _section_runs(c, m):
+            size += length
+            if limit is not None and size > limit:
+                raise BudgetExceeded(f"dilation {m} has more than {limit} lattice points")
+            if limit is not None and found > limit:
+                continue  # only the section's own size is still checked
+            if tests is None:
+                tests = _step_tests(earlier, moving)
+            covered = _covered_steps(tests, row + (0,), length)
+            found += length - len(covered)
+            yield row, moving, length, covered
+        if limit is not None and found > limit:
+            raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
         earlier.append(
             tuple((idx[x], top if y == TOP else idx[y], m * d) for x, y, d in c.equalities)
         )
-    out.sort()
-    return out
+
+
+def _step_tests(earlier, moving):
+    """Per earlier section: its pairs split into fixed ones and ones that move.
+
+    A moving pair (ix, iy, d, s) holds at step (d - w[ix] + w[iy]) * s of a
+    run starting at w, where s = +-1 is the slope of w[ix] - w[iy].
+    """
+    moves = set(moving)
+    tests = []
+    for pairs in earlier:
+        fixed, sloped = [], []
+        for ix, iy, d in pairs:
+            s = (ix in moves) - (iy in moves)
+            if s:
+                sloped.append((ix, iy, d, s))
+            else:
+                fixed.append((ix, iy, d))
+        tests.append((fixed, sloped))
+    return tests
+
+
+def _covered_steps(tests, w, length):
+    """Steps 0 .. length-1 of the run from w on which some section's pairs all hold."""
+    covered = set()
+    for fixed, sloped in tests:
+        for ix, iy, d in fixed:
+            if w[ix] - w[iy] != d:
+                break
+        else:
+            step = None
+            for ix, iy, d, s in sloped:
+                j = (d - w[ix] + w[iy]) * s
+                if step is None:
+                    step = j
+                elif j != step:
+                    break
+            else:
+                if step is None:
+                    return range(length)
+                if 0 <= step < length:
+                    covered.add(step)
+    return covered

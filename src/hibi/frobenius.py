@@ -30,7 +30,7 @@ from operator import sub
 from .cones import ConeSection, _section_values
 from .errors import BudgetExceeded
 from .fiber import _generator_values
-from .labelings import Labeling
+from .labelings import _kernel_labelings
 from .poset import Poset
 
 
@@ -197,12 +197,12 @@ def t_piece(p, prime, e, budget=None):
     Assembled from the pinned sections, the same route as generators().
     e = 0 gives the origin alone.
     """
-    return tuple(Labeling(p, vals) for vals in _piece(p, prime, e, budget))
+    return _kernel_labelings(p, _piece(p, prime, e, budget))
 
 
 def h_e_fiber(p, prime, e, budget=None):
     """The new labelings of the e-th twisted fiber piece (witnesses of c_e)."""
-    return tuple(Labeling(p, vals) for vals in _fresh(p, prime, e, budget))
+    return _kernel_labelings(p, _fresh(p, prime, e, budget))
 
 
 def c_e_fiber(p, prime, e, budget=None):
@@ -212,7 +212,7 @@ def c_e_fiber(p, prime, e, budget=None):
 
 def h_e_ehrhart(c, prime, e, budget=None):
     """The new labelings among the section's dilation points at level e."""
-    return tuple(Labeling(c.poset, vals) for vals in _fresh(c, prime, e, budget))
+    return _kernel_labelings(c.poset, _fresh(c, prime, e, budget))
 
 
 def c_e_ehrhart(c, prime, e, budget=None):

@@ -63,6 +63,19 @@ class Labeling(namedtuple("Labeling", "poset values")):
         return Labeling(self.poset, tuple(a // k for a in self.values))
 
 
+def _kernel_labelings(p, rows):
+    """Labelings of value rows that the closed section kernel built, unchecked.
+
+    Labeling._make skips the constructor's checks, which such rows cannot
+    fail: each has one value per element, and cones._section_runs checks
+    every class at its exact closed bounds against the 64-bit range before
+    it yields a run.  The rows of lattice points, generators and Frobenius
+    pieces all come from that walk.
+    """
+    make = Labeling._make
+    return tuple([make((p, v)) for v in rows])
+
+
 def _same_poset(a, b):
     if a.poset is not b.poset and a.poset != b.poset:
         raise ValueError("labelings live on different posets")

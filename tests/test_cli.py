@@ -460,3 +460,78 @@ def test_wide_fan_polytope_does_not_recurse(tmp_path):
     code, text = run_command(["polytope", str(_fan_document(tmp_path))])
     assert code == 0
     assert text.splitlines()[1].split() == ["seq", "()", "dim", "0", "free", "-", "points(n=1)", "1"]
+
+
+def test_values_past_64_bits_are_invalid_input():
+    # chain3 has the one point n * (4, 3, 2, 1) for eps = 1, its negative for -1
+    down = (2, "invalid input: labeling value -9223372036854775812 exceeds the 64-bit range")
+    up = (2, "invalid input: labeling value 9223372036854775808 exceeds the 64-bit range")
+    n_down, n_up = "2305843009213693953", "2305843009213693952"
+    assert run_command(["generators", "chain3", "--n", "-" + n_down]) == down
+    assert run_command(["generators", "chain3", "--n", n_up]) == up
+    for eps, n, want in (("-1", n_down, down), ("1", n_up, up)):
+        polytope = ["polytope", "chain3", "--eps", eps, "--n", n]
+        assert run_command(polytope) == want
+        assert run_command(polytope + ["--seq", "", "--intersect", ""]) == want
+        assert run_command(polytope + ["--format", "json"]) == want
+
+
+# P1 with ids that a format string or a %-template would misread
+ODD_IDS = {"x0": "b{0}", "w": "w}", "x": "%s=", "z": "{x}", "y": "q%d{", "v": "=="}
+
+
+def _odd_document(tmp_path):
+    p = hibi.corpus.p1()
+    doc = {
+        "name": "odd{0}",
+        "elements": [ODD_IDS[z] for z in p.elements],
+        "covers": [[ODD_IDS[a], ODD_IDS[b]] for a, b in sorted(p.covers)],
+        "bottom": ODD_IDS[p.bottom],
+    }
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _values_text(p, nu):
+    """The per-value rendering the reports are checked against."""
+    return " ".join(f"{z}={v}" for z, v in zip(p.elements, nu.values))
+
+
+def test_reports_render_odd_ids_like_per_value_text(tmp_path):
+    path = _odd_document(tmp_path)
+    _, p = cli._load(path)
+    for n in (-2, -1, 1, 2):
+        gens = hibi.generators(p, n)
+        lines = [f"poset odd{{0}}: {len(gens)} generators for n = {n}"]
+        lines += [f"  degree {nu.degree:>4}  {_values_text(p, nu)}" for nu in gens]
+        assert run_command(["generators", path, "--n", str(n)]) == (0, "\n".join(lines))
+        payload = {
+            "name": "odd{0}",
+            "n": n,
+            "count": len(gens),
+            "generators": [{"degree": nu.degree, "values": nu.as_dict()} for nu in gens],
+        }
+        want = json.dumps(payload, indent=2, ensure_ascii=False)
+        assert run_command(["generators", path, "--n", str(n), "--format", "json"]) == (0, want)
+    shared = 0
+    for eps in (1, -1):
+        seqs = hibi.enumerate_N(p, eps)
+        for a in seqs:
+            for b in seqs:
+                for n in (1, 2):
+                    second = set(hibi.lattice_points(hibi.build_C(p, eps, b), n))
+                    common = [
+                        nu for nu in hibi.lattice_points(hibi.build_C(p, eps, a), n) if nu in second
+                    ]
+                    shared += len(common)
+                    lines = [
+                        f"poset odd{{0}}: {cli._render_seq(a)} and {cli._render_seq(b)} share "
+                        f"{len(common)} points at n={n}"
+                    ]
+                    lines += [f"  {_values_text(p, nu)}" for nu in common]
+                    argv = ["polytope", path, "--eps", str(eps), "--n", str(n)]
+                    argv += ["--seq", ",".join(a.items), "--intersect", ",".join(b.items)]
+                    assert run_command(argv) == (0, "\n".join(lines))
+    assert shared > 0
+    assert len(hibi.enumerate_N(p, -1)) == 2

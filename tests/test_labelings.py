@@ -10,7 +10,9 @@ from hibi import (
     InvalidPoset,
     Labeling,
     TOP,
+    build_C,
     build_poset,
+    enumerate_N,
     exist_witness,
     from_dict,
     generators,
@@ -19,6 +21,7 @@ from hibi import (
     is_minimal,
     label_max,
     label_min,
+    lattice_points,
     leq_T,
     qdist,
     split,
@@ -26,6 +29,7 @@ from hibi import (
     zero_labeling,
 )
 from hibi.corpus import chain
+from hibi.frobenius import h_e_ehrhart, h_e_fiber, t_piece
 
 V1 = {"x0": -2, "w": -1, "x": -2, "z": -1, "y": 0, "v": -1}
 V2 = {"x0": -3, "w": -2, "x": -2, "z": -1, "y": -1, "v": -1}
@@ -286,3 +290,25 @@ def test_generators_random_posets(p):
         for nu in gens:
             assert in_T(p, n, nu)
             assert is_minimal(p, n, nu)
+
+
+def _assert_validated(p, built):
+    for nu in built:
+        checked = Labeling(p, nu.values)
+        assert type(nu) is Labeling
+        assert nu == checked and hash(nu) == hash(checked) and repr(nu) == repr(checked)
+        assert nu.poset is p and type(nu.values) is tuple
+
+
+def test_kernel_labelings_equal_validated_ones(corpus):
+    for _, p in corpus:
+        for n in (1, -1, 2, -2):
+            _assert_validated(p, generators(p, n))
+        for eps in (1, -1):
+            for seq in enumerate_N(p, eps):
+                c = build_C(p, eps, seq)
+                for n in (1, 2):
+                    _assert_validated(p, lattice_points(c, n))
+                _assert_validated(p, h_e_ehrhart(c, 2, 2))
+        _assert_validated(p, t_piece(p, 3, 1))
+        _assert_validated(p, h_e_fiber(p, 2, 2))
