@@ -7,7 +7,9 @@ prime grows, and desk-scale primes can only hint at that.
 
 P1 is also read at larger primes, where the pieces stay small enough to
 list: e <= 3 at p = 7 and e <= 2 at p = 11 and 13.  --emax sets the
-exponent range at primes 2, 3 and 5.
+exponent range at primes 2, 3 and 5.  P2 and P3, whose reference value
+is 5, are read at e <= 3 for p = 2 and at e <= 2 for p = 3 and 5; their
+p = 5, e = 2 pieces have about 1.5 and 1.0 million points.
 
 Usage: python3 scripts/frobenius_trends.py [--emax E]
 """
@@ -45,6 +47,8 @@ def main():
     budget = Budget(max_prime=13, max_e=max(3, args.emax), max_piece=2_000_000)
     small = ((2, 3, 5), args.emax)
     show("P1", builtin("P1"), (small, ((7,), 3), ((11, 13), 2)), budget)
+    for name in ("P2", "P3"):
+        show(name, builtin(name), (((2,), 3), ((3, 5), 2)), budget)
     show("chain3", builtin("chain3"), (small,), budget)
 
 

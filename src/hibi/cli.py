@@ -22,6 +22,7 @@ from .birkhoff import (
 )
 from .cones import (
     _section_count,
+    _sections,
     build_C,
     dim_bruteforce,
     dim_formula,
@@ -196,13 +197,10 @@ def _cmd_polytope(args):
             raise ValueError("--intersect needs --seq for the first section")
         return _polytope_intersection(name, p, args)
     if args.seq is None:
-        seqs = enumerate_N(p, args.eps)
+        sections = _sections(p, args.eps)
     else:
-        seqs = (_parse_seq_flag(p, args.seq),)
-    rows = []
-    for seq in seqs:
-        c = build_C(p, args.eps, seq)
-        rows.append((seq, dim_formula(c), c.f_set, _section_count(c, args.n)))
+        sections = (build_C(p, args.eps, _parse_seq_flag(p, args.seq)),)
+    rows = [(c.seq, dim_formula(c), c.f_set, _section_count(c, args.n)) for c in sections]
     if args.format == "json":
         payload = {
             "name": name,
@@ -349,8 +347,8 @@ def _selftest_checks(name, p):
             results[key] = (False, f"seq {_render_seq(seq)} eps {eps}")
 
     for eps in (1, -1):
-        for seq in enumerate_N(p, eps):
-            c = build_C(p, eps, seq)
+        for c in _sections(p, eps):
+            seq = c.seq
             if dim_formula(c) != dim_bruteforce(c):
                 mark("dimension", eps, seq)
             if not is_standard(c, 2):

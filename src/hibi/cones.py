@@ -14,7 +14,7 @@ from collections import namedtuple
 from .errors import BudgetExceeded
 from .labelings import INT64_MAX, INT64_MIN, _kernel_labelings, indicator, label_max
 from .poset import TOP, qdist
-from .sequences import as_seq, is_q_reduced, shifted_family
+from .sequences import as_seq, enumerate_N, is_q_reduced, shifted_family
 
 
 class ConeSection(
@@ -40,6 +40,20 @@ def build_C(p, eps, seq):
         raise ValueError("eps must be +1 or -1")
     if not is_q_reduced(p, eps, seq):
         raise ValueError("sequence is not reduced")
+    return _section(p, eps, seq)
+
+
+def _sections(p, eps):
+    """The sections of enumerate_N(p, eps), in that order; the poset keeps them."""
+    sections = p._sections.get(eps)
+    if sections is None:
+        sections = tuple(_section(p, eps, seq) for seq in enumerate_N(p, eps))
+        p._sections[eps] = sections
+    return sections
+
+
+def _section(p, eps, seq):
+    """The section of a sequence already known to be reduced for eps."""
     pairs = seq.pairs()
     equalities = tuple((x, y, qdist(p, eps, x, y)) for x, y in pairs)
     inequalities = tuple((a, b) for a in p.elements for b in p.up_covers[a])
@@ -153,7 +167,7 @@ def _closure(c, n):
     return pins[:m], d
 
 
-def _section_runs(c, n):
+def _section_runs(c, n, limit=None, reach=None):
     """Runs of the n-fold dilation's points, in lexicographic order.
 
     A closed system of difference constraints is backtrack-free (Dechter,
@@ -166,6 +180,12 @@ def _section_runs(c, n):
     coordinates of that class, and the number of points; along the run
     the moving coordinates rise by one per step.  Beyond the closure the
     walk holds O(depth) values.
+
+    With a limit, it raises BudgetExceeded before the run that takes the
+    count past limit.  With a reach, it raises RuntimeError before the
+    first run unless every coordinate stays within -reach .. reach; the
+    closed bounds are attained, so both this and the 64-bit check are
+    exact.
     """
     closed = _closure(c, n)
     if closed is None:
@@ -173,11 +193,13 @@ def _section_runs(c, n):
     pins, d = closed
     top = len(d) - 1
     dtop = d[top]
-    for k, off in pins:
-        # each class attains both closed bounds, so this check is exact
-        for v in (off - d[k][top], off + dtop[k]):
+    bounds = _closed_bounds(pins, d)
+    for ends in bounds:
+        for v in ends:
             if not INT64_MIN <= v <= INT64_MAX:
                 raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+    if reach is not None and any(lo < -reach or hi > reach for lo, hi in bounds):
+        raise RuntimeError(f"a coordinate of dilation {n} leaves the range +-{reach}")
     # A class the closure fixes to the top is a constant.  One fixed to an
     # earlier free class would just get a one-value range in the walk; no
     # section has shown one, as the G pins are already contracted.
@@ -189,6 +211,8 @@ def _section_runs(c, n):
         else:
             free.append(k)
     if not free:
+        if limit is not None and limit < 1:
+            raise _over(n, limit)
         yield tuple([x[k] + off for k, off in pins]), (), 1
         return
     # bounds on each free class: (lo, hi) through the top, then the earlier
@@ -206,6 +230,7 @@ def _section_runs(c, n):
     ub = [0] * r
     t = 0
     entering = True
+    size = 0
     while t >= 0:
         f = free[t]
         if entering:
@@ -218,6 +243,9 @@ def _section_runs(c, n):
                     lo = x[u] - w
             if t == r - 1:
                 x[f] = lo
+                size += hi - lo + 1
+                if limit is not None and size > limit:
+                    raise _over(n, limit)
                 yield tuple([x[k] + off for k, off in pins]), moving, hi - lo + 1
                 t -= 1
                 entering = False
@@ -246,6 +274,30 @@ def _run_rows(row, moving, length):
     return rows
 
 
+def _closed_bounds(pins, d):
+    """(lowest, highest) value of each coordinate, from a closure (pins, d)."""
+    top = len(d) - 1
+    dtop = d[top]
+    return [(off - d[k][top], off + dtop[k]) for k, off in pins]
+
+
+def _over(n, limit):
+    return BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
+
+
+def _section_reach(c, n):
+    """Largest coordinate magnitude over the n-fold dilation; 0 when it is empty.
+
+    Every weight of the closed system is n times its weight at n = 1, and
+    min-plus closure commutes with that scaling, so the reach is n times
+    the reach at n = 1.
+    """
+    closed = _closure(c, n)
+    if closed is None:
+        return 0
+    return max(max(-lo, hi) for lo, hi in _closed_bounds(*closed))
+
+
 def _section_values(c, n, limit=None):
     """Value tuples of the n-fold dilation's points, in lexicographic order.
 
@@ -253,9 +305,7 @@ def _section_values(c, n, limit=None):
     the output past that many points.
     """
     out = []
-    for row, moving, length in _section_runs(c, n):
-        if limit is not None and len(out) + length > limit:
-            raise BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
+    for row, moving, length in _section_runs(c, n, limit):
         out.extend(_run_rows(row, moving, length))
     return out
 

@@ -1,6 +1,6 @@
 """Fiber-cone numerics: Hilbert counts, analytic spread, level and purity tests."""
 
-from .cones import _run_rows, _section_runs, build_C, dim_formula, lattice_points
+from .cones import _run_rows, _section_runs, _sections, dim_formula, lattice_points
 from .errors import BudgetExceeded
 from .labelings import _kernel_labelings
 from .poset import TOP, is_pure
@@ -16,7 +16,7 @@ def fiber_hilbert(p, eps, n):
 
 def analytic_spread(p, eps):
     """1 + the largest section dimension over the reduced sequences."""
-    return 1 + max(dim_formula(build_C(p, eps, seq)) for seq in enumerate_N(p, eps))
+    return 1 + max(dim_formula(c) for c in _sections(p, eps))
 
 
 def degree_range(p, n):
@@ -50,7 +50,7 @@ def fiber_cone_decomposition(p, eps, n):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return {seq: lattice_points(build_C(p, eps, seq), n) for seq in enumerate_N(p, eps)}
+    return {c.seq: lattice_points(c, n) for c in _sections(p, eps)}
 
 
 def generators_via_sequences(p, n, limit=None):
@@ -86,7 +86,7 @@ def _generator_count(p, n):
     return sum(length - len(covered) for _, _, length, covered in _generator_runs(p, n))
 
 
-def _generator_runs(p, n, limit=None):
+def _generator_runs(p, n, limit=None, reach=None):
     """The sections' runs (cones._section_runs), each with the steps it repeats.
 
     Sections overlap, so each point is kept only by its first section in
@@ -102,7 +102,8 @@ def _generator_runs(p, n, limit=None):
 
     With a limit, it raises BudgetExceeded once a section has more than
     that many points, or, at the end of a section, once more than that
-    many distinct points have been found.
+    many distinct points have been found.  A reach goes to the walk of
+    every section (cones._section_runs).
     """
     eps = 1 if n > 0 else -1
     m = abs(n)
@@ -110,14 +111,9 @@ def _generator_runs(p, n, limit=None):
     top = len(p.elements)
     earlier = []  # tight pairs (ix, iy, d) of the sections already swept
     found = 0
-    for seq in enumerate_N(p, eps):
-        c = build_C(p, eps, seq)
+    for c in _sections(p, eps):
         tests = None
-        size = 0
-        for row, moving, length in _section_runs(c, m):
-            size += length
-            if limit is not None and size > limit:
-                raise BudgetExceeded(f"dilation {m} has more than {limit} lattice points")
+        for row, moving, length in _section_runs(c, m, limit, reach):
             if limit is not None and found > limit:
                 continue  # only the section's own size is still checked
             if tests is None:

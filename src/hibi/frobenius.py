@@ -8,13 +8,28 @@ reports expose log_p(c_e)/e as a labeled estimate, never as a limit.
 
 The three targets -- a fiber cone (Poset), the Ehrhart ring of one
 sequence (ConeSection) and an inequality-given Polytope -- share one
-path: the e-th piece is the set of points of the (p^e - 1)-th dilation.
+path: the e-th piece is the set of points of the (p^e - 1)-th dilation,
+and each point becomes one integer as the enumeration streams it out.
+
+The packing is v -> sum_i v_i * 2**(bits*i).  It is linear, so the
+fresh vectors of the top piece P_e are the packed set difference
+P_e minus the sums a + p^k * b over a in P_k and b in P_{e-k}: a packed
+sumset, built by C-level int addition and set updates, running over the
+smaller of the two sides.  The packing is exact, not hashed: it is
+one-to-one on vectors whose coordinates all lie strictly inside
++-2**(bits-1), and bits is chosen so that every difference
+v - a - p^k * b of such vectors does.  That rests on a coordinate bound
+the code checks: the points of the n-th dilation stay within n times
+the largest coordinate magnitude of the first dilation (its closed
+bounds for a section or a fiber cone, its box for a polytope), and the
+walk of every section checks its exact closed bounds against that reach
+before it yields a point.
 
 Budgets guard every enumeration: primes and exponents are capped, and a
 piece enumeration aborts with an explicit error as soon as it passes the
 cap, rather than truncating.  Nothing is cached between calls: a piece
 lives only as long as the call that builds it, and tcx_report builds each
-piece once per prime, from the bottom up.
+piece once per prime, from the bottom up, under one packing.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -23,13 +38,13 @@ itself; the reports carry estimates either way and never assert limits.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 from math import log
-from operator import sub
+from operator import mul
 
-from .cones import ConeSection, _section_values
+from .cones import ConeSection, _section_reach, _section_runs, _sections
 from .errors import BudgetExceeded
-from .fiber import _generator_values
+from .fiber import _generator_runs, _generator_values
 from .labelings import _kernel_labelings
 from .poset import Poset
 
@@ -120,19 +135,113 @@ def _check_caps(prime, e, budget):
 _TAGS = {Poset: "fiber cone", ConeSection: "ehrhart of sequence", Polytope: "raw polytope"}
 
 
-def _points(target, n, budget):
-    """Value tuples of the integer points in the n-th dilation of a target.
+class _Packing(namedtuple("_Packing", "bits weights")):
+    """Integer vectors of one width packed as single ints: v -> sum v_i * 2**(bits*i).
 
+    The map is linear.  A vector w with every |w_i| < 2**bits packs to 0
+    only when w is 0 (its digits vanish mod 2**bits from the lowest up),
+    and a vector with every |v_i| < 2**(bits-1) is read back by unpack.
+    """
+
+    __slots__ = ()
+
+    def pack(self, v):
+        return sum(map(mul, v, self.weights))
+
+    def unpack(self, x):
+        """The vector of a packed int, read as balanced base-2**bits digits."""
+        bits = self.bits
+        half = 1 << bits - 1
+        mask = (1 << bits) - 1
+        out = []
+        for _ in self.weights:
+            digit = ((x + half) & mask) - half
+            out.append(digit)
+            x = (x - digit) >> bits
+        return tuple(out)
+
+
+def _packing(width, bound):
+    """The least packing that reads back every vector with coordinates in -bound .. bound."""
+    bits = bound.bit_length() + 1
+    return _Packing(bits, tuple(1 << bits * i for i in range(width)))
+
+
+def _extent(target):
+    """(coordinate count, largest coordinate magnitude of the first dilation).
+
+    The n-th dilation stays within n times that magnitude: a polytope's
+    dilation box scales with n, and so do the closed bounds of a section.
+    """
+    if isinstance(target, Poset):
+        sections = _sections(target, -1)
+        return len(target.elements), max((_section_reach(c, 1) for c in sections), default=0)
+    if isinstance(target, ConeSection):
+        return len(target.poset.elements), _section_reach(target, 1)
+    if isinstance(target, Polytope):
+        return target.dim, max(map(abs, target.lower + target.upper), default=0)
+    raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
+
+
+def _layout(target, prime, e_max):
+    """(unit reach, packing) for the pieces 1 .. e_max of target at prime.
+
+    Piece k has coordinates within r_k = (prime**k - 1) * unit, and the
+    packing reads back every vector within r_{e_max}, so every piece
+    vector packs to one int and unpacks exactly.  A difference
+    v - a - prime**k * b of vectors of pieces e, k and e - k then has
+    coordinates within r_e + r_k + prime**k * r_{e-k} = 2 * r_e, below
+    2**bits, so it packs to 0 only when it is 0: a packed sum matches a
+    packed top vector exactly when the vectors match.
+    """
+    width, unit = _extent(target)
+    return unit, _packing(width, (prime**e_max - 1) * unit)
+
+
+def _piece(target, prime, e, budget, unit, packing):
+    """The packed points of the e-th piece, (prime**e - 1)-th dilation of target.
+
+    The points stream out in walk order, run by run: a run of the closed
+    walk packs to a range of ints, less the steps an earlier section has.
     Fiber and section enumerations stop as soon as they pass the cap; a
     polytope's dilation box is checked against the cap before the sweep.
     """
+    _check_caps(prime, e, budget)
+    n = prime**e - 1
     cap = budget.max_piece
+    if isinstance(target, Polytope):
+        return _polytope_ints(target, n, cap, packing)
     if isinstance(target, Poset):
-        return tuple(_generator_values(target, -n, cap))
-    if isinstance(target, ConeSection):
-        return tuple(_section_values(target, n, cap))
-    if not isinstance(target, Polytope):
-        raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
+        runs = _generator_runs(target, -n, cap, n * unit)
+    else:
+        runs = ((*run, ()) for run in _section_runs(target, n, cap, n * unit))
+    return chain.from_iterable(_run_ints(runs, packing))
+
+
+def _run_ints(runs, packing):
+    """Per run (row, moving, length, covered): its packed points off the covered steps."""
+    pack, weights = packing.pack, packing.weights
+    for row, moving, length, covered in runs:
+        if len(covered) == length:
+            continue
+        start = pack(row)
+        if length == 1:
+            yield (start,)
+            continue
+        step = sum(map(weights.__getitem__, moving))
+        points = range(start, start + length * step, step)
+        if not covered:
+            yield points
+            continue
+        j = 0
+        for skip in sorted(covered):
+            yield points[j:skip]
+            j = skip + 1
+        yield points[j:]
+
+
+def _polytope_ints(target, n, cap, packing):
+    """The packed points of the n-th dilation, one by one, after the box is checked."""
     volume = 1
     for lo, hi in zip(target.lower, target.upper):
         volume *= n * hi - n * lo + 1
@@ -140,55 +249,46 @@ def _points(target, n, budget):
             raise BudgetExceeded(f"dilation box of size {volume} exceeds the cap {cap}")
     ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(target.lower, target.upper)]
     rows = target.inequalities
-    return tuple(
-        pt
+    return (
+        packing.pack(pt)
         for pt in product(*ranges)
         if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in rows)
     )
 
 
-def _piece(target, prime, e, budget):
-    """Value tuples of the e-th piece: the (prime**e - 1)-th dilation of target."""
-    budget = budget or Budget()
-    _check_caps(prime, e, budget)
-    return _points(target, prime**e - 1, budget)
+def _drop_splits(fresh, pieces, prime, e):
+    """Remove from the set fresh every a + prime**k * b, a in pieces[k], b in pieces[e-k].
 
-
-def _new_elements(pieces, prime, e):
-    """Top-piece vectors with no split v = v1 + prime**k * v2.
-
-    A valid first part v1 is congruent to v coordinatewise mod prime**k,
-    so the candidates are looked up by residue class, and the remainder
-    v - v1 is looked up among the second parts already scaled by prime**k;
-    this keeps the search near-linear in the piece sizes.
+    The sums are made from the smaller side outward, one C-level pass
+    over the larger side per element.
     """
-    parts = []
     for k in range(1, e):
-        mod = prime**k
-        residue = mod.__rmod__  # a -> a % mod
-        residues = {}
-        for v1 in pieces[k]:
-            residues.setdefault(tuple(map(residue, v1)), []).append(v1)
-        scaled = {tuple(map(mod.__mul__, v2)) for v2 in pieces[e - k]}
-        parts.append((residue, residues, scaled))
-
-    def splits(v):
-        for residue, residues, scaled in parts:
-            for v1 in residues.get(tuple(map(residue, v)), ()):
-                if tuple(map(sub, v, v1)) in scaled:
-                    return True
-        return False
-
-    return [v for v in pieces[e] if not splits(v)]
+        firsts = pieces[k]
+        seconds = list(map((prime**k).__mul__, pieces[e - k]))
+        if len(firsts) > len(seconds):
+            firsts, seconds = seconds, firsts
+        for a in firsts:
+            fresh.difference_update(map(a.__add__, seconds))
 
 
 def _fresh(target, prime, e, budget):
-    """Value tuples of the e-th piece that do not split over lower pieces."""
+    """The packed fresh vectors of the e-th piece, as a set, and their packing."""
     if e < 1:
         raise ValueError("e must be at least 1")
+    budget = budget or Budget()
+    _check_caps(prime, e, budget)
+    unit, packing = _layout(target, prime, e)
     # top piece first: its caps bound the lower pieces
-    pieces = {k: _piece(target, prime, k, budget) for k in range(e, 0, -1)}
-    return _new_elements(pieces, prime, e)
+    fresh = set(_piece(target, prime, e, budget, unit, packing))
+    pieces = {k: list(_piece(target, prime, k, budget, unit, packing)) for k in range(e - 1, 0, -1)}
+    _drop_splits(fresh, pieces, prime, e)
+    return fresh, packing
+
+
+def _fresh_values(target, prime, e, budget):
+    """Value tuples of the fresh vectors, in lexicographic order like their piece."""
+    fresh, packing = _fresh(target, prime, e, budget)
+    return sorted(map(packing.unpack, fresh))
 
 
 def t_piece(p, prime, e, budget=None):
@@ -197,37 +297,41 @@ def t_piece(p, prime, e, budget=None):
     Assembled from the pinned sections, the same route as generators().
     e = 0 gives the origin alone.
     """
-    return _kernel_labelings(p, _piece(p, prime, e, budget))
+    budget = budget or Budget()
+    _check_caps(prime, e, budget)
+    if not isinstance(p, Poset):
+        raise TypeError("t_piece takes a Poset")
+    return _kernel_labelings(p, _generator_values(p, 1 - prime**e, budget.max_piece))
 
 
 def h_e_fiber(p, prime, e, budget=None):
     """The new labelings of the e-th twisted fiber piece (witnesses of c_e)."""
-    return _kernel_labelings(p, _fresh(p, prime, e, budget))
+    return _kernel_labelings(p, _fresh_values(p, prime, e, budget))
 
 
 def c_e_fiber(p, prime, e, budget=None):
     """New-generator count of the e-th twisted piece of the fiber cone."""
-    return len(_fresh(p, prime, e, budget))
+    return len(_fresh(p, prime, e, budget)[0])
 
 
 def h_e_ehrhart(c, prime, e, budget=None):
     """The new labelings among the section's dilation points at level e."""
-    return _kernel_labelings(c.poset, _fresh(c, prime, e, budget))
+    return _kernel_labelings(c.poset, _fresh_values(c, prime, e, budget))
 
 
 def c_e_ehrhart(c, prime, e, budget=None):
     """New-generator count over the dilation lattice points of a section."""
-    return len(_fresh(c, prime, e, budget))
+    return len(_fresh(c, prime, e, budget)[0])
 
 
 def h_e_polytope(delta, prime, e, budget=None):
     """The new integer points at level e for an inequality-given polytope."""
-    return tuple(_fresh(delta, prime, e, budget))
+    return tuple(_fresh_values(delta, prime, e, budget))
 
 
 def c_e_polytope(delta, prime, e, budget=None):
     """New-generator count for the Ehrhart ring of an inequality-given polytope."""
-    return len(_fresh(delta, prime, e, budget))
+    return len(_fresh(delta, prime, e, budget)[0])
 
 
 def tcx_report(target, primes, e_max, budget=None):
@@ -240,12 +344,19 @@ def tcx_report(target, primes, e_max, budget=None):
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
+    budget = budget or Budget()
     tables = []
     for prime in primes:
+        _check_caps(prime, 1, budget)
+        unit, packing = _layout(target, prime, e_max)
         pieces, rows = {}, []
         for e in range(1, e_max + 1):
-            pieces[e] = _piece(target, prime, e, budget)
-            rows.append((e, len(pieces[e]), len(_new_elements(pieces, prime, e))))
+            pieces[e] = set(_piece(target, prime, e, budget, unit, packing))
+            # the last piece is not read again, so its fresh set can be itself
+            fresh = pieces[e] if e == e_max else set(pieces[e])
+            dim_e = len(fresh)
+            _drop_splits(fresh, pieces, prime, e)
+            rows.append((e, dim_e, len(fresh)))
         rows = tuple(rows)
         last_c = rows[-1][2]
         estimate = log(last_c, prime) / e_max if last_c > 0 else float("-inf")

@@ -20,7 +20,8 @@ poset; no module keeps a cache keyed by a poset.  It owns:
   y >= x in P+ (its keys are the up-set of x);
 - _cover_pairs: the covers of P+ as index pairs (for the T^(n) tests);
 - _ideals: the nonempty down-sets (poset_ideals);
-- _reduced: the reduced sequences per sign eps (sequences.enumerate_N).
+- _reduced: the reduced sequences per sign eps (sequences.enumerate_N);
+- _sections: the sections of those sequences per sign (cones._sections).
 """
 
 import heapq
@@ -112,6 +113,11 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
     @cached_property
     def _reduced(self):
         """eps -> reduced sequences; filled by sequences.enumerate_N."""
+        return {}
+
+    @cached_property
+    def _sections(self):
+        """eps -> the sections of the reduced sequences; filled by cones._sections."""
         return {}
 
     def leq(self, x, y):

@@ -3,13 +3,15 @@
 The oracles here recompute module outputs by a different route (exhaustive
 DFS, powerset filtering, brute-force pair search, build-then-filter
 sequence enumeration, the down-set scan for minimality, the degree-box
-sweeps of T^(n) and of one section, the bound scans of lattice joins and
-meets, the distributive law on every triple) so the library code is never
-checked against itself.
+sweeps of T^(n) and of one section, the residue search for fresh
+Frobenius vectors, the bound scans of lattice joins and meets, the
+distributive law on every triple) so the library code is never checked
+against itself.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from operator import sub
 
 import pytest
 from hypothesis import strategies as st
@@ -345,6 +347,44 @@ def brute_new_count(pieces, prime, e):
         if not decomposed:
             fresh.append(v)
     return fresh
+
+
+def residue_new_elements(pieces, prime, e):
+    """Top-piece vectors with no split v = v1 + prime**k * v2, by residue lookup.
+
+    A valid first part v1 is congruent to v coordinatewise mod prime**k,
+    so the candidates are looked up by residue class, and the remainder
+    v - v1 is looked up among the second parts already scaled by prime**k.
+    Works on value tuples in the order of pieces[e], without packing.
+    """
+    parts = []
+    for k in range(1, e):
+        mod = prime**k
+        residue = mod.__rmod__  # a -> a % mod
+        residues = {}
+        for v1 in pieces[k]:
+            residues.setdefault(tuple(map(residue, v1)), []).append(v1)
+        scaled = {tuple(map(mod.__mul__, v2)) for v2 in pieces[e - k]}
+        parts.append((residue, residues, scaled))
+
+    def splits(v):
+        for residue, residues, scaled in parts:
+            for v1 in residues.get(tuple(map(residue, v)), ()):
+                if tuple(map(sub, v, v1)) in scaled:
+                    return True
+        return False
+
+    return [v for v in pieces[e] if not splits(v)]
+
+
+def polytope_points(delta, n):
+    """Value tuples of the n-th dilation of a Polytope, by filtering its box, value-lex."""
+    ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(delta.lower, delta.upper)]
+    return [
+        pt
+        for pt in product(*ranges)
+        if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in delta.inequalities)
+    ]
 
 
 def lattice_tables_scan(elements, pairs):

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hibi.frobenius as frobenius
-from conftest import brute_new_count
+from conftest import brute_new_count, polytope_points, residue_new_elements, small_posets
 from hibi import (
     Budget,
     BudgetExceeded,
@@ -27,7 +29,9 @@ from hibi import (
     tcx_report,
     zero_labeling,
 )
-from hibi.corpus import antichain, chain
+from hibi.cli import run_command
+from hibi.cones import _section_reach, _section_runs
+from hibi.corpus import antichain, chain, filters1, filters2, p2, p3
 
 TRIANGLE = Polytope(dim=2, inequalities=(((1, 1), 1),), lower=(0, 0), upper=(1, 1))
 POINT = Polytope(dim=2, inequalities=(), lower=(0, 0), upper=(0, 0))
@@ -328,3 +332,216 @@ def test_capped_piece_is_rejected_exactly_when_larger(corpus):
                     t_piece(p, prime, e, budget=capped)
             else:
                 assert len(t_piece(p, prime, e, budget=capped)) == sizes[key]
+
+
+# --- packed fresh counts against the residue-search oracle ------------------
+
+AGREE = Budget(max_prime=5, max_e=3, max_piece=20_000)
+
+
+def _fiber_values(p, prime):
+    return lambda e: [nu.values for nu in t_piece(p, prime, e, AGREE)]
+
+
+def _section_values(c, prime):
+    return lambda e: [nu.values for nu in lattice_points(c, prime**e - 1, AGREE.max_piece)]
+
+
+def _polytope_values(delta, prime):
+    def points(e):
+        n = prime**e - 1
+        if math.prod(n * hi - n * lo + 1 for lo, hi in zip(delta.lower, delta.upper)) > AGREE.max_piece:
+            raise BudgetExceeded("the dilation box passes the cap")
+        return polytope_points(delta, n)
+
+    return points
+
+
+def _value_pieces(points):
+    """Value-tuple pieces 1, 2, ... up to e = 3 or the first that passes the cap."""
+    pieces = {}
+    for e in (1, 2, 3):
+        try:
+            pieces[e] = points(e)
+        except BudgetExceeded:
+            break
+    return pieces
+
+
+def _assert_agreement(target, prime, points, count, fresh):
+    """tcx_report rows, c_e and h_e (values and order) equal the residue oracle."""
+    pieces = _value_pieces(points)
+    if not pieces:
+        return
+    want = {e: residue_new_elements(pieces, prime, e) for e in pieces}
+    (table,) = tcx_report(target, (prime,), max(pieces), AGREE)
+    assert table.rows == tuple((e, len(pieces[e]), len(want[e])) for e in pieces)
+    for e in pieces:
+        assert count(target, prime, e, AGREE) == len(want[e])
+        got = fresh(target, prime, e, AGREE)
+        assert [getattr(v, "values", v) for v in got] == want[e]
+
+
+def _sections_of(p):
+    return [build_C(p, eps, seq) for eps in (1, -1) for seq in enumerate_N(p, eps)]
+
+
+NEGATIVE_BOX = Polytope(
+    dim=2, inequalities=(((1, 1), 1), ((-1, 2), 2)), lower=(-2, -1), upper=(1, 1)
+)
+SEGMENT = Polytope(dim=1, inequalities=(), lower=(-3,), upper=(1,))
+SLAB = Polytope(dim=3, inequalities=(((1, -1, 1), 0),), lower=(-1, 0, -1), upper=(0, 1, 1))
+
+
+def test_fiber_fresh_agrees_with_residue_oracle_on_corpus(corpus):
+    for _, p in corpus:
+        for prime in (2, 3, 5):
+            _assert_agreement(p, prime, _fiber_values(p, prime), c_e_fiber, h_e_fiber)
+
+
+def test_section_fresh_agrees_with_residue_oracle_on_corpus(corpus):
+    for _, p in corpus:
+        for c in _sections_of(p):
+            for prime in (2, 3, 5):
+                _assert_agreement(c, prime, _section_values(c, prime), c_e_ehrhart, h_e_ehrhart)
+
+
+def test_polytope_fresh_agrees_with_residue_oracle():
+    for delta in (TRIANGLE, POINT, NEGATIVE_BOX, SEGMENT, SLAB):
+        for prime in (2, 3, 5):
+            _assert_agreement(delta, prime, _polytope_values(delta, prime), c_e_polytope, h_e_polytope)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(), st.sampled_from((2, 3, 5)), st.data())
+def test_fresh_agrees_with_residue_oracle_on_random_posets(p, prime, data):
+    _assert_agreement(p, prime, _fiber_values(p, prime), c_e_fiber, h_e_fiber)
+    c = data.draw(st.sampled_from(_sections_of(p)))
+    _assert_agreement(c, prime, _section_values(c, prime), c_e_ehrhart, h_e_ehrhart)
+
+
+@st.composite
+def small_polytopes(draw):
+    """Polytopes of dimension 1-3 in a box around the origin, with up to two rows."""
+    dim = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.integers(-2, 0), min_size=dim, max_size=dim))
+    upper = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+    row = st.tuples(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), st.integers(-2, 3))
+    return Polytope(dim, draw(st.lists(row, max_size=2)), lower, upper)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polytopes(), st.sampled_from((2, 3, 5)))
+def test_fresh_agrees_with_residue_oracle_on_random_polytopes(delta, prime):
+    _assert_agreement(delta, prime, _polytope_values(delta, prime), c_e_polytope, h_e_polytope)
+
+
+# Exit-4 texts, and so the piece at which each rejection comes, as the
+# residue search gave them: the top piece is built first in c_e / h_e, the
+# pieces go bottom up in tcx_report, and a fiber piece checks each section
+# before the distinct count.
+REJECTIONS = (
+    (["frobenius", "P1", "--budget", "2"], "dilation 1 has more than 2 lattice points"),
+    (
+        ["frobenius", "P2", "--prime", "2,5", "--emax", "2", "--budget", "5000"],
+        "dilation 24 has more than 5000 lattice points",
+    ),
+    (
+        ["frobenius", "P3", "--prime", "3", "--emax", "2", "--budget", "5000"],
+        "dilation 8 has more than 5000 lattice points",
+    ),
+)
+
+
+def test_cli_rejections_keep_their_texts():
+    for argv, text in REJECTIONS:
+        assert run_command(argv) == (4, f"budget exceeded: {text}")
+        assert run_command(argv + ["--format", "json"]) == (4, f"budget exceeded: {text}")
+
+
+def test_library_rejections_keep_their_texts_and_order(poset1):
+    square = Polytope(dim=2, inequalities=(), lower=(-1, 0), upper=(1, 2))
+    section = build_C(p3(), -1, ())
+    cases = (
+        (c_e_fiber, (poset1, 2, 3), 5, "dilation 7 has more than 5 lattice points"),
+        (c_e_fiber, (poset1, 2, 3), 30, "dilation 7 has more than 30 lattice points"),
+        (h_e_fiber, (p2(), 2, 3), 1000, "dilation 7 has more than 1000 lattice points"),
+        (tcx_report, (p2(), (2,), 3), 5, "dilation 1 has more than 5 lattice points"),
+        (tcx_report, (p2(), (2,), 3), 100, "dilation 3 has more than 100 lattice points"),
+        (tcx_report, (p2(), (2,), 3), 300, "T^(-3) has more than 300 minimal elements"),
+        (tcx_report, (filters2(), (2, 3), 3), 1000, "dilation 26 has more than 1000 lattice points"),
+        (c_e_ehrhart, (section, 3, 2), 30, "dilation 8 has more than 30 lattice points"),
+        (h_e_polytope, (square, 3, 2), 30, "dilation box of size 289 exceeds the cap 30"),
+    )
+    for fn, args, cap, text in cases:
+        with pytest.raises(BudgetExceeded) as info:
+            fn(*args, Budget(max_piece=cap))
+        assert str(info.value) == text
+
+
+# --- the packing --------------------------------------------------------------
+
+
+def test_packing_round_trips_at_both_ends_of_the_digit_range():
+    for bound in (0, 1, 2, 3, 7, 8, 255, 256, 2**31 - 1, 2**31, 10**18):
+        packing = frobenius._packing(3, bound)
+        digits = sorted(d for d in {-bound, -bound + 1, -1, 0, 1, bound - 1, bound} if abs(d) <= bound)
+        seen = {}
+        for a in digits:
+            for b in digits:
+                for c in (-bound, 0, bound):
+                    v = (a, b, c)
+                    x = packing.pack(v)
+                    assert packing.unpack(x) == v
+                    assert seen.setdefault(x, v) == v
+
+
+def test_packing_tells_every_split_difference_from_zero():
+    # the differences v - a - p^k * b of vectors within bound lie within 2 * bound
+    for bound in (1, 2, 3, 7, 8, 100, 255, 256):
+        packing = frobenius._packing(2, bound)
+        for w0 in range(-2 * bound, 2 * bound + 1):
+            for w1 in (-2 * bound, -1, 0, 1, 2 * bound):
+                assert (packing.pack((w0, w1)) == 0) == (w0 == w1 == 0)
+
+
+def test_packing_is_linear():
+    packing = frobenius._packing(3, 40)
+    v, a, b = (7, -8, 0), (3, -2, -1), (1, -2, 0)
+    assert packing.pack(v) - packing.pack(a) - 4 * packing.pack(b) == packing.pack((0, 2, 1))
+    assert packing.pack((0, 2, 1)) != 0
+
+
+def test_pieces_at_the_largest_coordinates_the_default_budget_admits():
+    # prime 5 and e = 3 are the default caps: dilation 124
+    corner = Polytope(dim=2, inequalities=(), lower=(-(10**6), 10**6), upper=(-(10**6), 10**6))
+    assert h_e_polytope(corner, 5, 1) == ((-4 * 10**6, 4 * 10**6),)
+    assert c_e_polytope(corner, 5, 3) == 0
+    for e in (1, 2, 3):
+        _, packing = frobenius._layout(corner, 5, e)
+        top = (5**e - 1) * 10**6
+        for v in ((-top, top), (top, -top), (-top, -top), (top, top)):
+            assert packing.unpack(packing.pack(v)) == v
+    for p in (chain(4), filters1()):
+        pieces = {e: [nu.values for nu in t_piece(p, 5, e)] for e in (1, 2, 3)}
+        want = residue_new_elements(pieces, 5, 3)
+        assert c_e_fiber(p, 5, 3) == len(want)
+        assert [nu.values for nu in h_e_fiber(p, 5, 3)] == want
+
+
+def test_section_reach_is_exact_and_scales_with_the_dilation(corpus):
+    for _, p in corpus:
+        for c in _sections_of(p):
+            unit = _section_reach(c, 1)
+            for n in (1, 2, 7):
+                points = lattice_points(c, n)
+                assert _section_reach(c, n) == n * unit
+                assert max(abs(v) for nu in points for v in nu.values) == n * unit
+
+
+def test_walk_rejects_a_reach_below_its_closed_bounds(poset1):
+    c = build_C(poset1, -1, ("y", "x"))
+    reach = _section_reach(c, 3)
+    assert sum(length for _, _, length in _section_runs(c, 3, reach=reach)) == 10
+    with pytest.raises(RuntimeError, match="leaves the range"):
+        next(_section_runs(c, 3, reach=reach - 1))

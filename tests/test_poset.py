@@ -15,6 +15,8 @@ from conftest import (
 from hibi import (
     InvalidPoset,
     TOP,
+    analytic_spread,
+    build_C,
     build_poset,
     c_e_fiber,
     dist,
@@ -27,6 +29,7 @@ from hibi import (
     poset_ideals,
     qdist,
 )
+from hibi.cones import ConeSection, _sections
 from hibi.corpus import antichain, chain, p1
 from hibi.poset import Poset
 
@@ -227,7 +230,24 @@ def test_dropped_poset_is_collected_with_its_data():
     assert all(is_minimal(p, -2, nu) for nu in generators(p, -2))
     assert len(poset_ideals(p)) > 1
     assert c_e_fiber(p, 2, 2) > 0
+    assert analytic_spread(p, 1) > 0
+    # the sections of both signs are kept by the poset, and point back to it
+    assert set(p._sections) == {1, -1}
+    assert all(c.poset is p for eps in (1, -1) for c in p._sections[eps])
     ids = frozenset(p.elements)
     del p
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, Poset) and set(o.elements) == ids]
+    assert not [
+        o for o in gc.get_objects() if isinstance(o, ConeSection) and set(o.poset.elements) == ids
+    ]
+
+
+def test_poset_keeps_the_sections_of_its_reduced_sequences(corpus):
+    for _, p in corpus:
+        for eps in (1, -1):
+            sections = _sections(p, eps)
+            assert sections == tuple(build_C(p, eps, seq) for seq in enumerate_N(p, eps))
+            assert _sections(p, eps) is sections
+    with pytest.raises(ValueError):
+        _sections(p1(), 2)
