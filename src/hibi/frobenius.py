@@ -15,15 +15,15 @@ The packing is v -> sum_i v_i * 2**(bits*i).  It is linear, so the
 fresh vectors of the top piece P_e are the packed set difference
 P_e minus the sums a + p^k * b over a in P_k and b in P_{e-k}: a packed
 sumset, built by C-level int addition and set updates, running over the
-smaller of the two sides.  The packing is exact, not hashed: it is
-one-to-one on vectors whose coordinates all lie strictly inside
-+-2**(bits-1), and bits is chosen so that every difference
-v - a - p^k * b of such vectors does.  That rests on a coordinate bound
-the code checks: the points of the n-th dilation stay within n times
-the largest coordinate magnitude of the first dilation (its closed
-bounds for a section or a fiber cone, its box for a polytope), and the
-walk of every section checks its exact closed bounds against that reach
-before it yields a point.
+smaller of the two sides.  The packing is exact, not hashed.  Piece k
+has coordinates within r_k = (p^k - 1) * unit, where unit is the largest
+coordinate magnitude of the first dilation (from its closed bounds for
+a section or a fiber cone, from its box for a polytope): the closed
+bounds scale with the dilation, and the walk of every section checks
+its exact closed bounds against that reach before it yields a point.
+With 2**(bits-1) > r_e every piece vector unpacks exactly, and every
+difference v - a - p^k * b, whose coordinates lie within 2 * r_e, packs
+to 0 only when it is 0.
 
 Budgets guard every enumeration: primes and exponents are capped, and a
 piece enumeration aborts with an explicit error as soon as it passes the
@@ -135,15 +135,21 @@ def _check_caps(prime, e, budget):
 _TAGS = {Poset: "fiber cone", ConeSection: "ehrhart of sequence", Polytope: "raw polytope"}
 
 
-class _Packing(namedtuple("_Packing", "bits weights")):
+class _Packing:
     """Integer vectors of one width packed as single ints: v -> sum v_i * 2**(bits*i).
 
     The map is linear.  A vector w with every |w_i| < 2**bits packs to 0
     only when w is 0 (its digits vanish mod 2**bits from the lowest up),
     and a vector with every |v_i| < 2**(bits-1) is read back by unpack.
+    bits is the least that reads back every vector within the bound.
+    A plain class: a namedtuple would cost every cold start its creation.
     """
 
-    __slots__ = ()
+    __slots__ = ("bits", "weights")
+
+    def __init__(self, width, bound):
+        self.bits = bits = bound.bit_length() + 1
+        self.weights = tuple(1 << bits * i for i in range(width))
 
     def pack(self, v):
         return sum(map(mul, v, self.weights))
@@ -159,12 +165,6 @@ class _Packing(namedtuple("_Packing", "bits weights")):
             out.append(digit)
             x = (x - digit) >> bits
         return tuple(out)
-
-
-def _packing(width, bound):
-    """The least packing that reads back every vector with coordinates in -bound .. bound."""
-    bits = bound.bit_length() + 1
-    return _Packing(bits, tuple(1 << bits * i for i in range(width)))
 
 
 def _extent(target):
@@ -195,7 +195,7 @@ def _layout(target, prime, e_max):
     packed top vector exactly when the vectors match.
     """
     width, unit = _extent(target)
-    return unit, _packing(width, (prime**e_max - 1) * unit)
+    return unit, _Packing(width, (prime**e_max - 1) * unit)
 
 
 def _piece(target, prime, e, budget, unit, packing):

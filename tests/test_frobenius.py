@@ -484,7 +484,7 @@ def test_library_rejections_keep_their_texts_and_order(poset1):
 
 def test_packing_round_trips_at_both_ends_of_the_digit_range():
     for bound in (0, 1, 2, 3, 7, 8, 255, 256, 2**31 - 1, 2**31, 10**18):
-        packing = frobenius._packing(3, bound)
+        packing = frobenius._Packing(3, bound)
         digits = sorted(d for d in {-bound, -bound + 1, -1, 0, 1, bound - 1, bound} if abs(d) <= bound)
         seen = {}
         for a in digits:
@@ -499,14 +499,14 @@ def test_packing_round_trips_at_both_ends_of_the_digit_range():
 def test_packing_tells_every_split_difference_from_zero():
     # the differences v - a - p^k * b of vectors within bound lie within 2 * bound
     for bound in (1, 2, 3, 7, 8, 100, 255, 256):
-        packing = frobenius._packing(2, bound)
+        packing = frobenius._Packing(2, bound)
         for w0 in range(-2 * bound, 2 * bound + 1):
             for w1 in (-2 * bound, -1, 0, 1, 2 * bound):
                 assert (packing.pack((w0, w1)) == 0) == (w0 == w1 == 0)
 
 
 def test_packing_is_linear():
-    packing = frobenius._packing(3, 40)
+    packing = frobenius._Packing(3, 40)
     v, a, b = (7, -8, 0), (3, -2, -1), (1, -2, 0)
     assert packing.pack(v) - packing.pack(a) - 4 * packing.pack(b) == packing.pack((0, 2, 1))
     assert packing.pack((0, 2, 1)) != 0
