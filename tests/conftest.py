@@ -380,10 +380,11 @@ def residue_new_elements(pieces, prime, e):
 def polytope_points(delta, n):
     """Value tuples of the n-th dilation of a Polytope, by filtering its box, value-lex."""
     ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(delta.lower, delta.upper)]
+    rows = delta.inequalities
     return [
         pt
         for pt in product(*ranges)
-        if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in delta.inequalities)
+        if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in rows)
     ]
 
 

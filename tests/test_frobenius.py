@@ -339,18 +339,19 @@ def test_capped_piece_is_rejected_exactly_when_larger(corpus):
 AGREE = Budget(max_prime=5, max_e=3, max_piece=20_000)
 
 
-def _fiber_values(p, prime):
+def _fiber_piece_values(p, prime):
     return lambda e: [nu.values for nu in t_piece(p, prime, e, AGREE)]
 
 
-def _section_values(c, prime):
+def _section_piece_values(c, prime):
     return lambda e: [nu.values for nu in lattice_points(c, prime**e - 1, AGREE.max_piece)]
 
 
-def _polytope_values(delta, prime):
+def _polytope_piece_values(delta, prime):
     def points(e):
         n = prime**e - 1
-        if math.prod(n * hi - n * lo + 1 for lo, hi in zip(delta.lower, delta.upper)) > AGREE.max_piece:
+        box = math.prod(n * hi - n * lo + 1 for lo, hi in zip(delta.lower, delta.upper))
+        if box > AGREE.max_piece:
             raise BudgetExceeded("the dilation box passes the cap")
         return polytope_points(delta, n)
 
@@ -396,28 +397,30 @@ SLAB = Polytope(dim=3, inequalities=(((1, -1, 1), 0),), lower=(-1, 0, -1), upper
 def test_fiber_fresh_agrees_with_residue_oracle_on_corpus(corpus):
     for _, p in corpus:
         for prime in (2, 3, 5):
-            _assert_agreement(p, prime, _fiber_values(p, prime), c_e_fiber, h_e_fiber)
+            _assert_agreement(p, prime, _fiber_piece_values(p, prime), c_e_fiber, h_e_fiber)
 
 
 def test_section_fresh_agrees_with_residue_oracle_on_corpus(corpus):
     for _, p in corpus:
         for c in _sections_of(p):
             for prime in (2, 3, 5):
-                _assert_agreement(c, prime, _section_values(c, prime), c_e_ehrhart, h_e_ehrhart)
+                points = _section_piece_values(c, prime)
+                _assert_agreement(c, prime, points, c_e_ehrhart, h_e_ehrhart)
 
 
 def test_polytope_fresh_agrees_with_residue_oracle():
     for delta in (TRIANGLE, POINT, NEGATIVE_BOX, SEGMENT, SLAB):
         for prime in (2, 3, 5):
-            _assert_agreement(delta, prime, _polytope_values(delta, prime), c_e_polytope, h_e_polytope)
+            points = _polytope_piece_values(delta, prime)
+            _assert_agreement(delta, prime, points, c_e_polytope, h_e_polytope)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_posets(), st.sampled_from((2, 3, 5)), st.data())
 def test_fresh_agrees_with_residue_oracle_on_random_posets(p, prime, data):
-    _assert_agreement(p, prime, _fiber_values(p, prime), c_e_fiber, h_e_fiber)
+    _assert_agreement(p, prime, _fiber_piece_values(p, prime), c_e_fiber, h_e_fiber)
     c = data.draw(st.sampled_from(_sections_of(p)))
-    _assert_agreement(c, prime, _section_values(c, prime), c_e_ehrhart, h_e_ehrhart)
+    _assert_agreement(c, prime, _section_piece_values(c, prime), c_e_ehrhart, h_e_ehrhart)
 
 
 @st.composite
@@ -433,7 +436,8 @@ def small_polytopes(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_polytopes(), st.sampled_from((2, 3, 5)))
 def test_fresh_agrees_with_residue_oracle_on_random_polytopes(delta, prime):
-    _assert_agreement(delta, prime, _polytope_values(delta, prime), c_e_polytope, h_e_polytope)
+    points = _polytope_piece_values(delta, prime)
+    _assert_agreement(delta, prime, points, c_e_polytope, h_e_polytope)
 
 
 # Exit-4 texts, and so the piece at which each rejection comes, as the
@@ -469,7 +473,12 @@ def test_library_rejections_keep_their_texts_and_order(poset1):
         (tcx_report, (p2(), (2,), 3), 5, "dilation 1 has more than 5 lattice points"),
         (tcx_report, (p2(), (2,), 3), 100, "dilation 3 has more than 100 lattice points"),
         (tcx_report, (p2(), (2,), 3), 300, "T^(-3) has more than 300 minimal elements"),
-        (tcx_report, (filters2(), (2, 3), 3), 1000, "dilation 26 has more than 1000 lattice points"),
+        (
+            tcx_report,
+            (filters2(), (2, 3), 3),
+            1000,
+            "dilation 26 has more than 1000 lattice points",
+        ),
         (c_e_ehrhart, (section, 3, 2), 30, "dilation 8 has more than 30 lattice points"),
         (h_e_polytope, (square, 3, 2), 30, "dilation box of size 289 exceeds the cap 30"),
     )
@@ -485,7 +494,8 @@ def test_library_rejections_keep_their_texts_and_order(poset1):
 def test_packing_round_trips_at_both_ends_of_the_digit_range():
     for bound in (0, 1, 2, 3, 7, 8, 255, 256, 2**31 - 1, 2**31, 10**18):
         packing = frobenius._Packing(3, bound)
-        digits = sorted(d for d in {-bound, -bound + 1, -1, 0, 1, bound - 1, bound} if abs(d) <= bound)
+        ends = {-bound, -bound + 1, -1, 0, 1, bound - 1, bound}
+        digits = sorted(d for d in ends if abs(d) <= bound)
         seen = {}
         for a in digits:
             for b in digits:
