@@ -243,10 +243,12 @@ def _section_runs(c, n, limit=None, reach=None):
                     lo = x[u] - w
             if t == r - 1:
                 x[f] = lo
-                size += hi - lo + 1
-                if limit is not None and size > limit:
-                    raise _over(n, limit)
-                yield tuple([x[k] + off for k, off in pins]), moving, hi - lo + 1
+                length = hi - lo + 1
+                if limit is not None:
+                    size += length
+                    if size > limit:
+                        raise _over(n, limit)
+                yield tuple([x[k] + off for k, off in pins]), moving, length
                 t -= 1
                 entering = False
                 continue

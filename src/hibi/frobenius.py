@@ -29,7 +29,10 @@ Budgets guard every enumeration: primes and exponents are capped, and a
 piece enumeration aborts with an explicit error as soon as it passes the
 cap, rather than truncating.  Nothing is cached between calls: a piece
 lives only as long as the call that builds it, and tcx_report builds each
-piece once per prime, from the bottom up, under one packing.
+piece once per prime, from the bottom up.  A packing is sized from the
+exponent being built, never from e_max alone: tcx_report's serves up to
+four times the current e and is laid out anew, repacking the pieces it
+holds, when e passes that.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -120,6 +123,8 @@ def _is_prime(p):
 
 
 def _check_caps(prime, e, budget):
+    """The budget (the default one for None), once it admits prime and e."""
+    budget = budget or Budget()
     if prime >= _MR_EXACT_BELOW:
         raise ValueError(f"{prime} is out of the 64-bit range")
     if not _is_prime(prime):
@@ -130,6 +135,7 @@ def _check_caps(prime, e, budget):
         raise BudgetExceeded(f"prime {prime} exceeds the cap {budget.max_prime}")
     if e > budget.max_e:
         raise BudgetExceeded(f"exponent {e} exceeds the cap {budget.max_e}")
+    return budget
 
 
 _TAGS = {Poset: "fiber cone", ConeSection: "ehrhart of sequence", Polytope: "raw polytope"}
@@ -138,17 +144,25 @@ _TAGS = {Poset: "fiber cone", ConeSection: "ehrhart of sequence", Polytope: "raw
 class _Packing:
     """Integer vectors of one width packed as single ints: v -> sum v_i * 2**(bits*i).
 
-    The map is linear.  A vector w with every |w_i| < 2**bits packs to 0
-    only when w is 0 (its digits vanish mod 2**bits from the lowest up),
-    and a vector with every |v_i| < 2**(bits-1) is read back by unpack.
-    bits is the least that reads back every vector within the bound.
+    It serves the pieces 1 .. top of a target at one prime: piece k has
+    coordinates within r_k = (prime**k - 1) * unit, where unit is the
+    largest coordinate magnitude of the first dilation, and bits is the
+    least that reads back every vector within r_top.  The map is linear.
+    A vector w with every |w_i| < 2**bits packs to 0 only when w is 0
+    (its digits vanish mod 2**bits from the lowest up), and a vector with
+    every |v_i| < 2**(bits-1) is read back by unpack.  So a difference
+    v - a - prime**k * b of vectors of pieces e, k and e - k, within
+    r_e + r_k + prime**k * r_{e-k} = 2 * r_e < 2**bits, packs to 0 only
+    when it is 0: a packed sum matches a packed top vector exactly when
+    the vectors match.
     A plain class: a namedtuple would cost every cold start its creation.
     """
 
-    __slots__ = ("bits", "weights")
+    __slots__ = ("unit", "top", "bits", "weights")
 
-    def __init__(self, width, bound):
-        self.bits = bits = bound.bit_length() + 1
+    def __init__(self, width, unit, prime, top):
+        self.unit, self.top = unit, top
+        self.bits = bits = ((prime**top - 1) * unit).bit_length() + 1
         self.weights = tuple(1 << bits * i for i in range(width))
 
     def pack(self, v):
@@ -167,54 +181,40 @@ class _Packing:
         return tuple(out)
 
 
-def _extent(target):
-    """(coordinate count, largest coordinate magnitude of the first dilation).
+def _layout(target, prime, top):
+    """The packing of the pieces 1 .. top of target at prime.
 
-    The n-th dilation stays within n times that magnitude: a polytope's
-    dilation box scales with n, and so do the closed bounds of a section.
+    The n-th dilation stays within n times the first one's largest
+    coordinate magnitude: a polytope's dilation box scales with n, and
+    so do the closed bounds of a section.
     """
     if isinstance(target, Poset):
-        sections = _sections(target, -1)
-        return len(target.elements), max((_section_reach(c, 1) for c in sections), default=0)
-    if isinstance(target, ConeSection):
-        return len(target.poset.elements), _section_reach(target, 1)
-    if isinstance(target, Polytope):
-        return target.dim, max(map(abs, target.lower + target.upper), default=0)
-    raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
+        width = len(target.elements)
+        unit = max((_section_reach(c, 1) for c in _sections(target, -1)), default=0)
+    elif isinstance(target, ConeSection):
+        width, unit = len(target.poset.elements), _section_reach(target, 1)
+    elif isinstance(target, Polytope):
+        width, unit = target.dim, max(map(abs, target.lower + target.upper), default=0)
+    else:
+        raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
+    return _Packing(width, unit, prime, top)
 
 
-def _layout(target, prime, e_max):
-    """(unit reach, packing) for the pieces 1 .. e_max of target at prime.
-
-    Piece k has coordinates within r_k = (prime**k - 1) * unit, and the
-    packing reads back every vector within r_{e_max}, so every piece
-    vector packs to one int and unpacks exactly.  A difference
-    v - a - prime**k * b of vectors of pieces e, k and e - k then has
-    coordinates within r_e + r_k + prime**k * r_{e-k} = 2 * r_e, below
-    2**bits, so it packs to 0 only when it is 0: a packed sum matches a
-    packed top vector exactly when the vectors match.
-    """
-    width, unit = _extent(target)
-    return unit, _Packing(width, (prime**e_max - 1) * unit)
-
-
-def _piece(target, prime, e, budget, unit, packing):
-    """The packed points of the e-th piece, (prime**e - 1)-th dilation of target.
+def _piece(target, n, cap, packing):
+    """The packed points of the n-th dilation of target, a piece the packing serves.
 
     The points stream out in walk order, run by run: a run of the closed
     walk packs to a range of ints, less the steps an earlier section has.
     Fiber and section enumerations stop as soon as they pass the cap; a
     polytope's dilation box is checked against the cap before the sweep.
     """
-    _check_caps(prime, e, budget)
-    n = prime**e - 1
-    cap = budget.max_piece
     if isinstance(target, Polytope):
         return _polytope_ints(target, n, cap, packing)
+    reach = n * packing.unit
     if isinstance(target, Poset):
-        runs = _generator_runs(target, -n, cap, n * unit)
+        runs = _generator_runs(target, -n, cap, reach)
     else:
-        runs = ((*run, ()) for run in _section_runs(target, n, cap, n * unit))
+        runs = ((*run, ()) for run in _section_runs(target, n, cap, reach))
     return chain.from_iterable(_run_ints(runs, packing))
 
 
@@ -275,12 +275,12 @@ def _fresh(target, prime, e, budget):
     """The packed fresh vectors of the e-th piece, as a set, and their packing."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    budget = budget or Budget()
-    _check_caps(prime, e, budget)
-    unit, packing = _layout(target, prime, e)
+    budget = _check_caps(prime, e, budget)
+    packing = _layout(target, prime, e)
+    cap = budget.max_piece
     # top piece first: its caps bound the lower pieces
-    fresh = set(_piece(target, prime, e, budget, unit, packing))
-    pieces = {k: list(_piece(target, prime, k, budget, unit, packing)) for k in range(e - 1, 0, -1)}
+    fresh = set(_piece(target, prime**e - 1, cap, packing))
+    pieces = {k: list(_piece(target, prime**k - 1, cap, packing)) for k in range(e - 1, 0, -1)}
     _drop_splits(fresh, pieces, prime, e)
     return fresh, packing
 
@@ -297,10 +297,7 @@ def t_piece(p, prime, e, budget=None):
     Assembled from the pinned sections, the same route as generators().
     e = 0 gives the origin alone.
     """
-    budget = budget or Budget()
-    _check_caps(prime, e, budget)
-    if not isinstance(p, Poset):
-        raise TypeError("t_piece takes a Poset")
+    budget = _check_caps(prime, e, budget)
     return _kernel_labelings(p, _generator_values(p, 1 - prime**e, budget.max_piece))
 
 
@@ -344,14 +341,20 @@ def tcx_report(target, primes, e_max, budget=None):
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    budget = budget or Budget()
     tables = []
     for prime in primes:
-        _check_caps(prime, 1, budget)
-        unit, packing = _layout(target, prime, e_max)
-        pieces, rows = {}, []
+        packing, pieces, rows = None, {}, []
         for e in range(1, e_max + 1):
-            pieces[e] = set(_piece(target, prime, e, budget, unit, packing))
+            budget = _check_caps(prime, e, budget)
+            if packing is None or e > packing.top:
+                # A layout made at e serves up to 4e: a packed int is at most
+                # about four times as wide as piece e needs, and the held
+                # pieces are repacked about log_4(e_max) times in all.
+                grown = _layout(target, prime, min(e_max, 4 * e))
+                for k, piece in pieces.items():
+                    pieces[k] = set(map(grown.pack, map(packing.unpack, piece)))
+                packing = grown
+            pieces[e] = set(_piece(target, prime**e - 1, budget.max_piece, packing))
             # the last piece is not read again, so its fresh set can be itself
             fresh = pieces[e] if e == e_max else set(pieces[e])
             dim_e = len(fresh)

@@ -488,12 +488,36 @@ def test_library_rejections_keep_their_texts_and_order(poset1):
         assert str(info.value) == text
 
 
+def test_a_huge_emax_is_rejected_where_the_caps_reject_it(poset1):
+    # the packing is sized from the exponent being built, never from e_max
+    # alone, so the pieces before the rejection stay small
+    assert run_command(["frobenius", "P1", "--prime", "2", "--emax", "1000000"]) == (
+        4,
+        "budget exceeded: dilation 2047 has more than 1000000 lattice points",
+    )
+    for e_max in (10**6, 10**9):
+        with pytest.raises(BudgetExceeded) as info:
+            tcx_report(poset1, (5,), e_max)
+        assert str(info.value) == "exponent 4 exceeds the cap 3"
+
+
+def test_report_past_a_new_layout_agrees_with_single_counts(poset1):
+    # e = 5 passes the first layout, made at e = 1, and repacks pieces 1 .. 4
+    roomy = Budget(max_prime=5, max_e=6, max_piece=100_000)
+    want = ((1, 3, 3), (2, 10, 1), (3, 36, 3), (4, 136, 9), (5, 528, 27), (6, 2080, 81))
+    section = build_C(poset1, -1, ("y", "x"))
+    for target, count in ((poset1, c_e_fiber), (section, c_e_ehrhart), (TRIANGLE, c_e_polytope)):
+        (table,) = tcx_report(target, (2,), 6, roomy)
+        assert table.rows == want
+        assert [count(target, 2, e, roomy) for e in (5, 6)] == [27, 81]
+
+
 # --- the packing --------------------------------------------------------------
 
 
 def test_packing_round_trips_at_both_ends_of_the_digit_range():
     for bound in (0, 1, 2, 3, 7, 8, 255, 256, 2**31 - 1, 2**31, 10**18):
-        packing = frobenius._Packing(3, bound)
+        packing = frobenius._Packing(3, bound, 2, 1)
         ends = {-bound, -bound + 1, -1, 0, 1, bound - 1, bound}
         digits = sorted(d for d in ends if abs(d) <= bound)
         seen = {}
@@ -509,14 +533,14 @@ def test_packing_round_trips_at_both_ends_of_the_digit_range():
 def test_packing_tells_every_split_difference_from_zero():
     # the differences v - a - p^k * b of vectors within bound lie within 2 * bound
     for bound in (1, 2, 3, 7, 8, 100, 255, 256):
-        packing = frobenius._Packing(2, bound)
+        packing = frobenius._Packing(2, bound, 2, 1)
         for w0 in range(-2 * bound, 2 * bound + 1):
             for w1 in (-2 * bound, -1, 0, 1, 2 * bound):
                 assert (packing.pack((w0, w1)) == 0) == (w0 == w1 == 0)
 
 
 def test_packing_is_linear():
-    packing = frobenius._Packing(3, 40)
+    packing = frobenius._Packing(3, 40, 2, 1)
     v, a, b = (7, -8, 0), (3, -2, -1), (1, -2, 0)
     assert packing.pack(v) - packing.pack(a) - 4 * packing.pack(b) == packing.pack((0, 2, 1))
     assert packing.pack((0, 2, 1)) != 0
@@ -528,7 +552,7 @@ def test_pieces_at_the_largest_coordinates_the_default_budget_admits():
     assert h_e_polytope(corner, 5, 1) == ((-4 * 10**6, 4 * 10**6),)
     assert c_e_polytope(corner, 5, 3) == 0
     for e in (1, 2, 3):
-        _, packing = frobenius._layout(corner, 5, e)
+        packing = frobenius._layout(corner, 5, e)
         top = (5**e - 1) * 10**6
         for v in ((-top, top), (top, -top), (-top, -top), (top, top)):
             assert packing.unpack(packing.pack(v)) == v
