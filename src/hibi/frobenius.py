@@ -15,15 +15,11 @@ The packing is v -> sum_i v_i * 2**(bits*i).  It is linear, so the
 fresh vectors of the top piece P_e are the packed set difference
 P_e minus the sums a + p^k * b over a in P_k and b in P_{e-k}: a packed
 sumset, built by C-level int addition and set updates, running over the
-smaller of the two sides.  The packing is exact, not hashed.  Piece k
-has coordinates within r_k = (p^k - 1) * unit, where unit is the largest
-coordinate magnitude of the first dilation (from its closed bounds for
-a section or a fiber cone, from its box for a polytope): the closed
-bounds scale with the dilation, and the walk of every section checks
-its exact closed bounds against that reach before it yields a point.
-With 2**(bits-1) > r_e every piece vector unpacks exactly, and every
-difference v - a - p^k * b, whose coordinates lie within 2 * r_e, packs
-to 0 only when it is 0.
+smaller of the two sides.  The packing is exact, not hashed: bits comes
+from the reach of the first dilation, which scales with the dilation
+and which the walk of every section checks before it yields a point,
+and _Packing gives the bound under which a packed sum matches a packed
+top vector only when the vectors match.
 
 Budgets guard every enumeration: primes and exponents are capped, and a
 piece enumeration aborts with an explicit error as soon as it passes the
