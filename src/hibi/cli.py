@@ -4,7 +4,7 @@ Subcommand reports are pure projections of library results: running the
 same command twice on the same input produces byte-identical text.  Exit
 codes: 0 success, 1 usage, 2 invalid input (a value past the 64-bit range
 counts as one), 3 self-test violation, 4 budget exceeded (recursion too
-deep counts as one).
+deep counts as one, and so does running out of memory).
 """
 
 import argparse
@@ -21,7 +21,8 @@ from .birkhoff import (
     poset_isomorphic,
 )
 from .cones import (
-    _section_count,
+    _run_count,
+    _section_runs,
     _sections,
     build_C,
     dim_bruteforce,
@@ -200,7 +201,9 @@ def _cmd_polytope(args):
         sections = _sections(p, args.eps)
     else:
         sections = (build_C(p, args.eps, _parse_seq_flag(p, args.seq)),)
-    rows = [(c.seq, dim_formula(c), c.f_set, _section_count(c, args.n)) for c in sections]
+    rows = [
+        (c.seq, dim_formula(c), c.f_set, _run_count(_section_runs(c, args.n))) for c in sections
+    ]
     if args.format == "json":
         payload = {
             "name": name,
@@ -468,6 +471,8 @@ def run_command(argv):
         return args.handler(args)
     except (BudgetExceeded, RecursionError) as exc:
         return 4, f"budget exceeded: {exc}"
+    except MemoryError:
+        return 4, "budget exceeded: out of memory"
     except (ValueError, OverflowError) as exc:
         return 2, f"invalid input: {exc}"
     except OSError as exc:

@@ -84,7 +84,7 @@ def lattice_points(c, n, limit=None):
     enumeration stops with BudgetExceeded as soon as it has found more
     points than that.
     """
-    return _kernel_labelings(c.poset, _section_values(c, n, limit))
+    return _kernel_labelings(c.poset, _run_values(_section_runs(c, n, limit)))
 
 
 _INF = float("inf")
@@ -175,11 +175,11 @@ def _section_runs(c, n, limit=None, reach=None):
     inside the bounds set by the classes already fixed extends to a point.
     So the free classes are walked in canonical order of their first
     coordinates, which makes the output lexicographic, and the last free
-    class's whole range is one run.  Each run is (row, moving, length):
-    the point where the last free class takes its lowest value, the
-    coordinates of that class, and the number of points; along the run
-    the moving coordinates rise by one per step.  Beyond the closure the
-    walk holds O(depth) values.
+    class's whole range is one run.  Each run is (row, moving, length,
+    covered): the point where the last free class takes its lowest value,
+    the coordinates of that class, the number of points, and () for the
+    steps left out; along the run the moving coordinates rise by one per
+    step.  Beyond the closure the walk holds O(depth) values.
 
     With a limit, it raises BudgetExceeded before the run that takes the
     count past limit.  With a reach, it raises RuntimeError before the
@@ -213,7 +213,7 @@ def _section_runs(c, n, limit=None, reach=None):
     if not free:
         if limit is not None and limit < 1:
             raise _over(n, limit)
-        yield tuple([x[k] + off for k, off in pins]), (), 1
+        yield tuple([x[k] + off for k, off in pins]), (), 1, ()
         return
     # bounds on each free class: (lo, hi) through the top, then the earlier
     # free classes whose bounds are not implied through the top
@@ -248,7 +248,7 @@ def _section_runs(c, n, limit=None, reach=None):
                     size += length
                     if size > limit:
                         raise _over(n, limit)
-                yield tuple([x[k] + off for k, off in pins]), moving, length
+                yield tuple([x[k] + off for k, off in pins]), moving, length, ()
                 t -= 1
                 entering = False
                 continue
@@ -263,17 +263,32 @@ def _section_runs(c, n, limit=None, reach=None):
             entering = True
 
 
-def _run_rows(row, moving, length):
-    """The points of one run, in order."""
-    if length == 1:
-        return (row,)
-    rows = [row]
-    step = list(row)
-    for _ in range(length - 1):
-        for i in moving:
-            step[i] += 1
-        rows.append(tuple(step))
-    return rows
+def _run_values(runs):
+    """Value tuples of the points of runs (row, moving, length, covered), in run order.
+
+    Along a run the moving coordinates rise by one per step; the covered
+    steps are left out.
+    """
+    out = []
+    for row, moving, length, covered in runs:
+        if len(covered) == length:
+            continue
+        if length == 1:
+            out.append(row)
+            continue
+        rows = [row]
+        step = list(row)
+        for _ in range(length - 1):
+            for i in moving:
+                step[i] += 1
+            rows.append(tuple(step))
+        out.extend(rows if not covered else (v for j, v in enumerate(rows) if j not in covered))
+    return out
+
+
+def _run_count(runs):
+    """Number of points of runs (row, moving, length, covered), without listing them."""
+    return sum(length - len(covered) for _, _, length, covered in runs)
 
 
 def _closed_bounds(pins, d):
@@ -300,23 +315,6 @@ def _section_reach(c, n):
     return max(max(-lo, hi) for lo, hi in _closed_bounds(*closed))
 
 
-def _section_values(c, n, limit=None):
-    """Value tuples of the n-fold dilation's points, in lexicographic order.
-
-    With a limit, it raises BudgetExceeded before the run that would take
-    the output past that many points.
-    """
-    out = []
-    for row, moving, length in _section_runs(c, n, limit):
-        out.extend(_run_rows(row, moving, length))
-    return out
-
-
-def _section_count(c, n):
-    """Number of points of the n-fold dilation, summed run by run without listing them."""
-    return sum(length for _, _, length in _section_runs(c, n))
-
-
 def dim_bruteforce(c):
     """Affine rank of the dilation-1 integer points, over exact rationals.
 
@@ -325,7 +323,7 @@ def dim_bruteforce(c):
     """
     from fractions import Fraction  # only the self-test needs exact rationals
 
-    pts = _section_values(c, 1)
+    pts = _run_values(_section_runs(c, 1))
     base = pts[0]
     rows = [[Fraction(v - b) for v, b in zip(q, base)] for q in pts[1:]]
     return _rank(rows)
@@ -392,7 +390,7 @@ def is_standard(c, n_max):
     """Every dilation point up to n_max splits off a dilation-1 point."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    tiers = {n: _section_values(c, n) for n in range(1, n_max + 1)}
+    tiers = {n: _run_values(_section_runs(c, n)) for n in range(1, n_max + 1)}
     for n in range(2, n_max + 1):
         lower = set(tiers[n - 1])
         for point in tiers[n]:
@@ -403,4 +401,4 @@ def is_standard(c, n_max):
 
 def ehrhart_counts(c, n_max):
     """Lattice point counts of the dilations 0..n_max; the 0-th count is 1."""
-    return tuple([1] + [_section_count(c, n) for n in range(1, n_max + 1)])
+    return tuple([1] + [_run_count(_section_runs(c, n)) for n in range(1, n_max + 1)])

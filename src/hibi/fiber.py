@@ -1,6 +1,6 @@
 """Fiber-cone numerics: Hilbert counts, analytic spread, level and purity tests."""
 
-from .cones import _run_rows, _section_runs, _sections, dim_formula, lattice_points
+from .cones import _run_count, _run_values, _section_runs, _sections, dim_formula, lattice_points
 from .errors import BudgetExceeded
 from .labelings import _kernel_labelings
 from .poset import TOP, is_pure
@@ -24,7 +24,7 @@ def degree_range(p, n):
     if n == 0:
         raise ValueError("n must be nonzero")
     lo, hi = q0(p, n), q_max(p, n)
-    degrees = {v[0] for v in _generator_values(p, n)}
+    degrees = {v[0] for v in _run_values(_generator_runs(p, n))}
     return lo, hi, degrees == set(range(lo, hi + 1))
 
 
@@ -66,24 +66,12 @@ def generators_via_sequences(p, n, limit=None):
 
 def _generator_values(p, n, limit=None):
     """Value tuples of the minimal elements of T^(n), in lexicographic order."""
-    if n == 0:
-        return [(0,) * len(p.elements)]
-    out = []
-    for row, moving, length, covered in _generator_runs(p, n, limit):
-        if not covered:
-            out.extend(_run_rows(row, moving, length))
-        elif len(covered) < length:
-            rows = _run_rows(row, moving, length)
-            out.extend(v for j, v in enumerate(rows) if j not in covered)
-    out.sort()
-    return out
+    return sorted(_run_values(_generator_runs(p, n, limit)))
 
 
 def _generator_count(p, n):
     """Number of minimal elements of T^(n), counted run by run without listing them."""
-    if n == 0:
-        return 1
-    return sum(length - len(covered) for _, _, length, covered in _generator_runs(p, n))
+    return _run_count(_generator_runs(p, n))
 
 
 def _generator_runs(p, n, limit=None, reach=None):
@@ -98,13 +86,17 @@ def _generator_runs(p, n, limit=None, reach=None):
     all of a section's pairs then hold at every step, at none, or at one,
     and the run is checked in O(pairs).  Yields (row, moving, length,
     covered): covered holds the steps some earlier section already has,
-    as a set, or as range(length) when one has them all.
+    as a set, or as range(length) when one has them all.  n = 0 gives
+    one run, the origin: the one minimal element of T^(0).
 
     With a limit, it raises BudgetExceeded once a section has more than
     that many points, or, at the end of a section, once more than that
     many distinct points have been found.  A reach goes to the walk of
     every section (cones._section_runs).
     """
+    if n == 0:
+        yield (0,) * len(p.elements), (), 1, ()
+        return
     eps = 1 if n > 0 else -1
     m = abs(n)
     idx = p.index
@@ -113,7 +105,7 @@ def _generator_runs(p, n, limit=None, reach=None):
     found = 0
     for c in _sections(p, eps):
         tests = None
-        for row, moving, length in _section_runs(c, m, limit, reach):
+        for row, moving, length, _ in _section_runs(c, m, limit, reach):
             if limit is not None and found > limit:
                 continue  # only the section's own size is still checked
             if tests is None:

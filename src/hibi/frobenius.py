@@ -8,8 +8,9 @@ reports expose log_p(c_e)/e as a labeled estimate, never as a limit.
 
 The three targets -- a fiber cone (Poset), the Ehrhart ring of one
 sequence (ConeSection) and an inequality-given Polytope -- share one
-path: the e-th piece is the set of points of the (p^e - 1)-th dilation,
-and each point becomes one integer as the enumeration streams it out.
+path once _resolve has told them apart: the e-th piece is the set of
+points of the (p^e - 1)-th dilation, streamed as runs of the closed walk
+(cones._section_runs), and each point becomes one integer as it streams.
 
 The packing is v -> sum_i v_i * 2**(bits*i).  It is linear, so the
 fresh vectors of the top piece P_e are the packed set difference
@@ -37,6 +38,7 @@ itself; the reports carry estimates either way and never assert limits.
 """
 
 from collections import namedtuple
+from functools import partial
 from itertools import chain, product
 from math import log
 from operator import mul
@@ -134,9 +136,6 @@ def _check_caps(prime, e, budget):
     return budget
 
 
-_TAGS = {Poset: "fiber cone", ConeSection: "ehrhart of sequence", Polytope: "raw polytope"}
-
-
 class _Packing:
     """Integer vectors of one width packed as single ints: v -> sum v_i * 2**(bits*i).
 
@@ -177,41 +176,47 @@ class _Packing:
         return tuple(out)
 
 
-def _layout(target, prime, top):
-    """The packing of the pieces 1 .. top of target at prime.
+def _resolve(target):
+    """(tag, width, unit, runs) of a target: the one place its type is read.
 
-    The n-th dilation stays within n times the first one's largest
-    coordinate magnitude: a polytope's dilation box scales with n, and
-    so do the closed bounds of a section.
+    runs(n, cap, reach) streams the n-th dilation's points as runs (row,
+    moving, length, covered) and stops once they pass the cap.  They stay
+    within reach = n * unit, as a polytope's dilation box and a section's
+    closed bounds scale with n.  A fiber cone closes its sections here.
     """
     if isinstance(target, Poset):
-        width = len(target.elements)
+
+        def runs(n, cap, reach):  # the n-th dilation is T^(-n)
+            return _generator_runs(target, -n, cap, reach)
+
         unit = max((_section_reach(c, 1) for c in _sections(target, -1)), default=0)
-    elif isinstance(target, ConeSection):
+        return "fiber cone", len(target.elements), unit, runs
+    if isinstance(target, ConeSection):
         width, unit = len(target.poset.elements), _section_reach(target, 1)
-    elif isinstance(target, Polytope):
-        width, unit = target.dim, max(map(abs, target.lower + target.upper), default=0)
-    else:
-        raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
-    return _Packing(width, unit, prime, top)
-
-
-def _piece(target, n, cap, packing):
-    """The packed points of the n-th dilation of target, a piece the packing serves.
-
-    The points stream out in walk order, run by run: a run of the closed
-    walk packs to a range of ints, less the steps an earlier section has.
-    Fiber and section enumerations stop as soon as they pass the cap; a
-    polytope's dilation box is checked against the cap before the sweep.
-    """
+        return "ehrhart of sequence", width, unit, partial(_section_runs, target)
     if isinstance(target, Polytope):
-        return _polytope_ints(target, n, cap, packing)
-    reach = n * packing.unit
-    if isinstance(target, Poset):
-        runs = _generator_runs(target, -n, cap, reach)
-    else:
-        runs = ((*run, ()) for run in _section_runs(target, n, cap, reach))
-    return chain.from_iterable(_run_ints(runs, packing))
+        unit = max(map(abs, target.lower + target.upper), default=0)
+        return "raw polytope", target.dim, unit, partial(_polytope_runs, target)
+    raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
+
+
+def _polytope_runs(target, n, cap, reach):
+    """The n-th dilation's points as runs of length 1, once its box is within cap."""
+    volume = 1
+    for lo, hi in zip(target.lower, target.upper):
+        volume *= n * hi - n * lo + 1
+        if volume > cap:
+            raise BudgetExceeded(f"dilation box of size {volume} exceeds the cap {cap}")
+    ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(target.lower, target.upper)]
+    rows = target.inequalities
+    for pt in product(*ranges):
+        if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in rows):
+            yield pt, (), 1, ()
+
+
+def _piece(runs, n, cap, packing):
+    """The packed points of the n-th dilation, streamed by runs, a piece the packing serves."""
+    return chain.from_iterable(_run_ints(runs(n, cap, n * packing.unit), packing))
 
 
 def _run_ints(runs, packing):
@@ -236,22 +241,6 @@ def _run_ints(runs, packing):
         yield points[j:]
 
 
-def _polytope_ints(target, n, cap, packing):
-    """The packed points of the n-th dilation, one by one, after the box is checked."""
-    volume = 1
-    for lo, hi in zip(target.lower, target.upper):
-        volume *= n * hi - n * lo + 1
-        if volume > cap:
-            raise BudgetExceeded(f"dilation box of size {volume} exceeds the cap {cap}")
-    ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(target.lower, target.upper)]
-    rows = target.inequalities
-    return (
-        packing.pack(pt)
-        for pt in product(*ranges)
-        if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in rows)
-    )
-
-
 def _drop_splits(fresh, pieces, prime, e):
     """Remove from the set fresh every a + prime**k * b, a in pieces[k], b in pieces[e-k].
 
@@ -272,11 +261,12 @@ def _fresh(target, prime, e, budget):
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = _check_caps(prime, e, budget)
-    packing = _layout(target, prime, e)
+    _, width, unit, runs = _resolve(target)
+    packing = _Packing(width, unit, prime, e)
     cap = budget.max_piece
     # top piece first: its caps bound the lower pieces
-    fresh = set(_piece(target, prime**e - 1, cap, packing))
-    pieces = {k: list(_piece(target, prime**k - 1, cap, packing)) for k in range(e - 1, 0, -1)}
+    fresh = set(_piece(runs, prime**e - 1, cap, packing))
+    pieces = {k: list(_piece(runs, prime**k - 1, cap, packing)) for k in range(e - 1, 0, -1)}
     _drop_splits(fresh, pieces, prime, e)
     return fresh, packing
 
@@ -338,19 +328,22 @@ def tcx_report(target, primes, e_max, budget=None):
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     tables = []
+    resolved = None
     for prime in primes:
         packing, pieces, rows = None, {}, []
         for e in range(1, e_max + 1):
             budget = _check_caps(prime, e, budget)
+            if resolved is None:  # only once the first caps admit some work
+                tag, width, unit, runs = resolved = _resolve(target)
             if packing is None or e > packing.top:
-                # A layout made at e serves up to 4e: a packed int is at most
+                # A packing made at e serves up to 4e: a packed int is at most
                 # about four times as wide as piece e needs, and the held
                 # pieces are repacked about log_4(e_max) times in all.
-                grown = _layout(target, prime, min(e_max, 4 * e))
+                grown = _Packing(width, unit, prime, min(e_max, 4 * e))
                 for k, piece in pieces.items():
                     pieces[k] = set(map(grown.pack, map(packing.unpack, piece)))
                 packing = grown
-            pieces[e] = set(_piece(target, prime**e - 1, budget.max_piece, packing))
+            pieces[e] = set(_piece(runs, prime**e - 1, budget.max_piece, packing))
             # the last piece is not read again, so its fresh set can be itself
             fresh = pieces[e] if e == e_max else set(pieces[e])
             dim_e = len(fresh)
@@ -362,5 +355,5 @@ def tcx_report(target, primes, e_max, budget=None):
         ratio = None
         if len(rows) >= 2 and last_c > 0 and rows[-2][2] > 0:
             ratio = log(last_c / rows[-2][2], prime)
-        tables.append(TComplexityTable(prime, _TAGS[type(target)], rows, estimate, ratio))
+        tables.append(TComplexityTable(prime, tag, rows, estimate, ratio))
     return tuple(tables)

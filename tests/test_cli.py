@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -355,6 +356,23 @@ def test_closed_stdout_pipe_exits_quietly():
         os.close(write_end)
     assert b"Traceback" not in proc.stderr
     assert proc.returncode == 0
+
+
+def test_running_out_of_memory_is_a_budget_exit():
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hibi", "generators", "P2", "--n", "-24"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (4, "budget exceeded: out of memory\n")
 
 
 def test_deep_recursion_is_a_budget_exit(tmp_path):

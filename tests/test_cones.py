@@ -23,7 +23,7 @@ from hibi import (
     p_nonmin,
     witness_partition,
 )
-from hibi.cones import _closure, _section_count, _section_values
+from hibi.cones import _closure, _run_count, _run_values, _section_runs
 from hibi.corpus import chain
 from hibi.labelings import INT64_MAX, INT64_MIN
 from test_labelings import V1, V2, V3
@@ -247,7 +247,7 @@ def test_section_count_matches_listing_on_corpus(corpus):
     for _, p in corpus:
         for c in _sections_of_both_signs(p):
             for n in (1, 2, 3):
-                assert _section_count(c, n) == len(_section_values(c, n))
+                assert _run_count(_section_runs(c, n)) == len(_run_values(_section_runs(c, n)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,8 +256,8 @@ def test_section_count_and_values_match_sweep_random(p):
     for c in _sections_of_both_signs(p):
         for n in (1, 2, 3):
             want = lattice_points_sweep(c, n)
-            assert tuple(_section_values(c, n)) == want
-            assert _section_count(c, n) == len(want)
+            assert tuple(_run_values(_section_runs(c, n))) == want
+            assert _run_count(_section_runs(c, n)) == len(want)
 
 
 def test_contradictory_pins_give_an_empty_section(poset1):
@@ -269,7 +269,7 @@ def test_contradictory_pins_give_an_empty_section(poset1):
     assert lattice_points_sweep(pinned, 1) == ()
     assert _closure(pinned, 1) is None
     assert lattice_points(pinned, 1) == ()
-    assert _section_count(pinned, 1) == 0
+    assert _run_count(_section_runs(pinned, 1)) == 0
 
 
 def test_closed_bounds_are_attained(corpus):
@@ -299,9 +299,9 @@ def test_values_past_64_bits_overflow_exactly():
 def test_section_count_overflows_like_the_listing():
     for eps, n_ok in ((1, INT64_MAX // 4), (-1, -(INT64_MIN // 4))):
         c = build_C(chain(3), eps, ())
-        assert _section_count(c, n_ok) == 1
+        assert _run_count(_section_runs(c, n_ok)) == 1
         with pytest.raises(OverflowError, match="exceeds the 64-bit range"):
-            _section_count(c, n_ok + 1)
+            _run_count(_section_runs(c, n_ok + 1))
 
 
 def test_lattice_points_match_direct_enumeration_deeper(poset1):

@@ -32,6 +32,7 @@ from hibi import (
 from hibi.cli import run_command
 from hibi.cones import _section_reach, _section_runs
 from hibi.corpus import antichain, chain, filters1, filters2, p2, p3
+from hibi.poset import build_poset
 
 TRIANGLE = Polytope(dim=2, inequalities=(((1, 1), 1),), lower=(0, 0), upper=(1, 1))
 POINT = Polytope(dim=2, inequalities=(), lower=(0, 0), upper=(0, 0))
@@ -501,6 +502,21 @@ def test_a_huge_emax_is_rejected_where_the_caps_reject_it(poset1):
         assert str(info.value) == "exponent 4 exceeds the cap 3"
 
 
+def test_caps_are_checked_before_any_section_is_built(poset1):
+    calls = (
+        (tcx_report, ((4,), 1), ValueError, "4 is not prime"),
+        (tcx_report, ((7,), 1), BudgetExceeded, "prime 7 exceeds the cap 5"),
+        (c_e_fiber, (4, 1), ValueError, "4 is not prime"),
+        (h_e_fiber, (2, 9), BudgetExceeded, "exponent 9 exceeds the cap 3"),
+    )
+    for fn, args, error, text in calls:
+        p = build_poset(*poset1)
+        with pytest.raises(error) as info:
+            fn(p, *args)
+        assert str(info.value) == text
+        assert "_sections" not in vars(p)
+
+
 def test_report_past_a_new_layout_agrees_with_single_counts(poset1):
     # e = 5 passes the first layout, made at e = 1, and repacks pieces 1 .. 4
     roomy = Budget(max_prime=5, max_e=6, max_piece=100_000)
@@ -552,7 +568,8 @@ def test_pieces_at_the_largest_coordinates_the_default_budget_admits():
     assert h_e_polytope(corner, 5, 1) == ((-4 * 10**6, 4 * 10**6),)
     assert c_e_polytope(corner, 5, 3) == 0
     for e in (1, 2, 3):
-        packing = frobenius._layout(corner, 5, e)
+        _, width, unit, _ = frobenius._resolve(corner)
+        packing = frobenius._Packing(width, unit, 5, e)
         top = (5**e - 1) * 10**6
         for v in ((-top, top), (top, -top), (-top, -top), (top, top)):
             assert packing.unpack(packing.pack(v)) == v
@@ -576,6 +593,6 @@ def test_section_reach_is_exact_and_scales_with_the_dilation(corpus):
 def test_walk_rejects_a_reach_below_its_closed_bounds(poset1):
     c = build_C(poset1, -1, ("y", "x"))
     reach = _section_reach(c, 3)
-    assert sum(length for _, _, length in _section_runs(c, 3, reach=reach)) == 10
+    assert sum(length for _, _, length, _ in _section_runs(c, 3, reach=reach)) == 10
     with pytest.raises(RuntimeError, match="leaves the range"):
         next(_section_runs(c, 3, reach=reach - 1))
