@@ -8,183 +8,121 @@ analytic spreads, levelness and Gorenstein tests, and piece-counting
 tables for the twisted construction in prime characteristic.
 """
 
-from .birkhoff import (
-    DistLattice,
-    build_dist_lattice,
-    hibi_generators,
-    is_distributive,
-    join_irreducibles,
-    lattice_from_poset,
-    poset_isomorphic,
-)
-from .cones import (
-    ConeSection,
-    affine_witnesses,
-    build_C,
-    dim_bruteforce,
-    dim_formula,
-    ehrhart_counts,
-    is_standard,
-    lattice_points,
-    witness_partition,
-)
-from .corpus import BUILTIN_NAMES, all_builtins, builtin, upward_pure
-from .documents import PosetDocument, parse_poset_document, serialize_poset_document
-from .errors import (
-    BudgetExceeded,
-    DocumentError,
-    InvalidPoset,
-    NotALattice,
-    NotDistributive,
-)
-from .fiber import (
-    analytic_spread,
-    degree_range,
-    fiber_cone_decomposition,
-    fiber_hilbert,
-    generators_via_sequences,
-    is_anticanonical_level,
-    is_gorenstein,
-    is_level,
-)
-from .frobenius import (
-    Budget,
-    Polytope,
-    TComplexityTable,
-    c_e_ehrhart,
-    c_e_fiber,
-    c_e_polytope,
-    h_e_ehrhart,
-    h_e_fiber,
-    h_e_polytope,
-    t_piece,
-    tcx_report,
-)
-from .labelings import (
-    Labeling,
-    exist_witness,
-    from_dict,
-    generators,
-    in_T,
-    indicator,
-    is_minimal,
-    label_max,
-    label_min,
-    leq_T,
-    split,
-    truncate,
-    zero_labeling,
-)
-from .poset import (
-    TOP,
-    Poset,
-    build_poset,
-    dist,
-    is_pure,
-    p_nonmax,
-    p_nonmin,
-    poset_ideals,
-    qdist,
-)
-from .sequences import (
-    CondNSeq,
-    as_seq,
-    enumerate_N,
-    is_q_reduced,
-    mu,
-    nu_down,
-    nu_up,
-    q0,
-    q_max,
-    q_value,
-    satisfies_condN,
-    shifted_family,
-    witness_sequence,
-)
+from importlib import import_module
+
+# module -> the public names it defines; each module is imported on the
+# first access to one of its names (PEP 562), so a command loads only the
+# modules it runs
+_HOMES = {
+    "birkhoff": (
+        "DistLattice",
+        "build_dist_lattice",
+        "hibi_generators",
+        "is_distributive",
+        "join_irreducibles",
+        "lattice_from_poset",
+        "poset_isomorphic",
+    ),
+    "cones": (
+        "ConeSection",
+        "affine_witnesses",
+        "build_C",
+        "dim_bruteforce",
+        "dim_formula",
+        "ehrhart_counts",
+        "is_standard",
+        "lattice_points",
+        "witness_partition",
+    ),
+    "corpus": ("BUILTIN_NAMES", "all_builtins", "builtin", "upward_pure"),
+    "documents": ("PosetDocument", "parse_poset_document", "serialize_poset_document"),
+    "errors": (
+        "BudgetExceeded",
+        "DocumentError",
+        "InvalidPoset",
+        "NotALattice",
+        "NotDistributive",
+    ),
+    "fiber": (
+        "analytic_spread",
+        "degree_range",
+        "fiber_cone_decomposition",
+        "fiber_hilbert",
+        "generators_via_sequences",
+        "is_anticanonical_level",
+        "is_gorenstein",
+        "is_level",
+    ),
+    "frobenius": (
+        "Budget",
+        "Polytope",
+        "TComplexityTable",
+        "c_e_ehrhart",
+        "c_e_fiber",
+        "c_e_polytope",
+        "h_e_ehrhart",
+        "h_e_fiber",
+        "h_e_polytope",
+        "t_piece",
+        "tcx_report",
+    ),
+    "labelings": (
+        "Labeling",
+        "exist_witness",
+        "from_dict",
+        "generators",
+        "in_T",
+        "indicator",
+        "is_minimal",
+        "label_max",
+        "label_min",
+        "leq_T",
+        "split",
+        "truncate",
+        "zero_labeling",
+    ),
+    "poset": (
+        "TOP",
+        "Poset",
+        "build_poset",
+        "dist",
+        "is_pure",
+        "p_nonmax",
+        "p_nonmin",
+        "poset_ideals",
+        "qdist",
+    ),
+    "sequences": (
+        "CondNSeq",
+        "as_seq",
+        "enumerate_N",
+        "is_q_reduced",
+        "mu",
+        "nu_down",
+        "nu_up",
+        "q0",
+        "q_max",
+        "q_value",
+        "satisfies_condN",
+        "shifted_family",
+        "witness_sequence",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TOP",
-    "Poset",
-    "Labeling",
-    "CondNSeq",
-    "ConeSection",
-    "DistLattice",
-    "PosetDocument",
-    "Budget",
-    "Polytope",
-    "TComplexityTable",
-    "InvalidPoset",
-    "NotALattice",
-    "NotDistributive",
-    "BudgetExceeded",
-    "DocumentError",
-    "build_poset",
-    "dist",
-    "qdist",
-    "poset_ideals",
-    "is_pure",
-    "p_nonmax",
-    "p_nonmin",
-    "zero_labeling",
-    "from_dict",
-    "indicator",
-    "label_max",
-    "label_min",
-    "in_T",
-    "leq_T",
-    "is_minimal",
-    "generators",
-    "split",
-    "truncate",
-    "exist_witness",
-    "as_seq",
-    "satisfies_condN",
-    "q_value",
-    "is_q_reduced",
-    "enumerate_N",
-    "mu",
-    "nu_down",
-    "nu_up",
-    "shifted_family",
-    "witness_sequence",
-    "q0",
-    "q_max",
-    "build_C",
-    "dim_formula",
-    "dim_bruteforce",
-    "lattice_points",
-    "affine_witnesses",
-    "witness_partition",
-    "is_standard",
-    "ehrhart_counts",
-    "fiber_hilbert",
-    "analytic_spread",
-    "degree_range",
-    "is_level",
-    "is_anticanonical_level",
-    "is_gorenstein",
-    "fiber_cone_decomposition",
-    "generators_via_sequences",
-    "build_dist_lattice",
-    "is_distributive",
-    "lattice_from_poset",
-    "join_irreducibles",
-    "hibi_generators",
-    "poset_isomorphic",
-    "t_piece",
-    "c_e_fiber",
-    "c_e_ehrhart",
-    "c_e_polytope",
-    "h_e_fiber",
-    "h_e_ehrhart",
-    "h_e_polytope",
-    "tcx_report",
-    "BUILTIN_NAMES",
-    "builtin",
-    "all_builtins",
-    "upward_pure",
-    "parse_poset_document",
-    "serialize_poset_document",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,15 +14,8 @@ import sys
 from functools import cache, lru_cache
 from pathlib import Path
 
-from .birkhoff import (
-    hibi_generators,
-    join_irreducibles,
-    lattice_from_poset,
-    poset_isomorphic,
-)
 from .cones import (
-    _run_count,
-    _section_runs,
+    _point_count,
     _sections,
     build_C,
     dim_bruteforce,
@@ -41,7 +34,6 @@ from .fiber import (
     is_gorenstein,
     is_level,
 )
-from .frobenius import Budget, tcx_report
 from .labelings import generators, in_T, is_minimal
 from .poset import count_ideals, is_pure
 from .sequences import as_seq, enumerate_N, nu_down, nu_up, q0, q_max
@@ -201,9 +193,7 @@ def _cmd_polytope(args):
         sections = _sections(p, args.eps)
     else:
         sections = (build_C(p, args.eps, _parse_seq_flag(p, args.seq)),)
-    rows = [
-        (c.seq, dim_formula(c), c.f_set, _run_count(_section_runs(c, args.n))) for c in sections
-    ]
+    rows = [(c.seq, dim_formula(c), c.f_set, _point_count(c, args.n)) for c in sections]
     if args.format == "json":
         payload = {
             "name": name,
@@ -279,10 +269,14 @@ def _cmd_level(args):
 
 
 def _cmd_frobenius(args):
+    from .frobenius import Budget, tcx_report
+
     name, p = _load(args.poset)
     primes = _parse_primes(args.prime)
     if args.emax < 1:
         raise ValueError("--emax must be at least 1")
+    if args.budget < 0:
+        raise ValueError("--budget must be at least 0")
     budget = Budget(max_prime=max(primes), max_e=args.emax, max_piece=args.budget)
     tables = tcx_report(p, primes, args.emax, budget)
     if args.format == "json":
@@ -314,6 +308,8 @@ def _cmd_frobenius(args):
 
 
 def _cmd_lattice(args):
+    from .birkhoff import join_irreducibles, lattice_from_poset, poset_isomorphic
+
     name, p = _load(args.poset)
     if count_ideals(p, MAX_DOWN_SETS) > MAX_DOWN_SETS:
         raise BudgetExceeded(f"poset {name} has more than {MAX_DOWN_SETS} down-sets")
@@ -335,6 +331,8 @@ def _cmd_lattice(args):
 
 def _selftest_checks(name, p):
     """(check name, ok, detail) triples for one poset."""
+    from .birkhoff import hibi_generators, join_irreducibles, lattice_from_poset, poset_isomorphic
+
     checks = []
     h = lattice_from_poset(p)
     checks.append(("round-trip", poset_isomorphic(p, join_irreducibles(h)), ""))

@@ -7,6 +7,9 @@ integer point of the n-fold dilation is a minimal element of T^(n eps).
 The sets G_i collect the elements squeezed between x_i and y_i whose two
 half distances add up exactly; on G the coordinates are pinned affinely
 to the y anchors, which is why dim C = #(P minus G) + t.
+
+The points of a dilation are listed by one closed walk (_section_runs)
+and counted by one memoized sweep that walks no runs (_point_count).
 """
 
 from collections import namedtuple
@@ -93,18 +96,55 @@ _INF = float("inf")
 def _closure(c, n):
     """The n-fold dilation as closed difference constraints, or None if empty.
 
+    Returns (pins, d): the element pins of _contraction and its cover
+    bounds closed by _close.  No degree box is needed: cover paths to the
+    top bound each coordinate below, and the pins with the cover gaps bound
+    the bottom, hence every coordinate, above by the sequence's q-value.
+    """
+    contracted = _contraction(c, n)
+    if contracted is None:
+        return None
+    pins, size, covers = contracted
+    d = _close(size, covers)
+    return None if d is None else (pins[:-1], d)
+
+
+def _close(size, covers):
+    """Closed bounds d[a][b] on x_b - x_a from the covers of _contraction, or None.
+
+    Floyd-Warshall over the finite entries only, so that sparse inputs
+    stay near quadratic; a negative cycle means the dilation is empty.
+    """
+    d = [[_INF] * size for _ in range(size)]
+    for k in range(size):
+        d[k][k] = 0
+    for (a, b), w in covers.items():
+        d[a][b] = w
+    for k in range(size):
+        # only the finite entries of row k and column k can shorten a path
+        out_k = [(j, b) for j, b in enumerate(d[k]) if b != _INF and j != k]
+        for i in [i for i, row in enumerate(d) if row[k] != _INF and i != k]:
+            row = d[i]
+            dik = row[k]
+            for j, b in out_k:
+                if dik + b < row[j]:
+                    row[j] = dik + b
+    if any(d[k][k] < 0 for k in range(size)):
+        return None
+    return d
+
+
+def _contraction(c, n):
+    """The n-fold dilation's cover bounds between tied classes, or None if a tie fails.
+
     The pins of the G parts tie coordinates together at fixed offsets, so
     each tied class is contracted first: to the top when it holds the top,
-    else to its first coordinate.  Returns (pins, d).  pins[i] = (k, off)
-    says nu(i) = x_k + off, where the classes x_0 .. x_K are numbered in
-    canonical order of their first coordinate and x_K is the top's class,
-    fixed at 0.  d[a][b] is the tightest upper bound on x_b - x_a implied
-    by the cover gaps (at least n eps), closed by Floyd-Warshall over the
-    finite entries only, so that sparse inputs stay near quadratic; a
-    negative cycle means the dilation is empty.  No degree box is needed:
-    cover paths to the top bound each coordinate below, and the pins with
-    the cover gaps bound the bottom, hence every coordinate, above by the
-    sequence's q-value.
+    else to its first coordinate.  Returns (pins, size, covers).  pins[i]
+    = (k, off) says nu(i) = x_k + off, where the classes x_0 .. x_K, K =
+    size - 1, are numbered in canonical order of their first coordinate;
+    the last pin is the top's, in x_K, which is fixed at 0.  covers maps
+    (a, b) to the tightest cover gap (at least n eps) as an upper bound on
+    x_b - x_a, for a != b, before any closure.
     """
     if n < 1:
         raise ValueError("dilation must be positive")
@@ -139,32 +179,18 @@ def _closure(c, n):
                     return None
     number = {r: k for k, r in enumerate(reps[1:] + [m])}  # reps[0] is the top
     pins = [(number[root[i]], offset[i]) for i in range(m + 1)]
-    size = len(reps)
-    d = [[_INF] * size for _ in range(size)]
-    for k in range(size):
-        d[k][k] = 0
-
-    def bound(a, b, w):  # nu(b) - nu(a) <= w
-        (ka, oa), (kb, ob) = pins[a], pins[b]
-        w += oa - ob
-        if w < d[ka][kb]:
-            d[ka][kb] = w
-
+    covers = {}
     for i, z in enumerate(p.elements):
+        ka, oa = pins[i]
         for b in p.up_covers[z]:
-            bound(i, m if b == TOP else idx[b], -ne)
-    for k in range(size):
-        # only the finite entries of row k and column k can shorten a path
-        out_k = [(j, b) for j, b in enumerate(d[k]) if b != _INF and j != k]
-        for i in [i for i, row in enumerate(d) if row[k] != _INF and i != k]:
-            row = d[i]
-            dik = row[k]
-            for j, b in out_k:
-                if dik + b < row[j]:
-                    row[j] = dik + b
-    if any(d[k][k] < 0 for k in range(size)):
-        return None
-    return pins[:m], d
+            kb, ob = pins[m if b == TOP else idx[b]]
+            w = oa - ob - ne  # nu(b) - nu(i) <= -n eps
+            if ka == kb:
+                if w < 0:
+                    return None
+            elif w < covers.get((ka, kb), _INF):
+                covers[ka, kb] = w
+    return pins, len(reps), covers
 
 
 def _section_runs(c, n, limit=None, reach=None):
@@ -194,10 +220,7 @@ def _section_runs(c, n, limit=None, reach=None):
     top = len(d) - 1
     dtop = d[top]
     bounds = _closed_bounds(pins, d)
-    for ends in bounds:
-        for v in ends:
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+    _check_64_bits(bounds)
     if reach is not None and any(lo < -reach or hi > reach for lo, hi in bounds):
         raise RuntimeError(f"a coordinate of dilation {n} leaves the range +-{reach}")
     # A class the closure fixes to the top is a constant.  One fixed to an
@@ -263,6 +286,16 @@ def _section_runs(c, n, limit=None, reach=None):
             entering = True
 
 
+def _tight_pairs(c, n):
+    """The section's pairs at dilation n as (i, j, w): nu(i) - nu(j) = w on its points.
+
+    i and j are canonical positions, with j = len(elements) for the top.
+    """
+    idx = c.poset.index
+    top = len(c.poset.elements)
+    return tuple((idx[x], top if y == TOP else idx[y], n * d) for x, y, d in c.equalities)
+
+
 def _run_values(runs):
     """Value tuples of the points of runs (row, moving, length, covered), in run order.
 
@@ -286,9 +319,164 @@ def _run_values(runs):
     return out
 
 
-def _run_count(runs):
-    """Number of points of runs (row, moving, length, covered), without listing them."""
-    return sum(length - len(covered) for _, _, length, covered in runs)
+def _point_count(c, n, earlier=()):
+    """Number of points of the n-fold dilation, less those an earlier section has.
+
+    earlier holds one tuple of pairs (i, j, w) per earlier section
+    (_tight_pairs); a point with nu(i) - nu(j) = w on every pair of one of
+    them is not counted.  No point is listed.  The free classes are swept
+    in the walk's order (_section_runs).  What a class's value leaves to
+    the classes after it depends only on the values of the classes before
+    it that a later class still reads, through a cover bound before
+    closure or an earlier section's pair, and on the earlier sections
+    whose pairs all hold so far; each level memoizes its counts by those.
+    The closed bounds would tie every class to every earlier one, so they
+    only narrow a range, from the classes in the key.  A pair that reaches
+    the class being set holds at one value of it at most, so each earlier
+    section holds there at one value or at none, and the last free class
+    counts its range less those values.  The sweep runs on an explicit
+    stack; the 64-bit check of _section_runs comes first, with its text.
+    """
+    contracted = _contraction(c, n)
+    d = None if contracted is None else _close(*contracted[1:])
+    if d is None:
+        return 0
+    pins, _, covers = contracted
+    _check_64_bits(_closed_bounds(pins[:-1], d))
+    top = len(d) - 1
+    dtop = d[top]
+    free = [k for k in range(top) if dtop[k] + d[k][top] != 0]
+    level = {k: t for t, k in enumerate(free)}
+    r = len(free)
+    reads = [set() for _ in range(r)]  # the earlier levels level t reads
+    for a, b in covers:
+        if a in level and b in level:
+            ta, tb = sorted((level[a], level[b]))
+            reads[tb].add(ta)
+    # checks[t] holds (bit, tests) per earlier section with pairs decided
+    # at level t: they hold iff x[t] = x[u] + w for every (u, w) in tests.
+    # Level -1 is a constant 0; ends[t] has the sections last decided there.
+    checks = [[] for _ in range(r)]
+    ends = [0] * r
+    live = 0
+
+    def at(k):  # x_k = x[u] + w
+        t = level.get(k)
+        return (-1, dtop[k]) if t is None else (t, 0)
+
+    for s, pairs in enumerate(earlier):
+        tests = {}
+        for i, j, w in pairs:
+            (ka, oa), (kb, ob) = pins[i], pins[j]
+            (ua, ca), (ub, cb) = at(ka), at(kb)
+            w += ob - oa + cb - ca  # x[ua] - x[ub] = w
+            if ua == ub:
+                if w:
+                    break  # never tight
+            elif ua > ub:
+                tests.setdefault(ua, []).append((ub, w))
+            else:
+                tests.setdefault(ub, []).append((ua, -w))
+        else:
+            if not tests:
+                return 0  # every point is tight on this section
+            bit = 1 << s
+            live |= bit
+            ends[max(tests)] |= bit
+            for t, test in tests.items():
+                checks[t].append((bit, tuple(test)))
+                reads[t].update(u for u, _ in test if u >= 0)
+    if not r:
+        return 1
+    last_read = [-1] * r
+    for t, earlier_levels in enumerate(reads):
+        for u in earlier_levels:
+            last_read[u] = max(last_read[u], t)
+    fronts, front = [], []  # fronts[t]: the levels before t read at t or later
+    for t in range(r):
+        fronts.append(front)
+        front = [u for u in front if last_read[u] > t] + [t] * (last_read[t] > t)
+    boxes, ups, lows = [], [], []
+    for f, front in zip(free, fronts):
+        boxes.append((-d[f][top], dtop[f]))
+        ups.append([(u, d[free[u]][f]) for u in front if d[free[u]][f] != d[free[u]][top] + dtop[f]])
+        lows.append([(u, d[f][free[u]]) for u in front if d[f][free[u]] != d[f][top] + dtop[free[u]]])
+    keeps = [~sum(bit for bit, _ in level_checks) for level_checks in checks]
+    memo = [{} for _ in range(r)]
+    x = [0] * (r + 1)  # x[-1] stays 0
+    stack = []  # frames [t, key, tasks, count so far, multiplicity of the task]
+    t, mask = 0, live
+    while True:
+        # enter level t under mask, x[:t] set
+        got = key = None
+        if t < r - 1:
+            key = (mask, *[x[u] for u in fronts[t]])
+            got = memo[t].get(key)
+        if got is None:
+            lo, hi = boxes[t]
+            for u, w in ups[t]:
+                if x[u] + w < hi:
+                    hi = x[u] + w
+            for u, w in lows[t]:
+                if x[u] - w > lo:
+                    lo = x[u] - w
+            tight = {}  # value of x[t] -> sections whose pairs hold there
+            for bit, tests in checks[t]:
+                if mask & bit:
+                    (u, w), *rest = tests
+                    v = x[u] + w
+                    if lo <= v <= hi and all(x[u] + w == v for u, w in rest):
+                        tight[v] = tight.get(v, 0) | bit
+            if lo > hi:
+                got = 0
+            elif t == r - 1:
+                got = hi - lo + 1 - len(tight)
+            else:
+                stay = mask & keeps[t]
+                done = ends[t]
+                if last_read[t] > t:
+                    tasks = _value_tasks(lo, hi, stay, tight, done)
+                else:  # the values of x[t] outside tight lead to one count
+                    tasks = [(1, v, stay | b) for v, b in tight.items() if not b & done]
+                    if hi - lo + 1 > len(tight):
+                        tasks.append((hi - lo + 1 - len(tight), lo, stay))
+                    tasks = iter(tasks)
+                frame = [t, key, tasks, 0, 0]
+                stack.append(frame)
+        if got is not None:
+            if not stack:
+                return got
+            frame = stack[-1]
+            frame[3] += frame[4] * got
+        while True:
+            task = next(frame[2], None)
+            if task is not None:
+                break
+            stack.pop()
+            got = memo[frame[0]][frame[1]] = frame[3]
+            if not stack:
+                return got
+            frame = stack[-1]
+            frame[3] += frame[4] * got
+        t = frame[0]
+        frame[4], x[t], mask = task
+        t += 1
+
+
+def _value_tasks(lo, hi, stay, tight, done):
+    """(1, v, sections) for each value v of a level that a later level reads."""
+    for v in range(lo, hi + 1):
+        bits = tight.get(v, 0)
+        if not bits & done:
+            yield 1, v, stay | bits
+
+
+def _check_64_bits(bounds):
+    """Raise OverflowError at the first closed bound past the 64-bit range."""
+    for ends in bounds:
+        for v in ends:
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
 
 
 def _closed_bounds(pins, d):
@@ -401,4 +589,4 @@ def is_standard(c, n_max):
 
 def ehrhart_counts(c, n_max):
     """Lattice point counts of the dilations 0..n_max; the 0-th count is 1."""
-    return tuple([1] + [_run_count(_section_runs(c, n)) for n in range(1, n_max + 1)])
+    return tuple([1] + [_point_count(c, n) for n in range(1, n_max + 1)])

@@ -10,7 +10,6 @@ always emits the poset form, making serialize(parse(text)) idempotent.
 import json
 from collections import namedtuple
 
-from .birkhoff import build_dist_lattice, join_irreducibles
 from .errors import DocumentError
 from .poset import build_poset
 
@@ -70,6 +69,8 @@ def parse_poset_document(text):
         extra = set(block) - {"elements", "order"}
         if extra:
             raise DocumentError(f"unexpected key {sorted(extra)[0]!r} in lattice block")
+        from .birkhoff import build_dist_lattice, join_irreducibles  # for lattice blocks only
+
         lattice = build_dist_lattice(_id_list(block, "elements"), _pair_list(block, "order"))
         return PosetDocument(name, join_irreducibles(lattice), lattice)
 

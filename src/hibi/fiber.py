@@ -1,9 +1,23 @@
-"""Fiber-cone numerics: Hilbert counts, analytic spread, level and purity tests."""
+"""Fiber-cone numerics: Hilbert counts, analytic spread, level and purity tests.
 
-from .cones import _run_count, _run_values, _section_runs, _sections, dim_formula, lattice_points
+The generators of T^(n) are the points of the |n|-fold dilated sections,
+each kept by its first section in enumerate_N order that it is tight on.
+Listings expand the sections' runs; the Hilbert counts count each
+section's points with cones._point_count and list none.
+"""
+
+from .cones import (
+    _point_count,
+    _run_values,
+    _section_runs,
+    _sections,
+    _tight_pairs,
+    dim_formula,
+    lattice_points,
+)
 from .errors import BudgetExceeded
 from .labelings import _kernel_labelings
-from .poset import TOP, is_pure
+from .poset import is_pure
 from .sequences import enumerate_N, q0, q_max
 
 
@@ -70,8 +84,21 @@ def _generator_values(p, n, limit=None):
 
 
 def _generator_count(p, n):
-    """Number of minimal elements of T^(n), counted run by run without listing them."""
-    return _run_count(_generator_runs(p, n))
+    """Number of minimal elements of T^(n), without listing them.
+
+    Each section counts the points that no earlier section in
+    enumerate_N order is tight on (cones._point_count), the same first
+    section that _generator_runs keeps a point for.
+    """
+    if n == 0:
+        return 1
+    m = abs(n)
+    earlier = []
+    total = 0
+    for c in _sections(p, 1 if n > 0 else -1):
+        total += _point_count(c, m, earlier)
+        earlier.append(_tight_pairs(c, m))
+    return total
 
 
 def _generator_runs(p, n, limit=None, reach=None):
@@ -99,8 +126,6 @@ def _generator_runs(p, n, limit=None, reach=None):
         return
     eps = 1 if n > 0 else -1
     m = abs(n)
-    idx = p.index
-    top = len(p.elements)
     earlier = []  # tight pairs (ix, iy, d) of the sections already swept
     found = 0
     for c in _sections(p, eps):
@@ -115,9 +140,7 @@ def _generator_runs(p, n, limit=None, reach=None):
             yield row, moving, length, covered
         if limit is not None and found > limit:
             raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
-        earlier.append(
-            tuple((idx[x], top if y == TOP else idx[y], m * d) for x, y, d in c.equalities)
-        )
+        earlier.append(_tight_pairs(c, m))
 
 
 def _step_tests(earlier, moving):

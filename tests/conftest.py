@@ -3,7 +3,8 @@
 The oracles here recompute module outputs by a different route (exhaustive
 DFS, powerset filtering, brute-force pair search, build-then-filter
 sequence enumeration, the down-set scan for minimality, the degree-box
-sweeps of T^(n) and of one section, the residue search for fresh
+sweeps of T^(n) and of one section, the sums of degree-one generators,
+the walk over every run of the sections, the residue search for fresh
 Frobenius vectors, the bound scans of lattice joins and meets, the
 distributive law on every triple) so the library code is never checked
 against itself.
@@ -11,7 +12,7 @@ against itself.
 
 from functools import lru_cache
 from itertools import combinations, product
-from operator import sub
+from operator import add, sub
 
 import pytest
 from hypothesis import strategies as st
@@ -262,6 +263,32 @@ def generators_box(p, n):
     return tuple(
         Labeling(p, vals) for vals in box_values(p, n) if closure_minimal(p, n, vals)
     )
+
+
+def generators_sumset(p, n):
+    """Value tuples of the minimal elements of T^(n), value-lex, by summing G_{+-1}.
+
+    labelings.split writes every element of T^(n) as a part in T^(+-1)
+    plus a part in T^(n -+ 1), and each part dominates a minimal element,
+    so every minimal element of T^(n) is a sum of one of G_{+-1} and one
+    of G_{n -+ 1} (the paper's omega^(n) = omega^n).  So the box route's
+    G_{+-1} is summed |n| - 1 times, and closure_minimal filters each
+    sumset.  Uses no sections or sequences.
+    """
+    if n == 0:
+        return ((0,) * len(p.elements),)
+    eps = 1 if n > 0 else -1
+    ones = [vals for vals in box_values(p, eps) if closure_minimal(p, eps, vals)]
+    level = set(ones)
+    for k in range(2, abs(n) + 1):
+        sums = {tuple(map(add, a, b)) for a in level for b in ones}
+        level = {vals for vals in sums if closure_minimal(p, k * eps, vals)}
+    return tuple(sorted(level))
+
+
+def run_count(runs):
+    """Points of runs (row, moving, length, covered), by walking every run."""
+    return sum(length - len(covered) for _, _, length, covered in runs)
 
 
 def lattice_points_sweep(c, n):

@@ -153,6 +153,16 @@ def test_frobenius_budget_exit():
     assert "budget" in text.lower()
 
 
+def test_frobenius_negative_budget_is_invalid_input():
+    # it exited 4 with "dilation 1 has more than -5 lattice points" before
+    assert run_command(["frobenius", "P1", "--prime", "2", "--budget", "-5"]) == (
+        2,
+        "invalid input: --budget must be at least 0",
+    )
+    code, text = run_command(["frobenius", "P1", "--prime", "2", "--budget", "0"])
+    assert (code, text) == (4, "budget exceeded: dilation 1 has more than 0 lattice points")
+
+
 def test_frobenius_budget_stops_a_large_piece_early():
     # the uncapped e=2 piece at prime 5 has about 1.5 million points
     code, text = run_command(["frobenius", "P2", "--prime", "2,5", "--emax", "2", "--budget", "5000"])

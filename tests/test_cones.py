@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import lattice_points_sweep, small_posets, t_box
+from conftest import lattice_points_sweep, run_count, small_posets, t_box
 from hibi import (
     TOP,
     BudgetExceeded,
@@ -23,7 +23,7 @@ from hibi import (
     p_nonmin,
     witness_partition,
 )
-from hibi.cones import _closure, _run_count, _run_values, _section_runs
+from hibi.cones import _closure, _point_count, _run_values, _section_runs
 from hibi.corpus import chain
 from hibi.labelings import INT64_MAX, INT64_MIN
 from test_labelings import V1, V2, V3
@@ -247,7 +247,8 @@ def test_section_count_matches_listing_on_corpus(corpus):
     for _, p in corpus:
         for c in _sections_of_both_signs(p):
             for n in (1, 2, 3):
-                assert _run_count(_section_runs(c, n)) == len(_run_values(_section_runs(c, n)))
+                runs = list(_section_runs(c, n))
+                assert _point_count(c, n) == run_count(runs) == len(_run_values(runs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,8 +257,9 @@ def test_section_count_and_values_match_sweep_random(p):
     for c in _sections_of_both_signs(p):
         for n in (1, 2, 3):
             want = lattice_points_sweep(c, n)
-            assert tuple(_run_values(_section_runs(c, n))) == want
-            assert _run_count(_section_runs(c, n)) == len(want)
+            runs = list(_section_runs(c, n))
+            assert tuple(_run_values(runs)) == want
+            assert _point_count(c, n) == run_count(runs) == len(want)
 
 
 def test_contradictory_pins_give_an_empty_section(poset1):
@@ -269,7 +271,7 @@ def test_contradictory_pins_give_an_empty_section(poset1):
     assert lattice_points_sweep(pinned, 1) == ()
     assert _closure(pinned, 1) is None
     assert lattice_points(pinned, 1) == ()
-    assert _run_count(_section_runs(pinned, 1)) == 0
+    assert _point_count(pinned, 1) == 0
 
 
 def test_closed_bounds_are_attained(corpus):
@@ -299,9 +301,12 @@ def test_values_past_64_bits_overflow_exactly():
 def test_section_count_overflows_like_the_listing():
     for eps, n_ok in ((1, INT64_MAX // 4), (-1, -(INT64_MIN // 4))):
         c = build_C(chain(3), eps, ())
-        assert _run_count(_section_runs(c, n_ok)) == 1
-        with pytest.raises(OverflowError, match="exceeds the 64-bit range"):
-            _run_count(_section_runs(c, n_ok + 1))
+        assert _point_count(c, n_ok) == 1
+        for count in (lambda: _point_count(c, n_ok + 1), lambda: list(_section_runs(c, n_ok + 1))):
+            with pytest.raises(OverflowError) as info:
+                count()
+            value = eps * 4 * (n_ok + 1)
+            assert str(info.value) == f"labeling value {value} exceeds the 64-bit range"
 
 
 def test_lattice_points_match_direct_enumeration_deeper(poset1):

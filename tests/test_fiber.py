@@ -1,9 +1,12 @@
 """Fiber-cone counts, analytic spreads, level and Gorenstein checks."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import generators_box, lattice_points_sweep, small_posets
+from conftest import generators_box, lattice_points_sweep, run_count, small_posets
 from hibi import (
     BudgetExceeded,
     analytic_spread,
@@ -168,9 +171,11 @@ def degree_range_box(p, n):
 
 def test_generator_count_matches_listing_on_corpus(corpus):
     for _, p in corpus:
-        for n in (1, -1, 2, -2, 3, -3):
+        for n in (1, -1, 2, -2, 3, -3, 4, -4):
             count = _generator_count(p, n)
-            assert count == len(generators(p, n))
+            assert count == run_count(_generator_runs(p, n))
+            if abs(n) <= 3:
+                assert count == len(generators(p, n))
             if abs(n) <= 2:
                 assert count == len(generators_box(p, n))
         assert _generator_count(p, 0) == 1 == fiber_hilbert(p, -1, 0)
@@ -181,7 +186,7 @@ def test_generator_count_matches_listing_on_corpus(corpus):
 def test_generator_count_matches_listing_random(p):
     for n in (1, -1, 2, -2, 3, -3):
         count = _generator_count(p, n)
-        assert count == len(generators(p, n))
+        assert count == run_count(_generator_runs(p, n)) == len(generators(p, n))
         if abs(n) <= 2:
             assert count == len(generators_box(p, n))
             assert fiber_hilbert(p, 1 if n > 0 else -1, abs(n)) == count
@@ -276,7 +281,7 @@ def test_partly_covered_runs_match_the_box_route():
             moving_two += sum(len(moving) == 2 for _, moving, _, _ in runs)
             box = generators_box(p, n)
             assert generators(p, n) == box
-            assert _generator_count(p, n) == len(box)
+            assert _generator_count(p, n) == run_count(runs) == len(box)
             for limit in range(0, len(box) + 2, max(1, len(box) // 7)):
                 want = budget_message_by_sections(p, n, limit)
                 if want is None:
@@ -286,3 +291,37 @@ def test_partly_covered_runs_match_the_box_route():
                         generators_via_sequences(p, n, limit=limit)
                     assert str(info.value) == want
     assert partial > 0 and moving_two > 0
+
+
+def _rooted(rng, size):
+    """A random rooted poset: each element after x0 covers one or two earlier ones."""
+    names = ["x0"] + [f"e{i}" for i in range(1, size)]
+    covers = {
+        (names[j], names[i])
+        for i in range(1, size)
+        for j in rng.sample(range(i), min(i, 1 if rng.random() < 0.6 else 2))
+    }
+    return build_poset(names, sorted(covers), "x0")
+
+
+def test_generator_count_matches_the_walk_on_seeded_rooted_posets():
+    rng = random.Random(13)
+    for size in [rng.randint(6, 12) for _ in range(40)]:
+        p = _rooted(rng, size)
+        for n in (1, -1, 2, -2):
+            assert _generator_count(p, n) == run_count(_generator_runs(p, n))
+
+
+def test_generator_count_of_many_disjoint_chains_is_exact_and_fast():
+    # x0 < c1 < c2 < c3 and 600 chains x0 < u_i < v_i: each chain takes 3
+    # values independently, and the count must neither walk the 3**600
+    # points nor recurse once per element
+    names = ["x0", "c1", "c2", "c3"]
+    covers = [("x0", "c1"), ("c1", "c2"), ("c2", "c3")]
+    for i in range(600):
+        names += [f"u{i}", f"v{i}"]
+        covers += [("x0", f"u{i}"), (f"u{i}", f"v{i}")]
+    p = build_poset(names, covers, "x0")
+    start = time.process_time()
+    assert fiber_hilbert(p, 1, 1) == 3**600
+    assert time.process_time() - start < 1.0

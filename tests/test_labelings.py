@@ -5,7 +5,14 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import closure_minimal, ideal_subtraction_minimal, small_posets, t_box
+from conftest import (
+    closure_minimal,
+    generators_box,
+    generators_sumset,
+    ideal_subtraction_minimal,
+    small_posets,
+    t_box,
+)
 from hibi import (
     InvalidPoset,
     Labeling,
@@ -169,6 +176,15 @@ def test_is_minimal_matches_down_set_scan(p):
     for n in (0, 1, -1, 2, -2):
         for nu in t_box(p, n):
             assert is_minimal(p, n, nu) == ideal_subtraction_minimal(p, n, nu.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(max_extra=5))
+def test_generators_match_the_sumset_oracle_random(p):
+    for n in (1, -1, 2, -2):
+        assert generators_sumset(p, n) == tuple(nu.values for nu in generators_box(p, n))
+    for n in (1, -1, 2, -2, 3, -3, 4, -4):
+        assert generators_sumset(p, n) == tuple(nu.values for nu in generators(p, n))
 
 
 def test_is_minimal_wide_fan_is_fast():

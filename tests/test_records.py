@@ -1,5 +1,6 @@
 """Value records: hashing, printing, immutability, validation and import cost."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -164,3 +165,55 @@ def test_cli_import_skips_dataclasses_and_fractions():
     assert proc.returncode == 0, proc.stderr
     assert "level: true" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[] [] 0"
+
+
+def _run_probe(probe):
+    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_analyze_loads_neither_frobenius_nor_birkhoff():
+    probe = (
+        "import runpy, sys\n"
+        "sys.argv = ['hibi', 'analyze', 'P1']\n"
+        "try:\n"
+        "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "names = ('hibi.frobenius', 'hibi.birkhoff', 'hibi.cli')\n"
+        "print(sorted(m for m in names if m in sys.modules), code)\n"
+    )
+    lines = _run_probe(probe)
+    assert "generators (n=1): 4, degrees 4..4" in lines
+    assert lines[-1] == "['hibi.cli'] 0"
+
+
+def test_lattice_documents_load_birkhoff_only_when_parsed():
+    probe = (
+        "import sys\n"
+        "from hibi.documents import parse_poset_document\n"
+        "before = 'hibi.birkhoff' in sys.modules\n"
+        "parse_poset_document('{\"name\": \"two\", \"lattice\": "
+        "{\"elements\": [\"a\", \"b\"], \"order\": [[\"a\", \"b\"]]}}')\n"
+        "print(before, 'hibi.birkhoff' in sys.modules)\n"
+    )
+    assert _run_probe(probe) == ["False True"]
+
+
+def test_every_public_name_is_the_object_its_module_defines():
+    modules = ("birkhoff", "cones", "corpus", "documents", "errors", "fiber")
+    modules += ("frobenius", "labelings", "poset", "sequences")
+    defined = {"TOP": hibi.poset.TOP, "BUILTIN_NAMES": hibi.corpus.BUILTIN_NAMES}
+    for module in map(importlib.import_module, (f"hibi.{m}" for m in modules)):
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) == module.__name__:
+                defined[name] = value
+    for name in hibi.__all__:
+        assert getattr(hibi, name) is defined[name], name
+    assert set(hibi.__all__) <= set(dir(hibi))
+    with pytest.raises(AttributeError):
+        hibi.no_such_name
