@@ -23,7 +23,7 @@ from itertools import islice
 
 from .errors import NotALattice, NotDistributive
 from .labelings import indicator
-from .poset import bit_positions, build_poset, down_set_masks, poset_ideals
+from .poset import TOP, bit_positions, build_poset, down_set_masks, poset_ideals
 
 
 class DistLattice(namedtuple("DistLattice", "elements order joins meets")):
@@ -225,12 +225,22 @@ def hibi_generators(p):
 
 
 def _signatures(p):
-    """Isomorphism-invariant element signatures by iterated neighbor refinement."""
-    from .poset import TOP
+    """Isomorphism-invariant element signatures by iterated neighbor refinement.
 
+    The refinement starts from each element's numbers of upper and lower
+    covers and its longest chains down to the bottom and up to a maximal
+    element, all isomorphism invariants.  The two chain lengths take one
+    pass over the canonical order each, and on a chain they already tell
+    every element apart.
+    """
     ups = {z: tuple(b for b in p.up_covers[z] if b != TOP) for z in p.elements}
     downs = {z: tuple(b for b in p.down_covers[z] if b != TOP) for z in p.elements}
-    sig = {z: (len(ups[z]), len(downs[z])) for z in p.elements}
+    depth, height = {}, {}
+    for z in p.elements:
+        depth[z] = max((depth[w] + 1 for w in downs[z]), default=0)
+    for z in reversed(p.elements):
+        height[z] = max((height[w] + 1 for w in ups[z]), default=0)
+    sig = {z: (len(ups[z]), len(downs[z]), depth[z], height[z]) for z in p.elements}
     for _ in range(len(p.elements)):
         canon = {s: i for i, s in enumerate(sorted(set(sig.values())))}
         new = {

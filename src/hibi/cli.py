@@ -8,10 +8,9 @@ deep counts as one, and so does running out of memory).
 """
 
 import argparse
-import json
 import os
 import sys
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from pathlib import Path
 
 from .cones import (
@@ -24,7 +23,6 @@ from .cones import (
     lattice_points,
 )
 from .corpus import BUILTIN_NAMES, UPWARD_PURE_NAMES, all_builtins, builtin, upward_pure
-from .documents import parse_poset_document
 from .errors import BudgetExceeded
 from .fiber import (
     analytic_spread,
@@ -57,6 +55,9 @@ def _bool(value):
 
 
 def _json_text(payload):
+    # imported here: a table report never loads json
+    import json
+
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
@@ -66,7 +67,11 @@ def _document(text):
 
     A poset read again is then the same object and keeps the data it owns.
     A text that fails to parse raises on every call: errors are not kept.
+    The documents module is imported here, so a command on a built-in
+    poset never loads it.
     """
+    from .documents import parse_poset_document
+
     return parse_poset_document(text)
 
 
@@ -407,60 +412,64 @@ def _add_common(sub, poset=True, eps=False, n=None):
         sub.add_argument("poset", help="built-in name or document file")
 
 
-@cache
-def build_parser():
-    """The one parser of the process; parse_args returns a fresh Namespace per call."""
-    parser = _Parser(prog="hibi", description="poset divisor calculators")
-    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    sub = commands.add_parser("analyze", help="one-page summary of a poset")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_analyze)
-
-    sub = commands.add_parser("generators", help="minimal generators of the n-th twist")
-    _add_common(sub, n={"required": True})
-    sub.set_defaults(handler=_cmd_generators)
-
-    sub = commands.add_parser("sequences", help="reduced alternating sequences")
-    _add_common(sub, eps=True)
-    sub.set_defaults(handler=_cmd_sequences)
-
-    sub = commands.add_parser("polytope", help="polytope sections and lattice points")
+def _add_polytope(sub):
     _add_common(sub, eps=True, n={"default": 1})
     sub.add_argument("--seq", help="comma-separated sequence items (empty for the empty sequence)")
     sub.add_argument("--intersect", help="second sequence; report the common lattice points")
-    sub.set_defaults(handler=_cmd_polytope)
 
-    sub = commands.add_parser("spread", help="analytic spread of the chosen side")
-    _add_common(sub, eps=True)
-    sub.set_defaults(handler=_cmd_spread)
 
-    sub = commands.add_parser("level", help="levelness and Gorenstein flags")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_level)
-
-    sub = commands.add_parser("frobenius", help="twisted-piece complexity tables")
+def _add_frobenius(sub):
     _add_common(sub)
     sub.add_argument("--prime", default="2", help="comma-separated primes")
     sub.add_argument("--emax", type=int, default=2)
     sub.add_argument("--budget", type=int, default=1_000_000, help="piece size cap")
-    sub.set_defaults(handler=_cmd_frobenius)
 
-    sub = commands.add_parser("lattice", help="lattice of nonempty down-sets")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_lattice)
 
-    sub = commands.add_parser("selftest", help="run the invariant battery on the corpus")
-    sub.add_argument("--format", choices=("table", "json"), default="table")
-    sub.set_defaults(handler=_cmd_selftest)
+# name -> (help, add_arguments(subparser), handler), in the order of hibi -h
+COMMANDS = {
+    "analyze": ("one-page summary of a poset", _add_common, _cmd_analyze),
+    "generators": (
+        "minimal generators of the n-th twist",
+        partial(_add_common, n={"required": True}),
+        _cmd_generators,
+    ),
+    "sequences": ("reduced alternating sequences", partial(_add_common, eps=True), _cmd_sequences),
+    "polytope": ("polytope sections and lattice points", _add_polytope, _cmd_polytope),
+    "spread": ("analytic spread of the chosen side", partial(_add_common, eps=True), _cmd_spread),
+    "level": ("levelness and Gorenstein flags", _add_common, _cmd_level),
+    "frobenius": ("twisted-piece complexity tables", _add_frobenius, _cmd_frobenius),
+    "lattice": ("lattice of nonempty down-sets", _add_common, _cmd_lattice),
+    "selftest": (
+        "run the invariant battery on the corpus",
+        partial(_add_common, poset=False),
+        _cmd_selftest,
+    ),
+}
 
+
+@cache
+def build_parser(command=None):
+    """The hibi parser with the one subcommand named, or with all of them.
+
+    Built once per key and process; parse_args returns a fresh Namespace
+    per call.  A command line is parsed alike by both, but only the full
+    parser can print the top-level help and name the valid commands.
+    """
+    parser = _Parser(prog="hibi", description="poset divisor calculators")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments, handler = COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text)
+        add_arguments(sub)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def run_command(argv):
     """Run one command line; returns (exit code, report text)."""
+    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except UsageError as exc:
         return 1, str(exc)
     except SystemExit as exc:

@@ -136,42 +136,57 @@ def enumerate_N(p, eps):
 
     An iterative depth-first search over prefixes (y_0, x_1, ..., y_{k-1}, x_k).
     The zig-zag conditions are checked as each element is placed: a y lies
-    strictly above the element before it and an x strictly below its y,
-    read off the up-sets.  A new y_k is dropped at once when a pair
-    (x_i, y_k), i < k, fails: that pair involves only x_i .. y_k, so every
-    extension fails it too.  The pairs ending at the top bookend change as
-    the sequence grows, so each prefix the search reaches is kept only if
-    is_q_reduced accepts it whole.
+    strictly above the element before it and an x strictly below its y and
+    below none of y_0 .. y_{k-1}, read off the chain table.  A stack entry
+    carries heads[i], i < k: the q-value of the zig-zag x_i .. x_k without
+    its last term.  The pair (x_i, y) of a new y_k = y then has the q-value
+    heads[i] + q(x_k, y), so testing it is O(1).  A new y_k is dropped at
+    once when such a pair fails: it involves only x_i .. y_k, so every
+    extension fails it too.  Placing x_{k+1} = x adds q(x_k, y) - q(x, y)
+    to every head, and that shift is the head of x_k.  The pairs ending at
+    the top bookend change as the sequence grows, so they are the only ones
+    a prefix is tested on before it is kept.
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     if eps in p._reduced:
         return p._reduced[eps]
     idx = p.index
-    chains, bottom = p._chains, p.bottom
+    # q[a][b] = qdist(p, eps, a, b) for every b >= a in P+
+    col = 0 if eps < 0 else 1
+    q = {a: {b: eps * c[col] for b, c in row.items()} for a, row in p._chains.items()}
     # ups[z]: elements of P strictly above z; downs[y]: the same relation
     # inverted, without the bottom (it cannot appear in a sequence)
-    ups = {z: sorted(chains[z].keys() - {z, TOP}, key=idx.__getitem__) for z in p.elements}
+    ups = {z: sorted(q[z].keys() - {z, TOP}, key=idx.__getitem__) for z in p.elements}
     downs = {y: [] for y in p.elements}
     for x in p.elements[1:]:
         for y in ups[x]:
             downs[y].append(x)
+    floor = float("-inf")
     reduced = []
-    stack = [()]
+    # (items, x_k, (x_0, ..., x_{k-1}), heads) with x_0 the bottom
+    stack = [((), p.bottom, (), ())]
     while stack:
-        items = stack.pop()
-        seq = CondNSeq(p, items)
-        if is_q_reduced(p, eps, seq):
-            reduced.append(seq)
-        k = len(items) // 2
-        zig = (bottom,) + items
-        for y in ups[items[-1] if items else bottom]:
-            ext = zig + (y,)
-            if any(_pair_fails(p, eps, ext, i, k) for i in range(k)):
-                continue
+        items, last, xs, heads = stack.pop()
+        q_last = q[last]
+        # the pair (x_i, top) fails when q(x_i, top) >= its zig-zag's q-value
+        to_top = q_last[TOP]
+        if all(q[x][TOP] < h + to_top for x, h in zip(xs, heads)):
+            reduced.append(CondNSeq(p, items))
+        ys = ups[last]
+        for x, h in zip(xs, heads):
+            q_x = q[x]
+            ys = [y for y in ys if q_x.get(y, floor) < h + q_last[y]]
+        placed = items[0::2]
+        xs += (last,)
+        for y in ys:
+            step = q_last[y]
             for x in downs[y]:
-                if not any(y_i in chains[x] for y_i in items[0::2]):
-                    stack.append(items + (y, x))
+                q_x = q[x]
+                if not any(y_i in q_x for y_i in placed):
+                    shift = step - q_x[y]
+                    heads_x = tuple(h + shift for h in heads) + (shift,)
+                    stack.append((items + (y, x), x, xs, heads_x))
     reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
     p._reduced[eps] = reduced = tuple(reduced)
     return reduced

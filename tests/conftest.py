@@ -2,7 +2,8 @@
 
 The oracles here recompute module outputs by a different route (exhaustive
 DFS, powerset filtering, brute-force pair search, build-then-filter
-sequence enumeration, the down-set scan for minimality, the degree-box
+sequence enumeration, the node-wise re-checking search of reduced
+sequences, the down-set scan for minimality, the degree-box
 sweeps of T^(n) and of one section, the sums of degree-one generators,
 the walk over every run of the sections, the residue search for fresh
 Frobenius vectors, the bound scans of lattice joins and meets, the
@@ -21,7 +22,7 @@ from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
 from hibi.labelings import Labeling
 from hibi.poset import TOP, build_poset, poset_ideals, qdist
-from hibi.sequences import CondNSeq, is_q_reduced, q_max
+from hibi.sequences import CondNSeq, is_q_reduced, q_max, q_value
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +124,45 @@ def enumerate_N_exhaustive(p, eps):
     extend((), None)
     seqs = [CondNSeq(p, ())] + [CondNSeq(p, it) for it in found]
     reduced = [s for s in seqs if is_q_reduced(p, eps, s)]
+    reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
+    return tuple(reduced)
+
+
+def enumerate_N_pruned(p, eps):
+    """The reduced sequences by a search that re-checks each node from scratch.
+
+    The same prefix pruning as the library's search, without its running
+    sums: a new y_k is dropped when some pair (x_i, y_k), i < k, fails on a
+    q_value recomputed over x_i .. y_k, and every prefix reached is kept
+    only if is_q_reduced accepts it whole.  Nothing is stored on the poset.
+    """
+    idx = p.index
+    chains, bottom = p._chains, p.bottom
+    ups = {z: sorted(chains[z].keys() - {z, TOP}, key=idx.__getitem__) for z in p.elements}
+    downs = {y: [] for y in p.elements}
+    for x in p.elements[1:]:
+        for y in ups[x]:
+            downs[y].append(x)
+
+    def pair_fails(zig, i, j):
+        xi, yj = zig[2 * i], zig[2 * j + 1]
+        return p.leq(xi, yj) and qdist(p, eps, xi, yj) >= q_value(p, eps, zig[2 * i : 2 * j + 2])
+
+    reduced = []
+    stack = [()]
+    while stack:
+        items = stack.pop()
+        seq = CondNSeq(p, items)
+        if is_q_reduced(p, eps, seq):
+            reduced.append(seq)
+        k = len(items) // 2
+        zig = (bottom,) + items
+        for y in ups[items[-1] if items else bottom]:
+            if any(pair_fails(zig + (y,), i, k) for i in range(k)):
+                continue
+            for x in downs[y]:
+                if not any(y_i in chains[x] for y_i in items[0::2]):
+                    stack.append(items + (y, x))
     reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
     return tuple(reduced)
 

@@ -1,5 +1,7 @@
 """Distributive lattices, join-irreducibles, and the ideal-lattice round trip."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,3 +216,18 @@ def test_isomorphism_negative_different_size(poset2, poset3):
 
 def test_isomorphism_of_a_long_chain_does_not_recurse():
     assert poset_isomorphic(chain(1100), chain(1100))
+
+
+def test_isomorphism_of_long_chains_takes_under_two_seconds():
+    # the fresh chains share no cached data; a fork of the same size and
+    # cover count is told apart as well
+    p, q = chain.__wrapped__(1100), chain.__wrapped__(1100)
+    names = p.elements[:-1]
+    covers = list(zip(names, names[1:])) + [(names[-2], "b")]
+    fork = build_poset(names + ("b",), covers, "x0")
+    assert len(fork.elements) == len(p.elements) and len(fork.covers) == len(p.covers)
+    start = time.process_time()
+    assert poset_isomorphic(p, q)
+    assert not poset_isomorphic(p, fork)
+    assert time.process_time() - start < 2
+

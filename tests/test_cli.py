@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, output determinism, file input."""
 
+import ast
 import hashlib
 import json
 import os
@@ -244,6 +245,99 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
     assert "    2 " not in results[1][1]
     assert results[4][0] == 1 and results[5] == (0, "")
     assert "usage: hibi polytope" in capsys.readouterr().out
+
+
+# Command lines whose parsing reaches every branch of the parser: help at
+# both levels, usage errors, unknown and misplaced words, and abbreviations.
+PARSER_BATTERY = (
+    [[name, "-h"] for name in cli.COMMANDS]
+    + [
+        [],
+        ["-h"],
+        ["--help"],
+        ["-h", "level"],
+        ["bogus"],
+        ["bogus", "P1"],
+        ["--", "level", "P1"],
+        ["--format", "json", "level", "P1"],
+        ["level"],
+        ["level", "--h"],
+        ["level", "-h", "P1"],
+        ["level", "P1"],
+        ["level", "P1", "extra"],
+        ["level", "P1", "--bogus"],
+        ["level", "P1", "--form", "json"],
+        ["level", "P1", "--format", "xml"],
+        ["generators", "P1"],
+        ["generators", "P1", "--n", "x"],
+        ["generators", "P1", "--n=-1", "--fo", "json"],
+        ["spread", "P1", "--eps", "2"],
+        ["spread", "P1", "--ep=1"],
+        ["polytope", "P1", "--eps", "-1", "--se", "y,x", "--int", ""],
+        ["frobenius", "P1", "--emax", "x"],
+        ["frobenius", "P1", "--prime", "2", "--em", "1", "--bud", "10"],
+        ["frobenius", "P1", "--prime"],
+        ["selftest", "P1"],
+        ["selftest", "--form", "json", "--format", "bad"],
+    ]
+)
+
+
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
+    full = cli.build_parser()
+    code, text = run_command(["bogus"])
+    assert code == 1 and all(repr(name) in text for name in cli.COMMANDS)
+    results = []
+    for argv in PARSER_BATTERY:
+        results.append((run_command(argv), capsys.readouterr()))
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+    for argv, result in zip(PARSER_BATTERY, results):
+        assert (run_command(argv), capsys.readouterr()) == result, argv
+    codes = [code for (code, _), _ in results]
+    assert codes.count(0) > 9 and codes.count(1) > 9
+
+
+def test_command_parsers_are_built_once_per_name():
+    cli.build_parser.cache_clear()
+    run_command(["level", "P1"])
+    run_command(["spread", "P1"])
+    run_command(["level", "P2"])
+    assert cli.build_parser.cache_info().currsize == 2
+    with pytest.raises(cli.UsageError, match=r"invalid choice: 'spread' \(choose from 'level'\)"):
+        cli.build_parser("level").parse_args(["spread", "P1"])
+    assert run_command(["bogus"])[0] == 1
+    assert cli.build_parser.cache_info().currsize == 3
+
+
+def _modules_loaded_by(argv):
+    """(json before hibi, json after, hibi.documents after) for python -m hibi argv."""
+    code = (
+        "import runpy, sys\n"
+        "before = 'json' in sys.modules\n"
+        f"sys.argv = ['hibi'] + {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "sys.stderr.write(repr((before, 'json' in sys.modules, 'hibi.documents' in sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stderr)
+
+
+def test_commands_import_json_and_documents_only_when_used(tmp_path):
+    before, json_loaded, documents_loaded = _modules_loaded_by(
+        ["frobenius", "P1", "--prime", "2", "--emax", "1"]
+    )
+    assert json_loaded == before and not documents_loaded
+    path = tmp_path / "mine.json"
+    path.write_text(P1_TEXT, encoding="utf-8")
+    assert _modules_loaded_by(["level", str(path)])[1:] == (True, True)
+    assert _modules_loaded_by(["level", "P1", "--format", "json"])[1:] == (True, False)
 
 
 def test_validation_errors_exit_two(tmp_path):

@@ -1,12 +1,17 @@
 """Zig-zag sequences, reducedness, the mu/nu constructions, degree bounds."""
 
+import importlib.util
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import enumerate_N_exhaustive, small_posets
+from conftest import enumerate_N_exhaustive, enumerate_N_pruned, small_posets
 from hibi import (
     TOP,
     as_seq,
+    build_poset,
     enumerate_N,
     from_dict,
     generators,
@@ -208,7 +213,9 @@ def ordered_items(seqs):
 @given(small_posets(max_extra=7))
 def test_pruned_enumeration_matches_exhaustive_random(p):
     for eps in (1, -1):
-        assert ordered_items(enumerate_N(p, eps)) == ordered_items(enumerate_N_exhaustive(p, eps))
+        found = ordered_items(enumerate_N(p, eps))
+        assert found == ordered_items(enumerate_N_exhaustive(p, eps))
+        assert found == ordered_items(enumerate_N_pruned(p, eps))
 
 
 def test_pruned_enumeration_matches_exhaustive_corpus_and_chain12(corpus):
@@ -222,3 +229,30 @@ def test_long_chain_has_only_the_empty_sequence():
     p = chain(30)
     for eps in (1, -1):
         assert ordered_items(enumerate_N(p, eps)) == ((),)
+
+
+def _bench_shapes():
+    """The benchmark's seq-scale shapes and their neighbours, as posets."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = [workloads.chain(m) for m in range(10, 41, 5)]
+    docs += [workloads.grid(rows, cols) for rows, cols in ((3, 3), (3, 4), (2, 6), (4, 4))]
+    docs += [workloads.rooted(size, tag) for size in range(12, 17) for tag in "abcdefgh"]
+    return [build_poset(d["elements"], d["covers"], d["bottom"]) for d in docs]
+
+
+def test_running_sums_match_the_node_wise_search_on_corpus_and_bench_shapes(corpus):
+    for p in [p for _, p in corpus] + _bench_shapes():
+        for eps in (1, -1):
+            assert ordered_items(enumerate_N(p, eps)) == ordered_items(enumerate_N_pruned(p, eps))
+
+
+def test_chain_of_80_is_searched_within_a_second():
+    # the node-wise search takes about 2 s of process time for both signs
+    p = chain.__wrapped__(80)
+    start = time.process_time()
+    for eps in (1, -1):
+        assert ordered_items(enumerate_N(p, eps)) == ((),)
+    assert time.process_time() - start < 1
