@@ -14,6 +14,8 @@ from functools import cache, lru_cache, partial
 from pathlib import Path
 
 from .cones import (
+    _dilation,
+    _meet,
     _point_count,
     _sections,
     build_C,
@@ -228,9 +230,10 @@ def _polytope_intersection(name, p, args):
     """Common lattice points of two sections at one dilation."""
     first = _parse_seq_flag(p, args.seq)
     second = _parse_seq_flag(p, args.intersect)
-    points_a = lattice_points(build_C(p, args.eps, first), args.n)
-    points_b = set(lattice_points(build_C(p, args.eps, second), args.n))
-    common = tuple(nu for nu in points_a if nu in points_b)
+    a, b = build_C(p, args.eps, first), build_C(p, args.eps, second)
+    for c in (a, b):  # a section past 64 bits is invalid input, whatever the meet's range
+        _dilation(c, args.n)
+    common = lattice_points(_meet(a, b), args.n)
     if args.format == "json":
         payload = {
             "name": name,

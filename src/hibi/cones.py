@@ -8,8 +8,12 @@ The sets G_i collect the elements squeezed between x_i and y_i whose two
 half distances add up exactly; on G the coordinates are pinned affinely
 to the y anchors, which is why dim C = #(P minus G) + t.
 
-The points of a dilation are listed by one closed walk (_section_runs)
-and counted by one memoized sweep that walks no runs (_point_count).
+Each dilation is prepared once, as one plan (_dilation): closed bounds,
+free classes in levels, and the first-section rule of the fiber cone (a
+point is left to the first section, in enumerate_N order, whose pairs it
+is tight on) checked level by level.  One closed walk (_section_runs)
+lists the plan's points as runs, one memoized sweep (_point_count)
+counts them, and reaches and degree ranges are read off its bounds.
 """
 
 from collections import namedtuple
@@ -75,6 +79,16 @@ def _section(p, eps, seq):
     return ConeSection(p, eps, seq, equalities, inequalities, tuple(g_parts), g_set, f_set)
 
 
+def _meet(a, b):
+    """The points two sections of one sign share, as one section: both pairs and G parts."""
+    return a._replace(
+        equalities=a.equalities + b.equalities,
+        g_parts=a.g_parts + b.g_parts,
+        g_set=a.g_set | b.g_set,
+        f_set=a.f_set & b.f_set,
+    )
+
+
 def dim_formula(c):
     """Dimension by the closed formula #F + t."""
     return len(c.f_set) + c.seq.t
@@ -91,22 +105,6 @@ def lattice_points(c, n, limit=None):
 
 
 _INF = float("inf")
-
-
-def _closure(c, n):
-    """The n-fold dilation as closed difference constraints, or None if empty.
-
-    Returns (pins, d): the element pins of _contraction and its cover
-    bounds closed by _close.  No degree box is needed: cover paths to the
-    top bound each coordinate below, and the pins with the cover gaps bound
-    the bottom, hence every coordinate, above by the sequence's q-value.
-    """
-    contracted = _contraction(c, n)
-    if contracted is None:
-        return None
-    pins, size, covers = contracted
-    d = _close(size, covers)
-    return None if d is None else (pins[:-1], d)
 
 
 def _close(size, covers):
@@ -193,95 +191,214 @@ def _contraction(c, n):
     return pins, len(reps), covers
 
 
-def _section_runs(c, n, limit=None, reach=None):
+# The plan of one dilation (_dilation); the walk and the count read it.
+_Plan = namedtuple("_Plan", "pins bounds boxes ups lows fronts last_read checks ends keeps live")
+
+
+def _dilation(c, n, earlier=()):
+    """The plan of the n-fold dilation, or None when it is empty.
+
+    The cover bounds are contracted on the pins (_contraction), closed
+    (_close) and checked against the 64-bit range.  No degree box is
+    needed: cover paths to the top bound each coordinate below, and the
+    pins with the cover gaps bound the bottom, hence every coordinate,
+    above by the sequence's q-value.  A class the closure fixes to the
+    top is a constant; each other class is a level, in canonical order
+    of first coordinates.  x[t] is the value of level t, and x[-1] = 0.
+
+    - pins[i] = (t, off): coordinate i is x[t] + off.
+    - bounds[i]: the lowest and highest value of coordinate i, attained.
+    - boxes[t]: level t's range through the top.  ups[t] and lows[t]:
+      (u, w) with x[t] <= x[u] + w and x[t] >= x[u] - w, for the levels u
+      of fronts[t] whose bound is not implied through the top.
+    - fronts[t]: the levels before t that t or a later level reads,
+      through a cover bound before the closure or an earlier section's
+      pair; last_read[u] is the last level that reads u.  A level outside
+      the front bounds t only through a front level or the top, so the
+      front gives each level its exact range.
+    - checks[t]: (bit, tests) per earlier section with pairs decided at
+      level t; they hold iff x[t] = x[u] + w for every (u, w) in tests.
+      ends[t] has the bits of the sections last decided at t, keeps[t]
+      clears the bits checked there, and live has every bit, or is None
+      when some earlier section holds on every point.
+
+    earlier holds one tuple of pairs (i, j, w) per earlier section
+    (_tight_pairs); a point with nu(i) - nu(j) = w on every pair of one
+    of them lies in that section.
+    """
+    contracted = _contraction(c, n)
+    d = None if contracted is None else _close(*contracted[1:])
+    if d is None:
+        return None
+    pins, _, covers = contracted
+    top = len(d) - 1
+    dtop = d[top]
+    bounds = [(off - d[k][top], off + dtop[k]) for k, off in pins[:-1]]
+    for extremes in bounds:
+        for v in extremes:
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+    free = [k for k in range(top) if dtop[k] + d[k][top] != 0]
+    level = {k: t for t, k in enumerate(free)}
+    r = len(free)
+    at = [(level[k], off) if k in level else (-1, off + dtop[k]) for k, off in pins]
+    reads = [set() for _ in range(r)]  # the earlier levels level t reads
+    for a, b in covers:
+        if a in level and b in level:
+            ta, tb = sorted((level[a], level[b]))
+            reads[tb].add(ta)
+    checks = [[] for _ in range(r)]
+    ends = [0] * r
+    live = 0
+    for s, pairs in enumerate(earlier):
+        tests = {}
+        for i, j, w in pairs:
+            (ua, oa), (ub, ob) = at[i], at[j]
+            w += ob - oa  # x[ua] - x[ub] = w
+            if ua == ub:
+                if w:
+                    break  # never tight
+            elif ua > ub:
+                tests.setdefault(ua, []).append((ub, w))
+            else:
+                tests.setdefault(ub, []).append((ua, -w))
+        else:
+            if not tests:
+                live = None  # tight everywhere
+                break
+            bit = 1 << s
+            live |= bit
+            ends[max(tests)] |= bit
+            for t, test in tests.items():
+                checks[t].append((bit, tuple(test)))
+                reads[t].update(u for u, _ in test if u >= 0)
+    last_read = [-1] * r
+    for t, earlier_levels in enumerate(reads):
+        for u in earlier_levels:
+            last_read[u] = t
+    fronts, front = [], []
+    for t in range(r):
+        fronts.append(front)
+        front = [u for u in front if last_read[u] > t] + [t] * (last_read[t] > t)
+    boxes, ups, lows = [], [], []
+    for f, front in zip(free, fronts):
+        df = d[f]
+        boxes.append((-df[top], dtop[f]))
+        ups.append([(u, d[free[u]][f]) for u in front if d[free[u]][f] != d[free[u]][top] + dtop[f]])
+        lows.append([(u, df[free[u]]) for u in front if df[free[u]] != df[top] + dtop[free[u]]])
+    keeps = [~sum(bit for bit, _ in level_checks) for level_checks in checks]
+    return _Plan(tuple(at[:-1]), bounds, boxes, ups, lows, fronts, last_read, checks, ends, keeps, live)
+
+
+def _holding(mask, level_checks, x, lo, hi):
+    """value in lo .. hi -> the sections of mask whose pairs all hold there, at one level.
+
+    A pair that reaches the level being set holds at one value of it at
+    most, so each section holds at one value or at none.
+    """
+    holding = {}
+    for bit, tests in level_checks:
+        if mask & bit:
+            (u, w), *rest = tests
+            v = x[u] + w
+            if lo <= v <= hi and all(x[u] + w == v for u, w in rest):
+                holding[v] = holding.get(v, 0) | bit
+    return holding
+
+
+def _level_range(plan, t, x):
+    """(lo, hi) of level t, given the values x of the levels before it."""
+    lo, hi = plan.boxes[t]
+    for u, w in plan.ups[t]:
+        if x[u] + w < hi:
+            hi = x[u] + w
+    for u, w in plan.lows[t]:
+        if x[u] - w > lo:
+            lo = x[u] - w
+    return lo, hi
+
+
+def _section_runs(c, n, limit=None, reach=None, earlier=()):
     """Runs of the n-fold dilation's points, in lexicographic order.
 
     A closed system of difference constraints is backtrack-free (Dechter,
     Meiri and Pearl, "Temporal constraint networks", 1991): every value
     inside the bounds set by the classes already fixed extends to a point.
-    So the free classes are walked in canonical order of their first
-    coordinates, which makes the output lexicographic, and the last free
-    class's whole range is one run.  Each run is (row, moving, length,
-    covered): the point where the last free class takes its lowest value,
-    the coordinates of that class, the number of points, and () for the
-    steps left out; along the run the moving coordinates rise by one per
-    step.  Beyond the closure the walk holds O(depth) values.
+    So the levels of the plan (_dilation) are walked in order, which makes
+    the output lexicographic, and the last level's whole range is one run.
+    Each run is (row, moving, length, covered): the point where the last
+    level takes its lowest value, the coordinates of that level, the
+    number of points, and the steps an earlier section (as in _dilation)
+    already has; along the run the moving coordinates rise by one per
+    step.  covered is () without earlier sections, range(length) when one
+    holds on the whole run, and otherwise the set of steps where one of
+    those still live at the last level holds.  Beyond the plan the walk
+    holds O(depth) values.
 
     With a limit, it raises BudgetExceeded before the run that takes the
-    count past limit.  With a reach, it raises RuntimeError before the
-    first run unless every coordinate stays within -reach .. reach; the
-    closed bounds are attained, so both this and the 64-bit check are
-    exact.
+    section's own count past limit.  With a reach, it raises RuntimeError
+    before the first run unless every coordinate stays within -reach ..
+    reach; the closed bounds are attained, so both this and the 64-bit
+    check are exact.
     """
-    closed = _closure(c, n)
-    if closed is None:
+    plan = _dilation(c, n, earlier)
+    if plan is None:
         return
-    pins, d = closed
-    top = len(d) - 1
-    dtop = d[top]
-    bounds = _closed_bounds(pins, d)
-    _check_64_bits(bounds)
-    if reach is not None and any(lo < -reach or hi > reach for lo, hi in bounds):
+    if reach is not None and any(lo < -reach or hi > reach for lo, hi in plan.bounds):
         raise RuntimeError(f"a coordinate of dilation {n} leaves the range +-{reach}")
-    # A class the closure fixes to the top is a constant.  One fixed to an
-    # earlier free class would just get a one-value range in the walk; no
-    # section has shown one, as the G pins are already contracted.
-    x = [0] * (top + 1)
-    free = []
-    for k in range(top):
-        if dtop[k] + d[k][top] == 0:
-            x[k] = dtop[k]
-        else:
-            free.append(k)
-    if not free:
+    pins, checks, ends, keeps = plan.pins, plan.checks, plan.ends, plan.keeps
+    r = len(plan.boxes)
+    if not r:
         if limit is not None and limit < 1:
             raise _over(n, limit)
-        yield tuple([x[k] + off for k, off in pins]), (), 1, ()
+        yield tuple([off for _, off in pins]), (), 1, () if plan.live is not None else range(1)
         return
-    # bounds on each free class: (lo, hi) through the top, then the earlier
-    # free classes whose bounds are not implied through the top
-    ups, lows = [], []
-    for t, f in enumerate(free):
-        df = d[f]
-        ups.append([(u, d[u][f]) for u in free[:t] if d[u][f] != d[u][top] + dtop[f]])
-        lows.append([(u, df[u]) for u in free[:t] if df[u] != df[top] + dtop[u]])
-    last = free[-1]
-    moving = tuple(i for i, (k, _) in enumerate(pins) if k == last)
-    # Depth-first walk over the free classes; ub[t] is the upper end of
-    # the t-th one's range.  The closure leaves no dead ends.
-    r = len(free)
+    last = r - 1
+    moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
+    # Depth-first walk over the levels; ub[t] is the upper end of level t's
+    # range, masks[t] the sections live on entering it (None once one
+    # holds on every point below) and holding[t] its values where some
+    # hold.  The closure leaves no dead ends.
+    x = [0] * (r + 1)  # x[-1] stays 0
     ub = [0] * r
+    masks = [plan.live] + [0] * r
+    holding = [None] * r
     t = 0
     entering = True
     size = 0
     while t >= 0:
-        f = free[t]
         if entering:
-            lo, hi = -d[f][top], dtop[f]
-            for u, w in ups[t]:
-                if x[u] + w < hi:
-                    hi = x[u] + w
-            for u, w in lows[t]:
-                if x[u] - w > lo:
-                    lo = x[u] - w
-            if t == r - 1:
-                x[f] = lo
+            lo, hi = _level_range(plan, t, x)
+            mask = masks[t]
+            if mask:
+                holding[t] = _holding(mask, checks[t], x, lo, hi)
+            if t == last:
+                x[t] = lo
                 length = hi - lo + 1
                 if limit is not None:
                     size += length
                     if size > limit:
                         raise _over(n, limit)
-                yield tuple([x[k] + off for k, off in pins]), moving, length, ()
+                if mask is None:
+                    covered = range(length)
+                else:
+                    covered = {v - lo for v in holding[t]} if mask else ()
+                yield tuple([x[u] + off for u, off in pins]), moving, length, covered
                 t -= 1
                 entering = False
                 continue
-            x[f], ub[t] = lo, hi
+            x[t], ub[t] = lo, hi
         else:
-            x[f] += 1
-        if x[f] > ub[t]:
+            x[t] += 1
+        if x[t] > ub[t]:
             t -= 1
             entering = False
         else:
+            mask = masks[t]
+            if mask:
+                bits = holding[t].get(x[t], 0)
+                mask = None if bits & ends[t] else mask & keeps[t] | bits
+            masks[t + 1] = mask
             t += 1
             entering = True
 
@@ -322,90 +439,27 @@ def _run_values(runs):
 def _point_count(c, n, earlier=()):
     """Number of points of the n-fold dilation, less those an earlier section has.
 
-    earlier holds one tuple of pairs (i, j, w) per earlier section
-    (_tight_pairs); a point with nu(i) - nu(j) = w on every pair of one of
-    them is not counted.  No point is listed.  The free classes are swept
-    in the walk's order (_section_runs).  What a class's value leaves to
-    the classes after it depends only on the values of the classes before
-    it that a later class still reads, through a cover bound before
-    closure or an earlier section's pair, and on the earlier sections
-    whose pairs all hold so far; each level memoizes its counts by those.
-    The closed bounds would tie every class to every earlier one, so they
-    only narrow a range, from the classes in the key.  A pair that reaches
-    the class being set holds at one value of it at most, so each earlier
-    section holds there at one value or at none, and the last free class
-    counts its range less those values.  The sweep runs on an explicit
-    stack; the 64-bit check of _section_runs comes first, with its text.
+    earlier is as in _dilation, whose plan this reads; no point is
+    listed.  The levels are swept in the walk's order (_section_runs).
+    What a level's value leaves to the levels after it depends only on
+    the values of its front and on the earlier sections whose pairs all
+    hold so far, so each level memoizes its counts by those.  Each
+    earlier section holds at one value of the level being set or at none
+    (_holding), and the last level counts its range less those values.
+    The sweep runs on an explicit stack.
     """
-    contracted = _contraction(c, n)
-    d = None if contracted is None else _close(*contracted[1:])
-    if d is None:
+    plan = _dilation(c, n, earlier)
+    if plan is None or plan.live is None:
         return 0
-    pins, _, covers = contracted
-    _check_64_bits(_closed_bounds(pins[:-1], d))
-    top = len(d) - 1
-    dtop = d[top]
-    free = [k for k in range(top) if dtop[k] + d[k][top] != 0]
-    level = {k: t for t, k in enumerate(free)}
-    r = len(free)
-    reads = [set() for _ in range(r)]  # the earlier levels level t reads
-    for a, b in covers:
-        if a in level and b in level:
-            ta, tb = sorted((level[a], level[b]))
-            reads[tb].add(ta)
-    # checks[t] holds (bit, tests) per earlier section with pairs decided
-    # at level t: they hold iff x[t] = x[u] + w for every (u, w) in tests.
-    # Level -1 is a constant 0; ends[t] has the sections last decided there.
-    checks = [[] for _ in range(r)]
-    ends = [0] * r
-    live = 0
-
-    def at(k):  # x_k = x[u] + w
-        t = level.get(k)
-        return (-1, dtop[k]) if t is None else (t, 0)
-
-    for s, pairs in enumerate(earlier):
-        tests = {}
-        for i, j, w in pairs:
-            (ka, oa), (kb, ob) = pins[i], pins[j]
-            (ua, ca), (ub, cb) = at(ka), at(kb)
-            w += ob - oa + cb - ca  # x[ua] - x[ub] = w
-            if ua == ub:
-                if w:
-                    break  # never tight
-            elif ua > ub:
-                tests.setdefault(ua, []).append((ub, w))
-            else:
-                tests.setdefault(ub, []).append((ua, -w))
-        else:
-            if not tests:
-                return 0  # every point is tight on this section
-            bit = 1 << s
-            live |= bit
-            ends[max(tests)] |= bit
-            for t, test in tests.items():
-                checks[t].append((bit, tuple(test)))
-                reads[t].update(u for u, _ in test if u >= 0)
+    fronts, last_read, checks = plan.fronts, plan.last_read, plan.checks
+    ends, keeps = plan.ends, plan.keeps
+    r = len(fronts)
     if not r:
         return 1
-    last_read = [-1] * r
-    for t, earlier_levels in enumerate(reads):
-        for u in earlier_levels:
-            last_read[u] = max(last_read[u], t)
-    fronts, front = [], []  # fronts[t]: the levels before t read at t or later
-    for t in range(r):
-        fronts.append(front)
-        front = [u for u in front if last_read[u] > t] + [t] * (last_read[t] > t)
-    boxes, ups, lows = [], [], []
-    for f, front in zip(free, fronts):
-        boxes.append((-d[f][top], dtop[f]))
-        ups.append([(u, d[free[u]][f]) for u in front if d[free[u]][f] != d[free[u]][top] + dtop[f]])
-        lows.append([(u, d[f][free[u]]) for u in front if d[f][free[u]] != d[f][top] + dtop[free[u]]])
-    keeps = [~sum(bit for bit, _ in level_checks) for level_checks in checks]
     memo = [{} for _ in range(r)]
     x = [0] * (r + 1)  # x[-1] stays 0
     stack = []  # frames [t, key, tasks, count so far, multiplicity of the task]
-    t, mask = 0, live
+    t, mask = 0, plan.live
     while True:
         # enter level t under mask, x[:t] set
         got = key = None
@@ -413,20 +467,8 @@ def _point_count(c, n, earlier=()):
             key = (mask, *[x[u] for u in fronts[t]])
             got = memo[t].get(key)
         if got is None:
-            lo, hi = boxes[t]
-            for u, w in ups[t]:
-                if x[u] + w < hi:
-                    hi = x[u] + w
-            for u, w in lows[t]:
-                if x[u] - w > lo:
-                    lo = x[u] - w
-            tight = {}  # value of x[t] -> sections whose pairs hold there
-            for bit, tests in checks[t]:
-                if mask & bit:
-                    (u, w), *rest = tests
-                    v = x[u] + w
-                    if lo <= v <= hi and all(x[u] + w == v for u, w in rest):
-                        tight[v] = tight.get(v, 0) | bit
+            lo, hi = _level_range(plan, t, x)
+            tight = _holding(mask, checks[t], x, lo, hi)
             if lo > hi:
                 got = 0
             elif t == r - 1:
@@ -471,21 +513,6 @@ def _value_tasks(lo, hi, stay, tight, done):
             yield 1, v, stay | bits
 
 
-def _check_64_bits(bounds):
-    """Raise OverflowError at the first closed bound past the 64-bit range."""
-    for ends in bounds:
-        for v in ends:
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
-
-
-def _closed_bounds(pins, d):
-    """(lowest, highest) value of each coordinate, from a closure (pins, d)."""
-    top = len(d) - 1
-    dtop = d[top]
-    return [(off - d[k][top], off + dtop[k]) for k, off in pins]
-
-
 def _over(n, limit):
     return BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
 
@@ -497,10 +524,8 @@ def _section_reach(c, n):
     min-plus closure commutes with that scaling, so the reach is n times
     the reach at n = 1.
     """
-    closed = _closure(c, n)
-    if closed is None:
-        return 0
-    return max(max(-lo, hi) for lo, hi in _closed_bounds(*closed))
+    plan = _dilation(c, n)
+    return 0 if plan is None else max(max(-lo, hi) for lo, hi in plan.bounds)
 
 
 def dim_bruteforce(c):

@@ -2,11 +2,14 @@
 
 The generators of T^(n) are the points of the |n|-fold dilated sections,
 each kept by its first section in enumerate_N order that it is tight on.
-Listings expand the sections' runs; the Hilbert counts count each
-section's points with cones._point_count and list none.
+cones makes that check on the plan of each dilation (cones._dilation),
+given the tight pairs of the sections before it: listings expand the
+runs of its walk, the Hilbert counts list nothing (cones._point_count),
+and the degree range reads its closed bounds.
 """
 
 from .cones import (
+    _dilation,
     _point_count,
     _run_values,
     _section_runs,
@@ -23,6 +26,8 @@ from .sequences import enumerate_N, q0, q_max
 
 def fiber_hilbert(p, eps, n):
     """Number of generators of the (n eps)-th power; degree 0 contributes 1."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _generator_count(p, n * eps)
@@ -34,12 +39,21 @@ def analytic_spread(p, eps):
 
 
 def degree_range(p, n):
-    """(q0, q_max, check): generator degrees fill the interval exactly."""
+    """(q0, q_max, check): generator degrees fill the interval exactly.
+
+    A section's points take every degree between the closed bounds of the
+    bottom coordinate, as its walk is backtrack-free, so the degrees are
+    the union of those intervals over the sections; nothing is listed.
+    """
     if n == 0:
         raise ValueError("n must be nonzero")
     lo, hi = q0(p, n), q_max(p, n)
-    degrees = {v[0] for v in _run_values(_generator_runs(p, n))}
-    return lo, hi, degrees == set(range(lo, hi + 1))
+    plans = (_dilation(c, abs(n)) for c in _sections(p, 1 if n > 0 else -1))
+    reached, gapless = lo - 1, True
+    for a, b in sorted(plan.bounds[0] for plan in plans if plan is not None):
+        gapless = gapless and lo <= a <= reached + 1
+        reached = max(reached, b)
+    return lo, hi, gapless and reached == hi
 
 
 def is_level(p):
@@ -107,14 +121,12 @@ def _generator_runs(p, n, limit=None, reach=None):
     Sections overlap, so each point is kept only by its first section in
     enumerate_N order whose equalities it is tight on: a point of T^(n)
     tight on those pairs lies in that section, so the test is exact and
-    needs no index of the points already found.  Along a run only the
-    moving coordinates rise, by one per step, so a tight pair of an
-    earlier section holds at every step, at no step, or at exactly one;
-    all of a section's pairs then hold at every step, at none, or at one,
-    and the run is checked in O(pairs).  Yields (row, moving, length,
-    covered): covered holds the steps some earlier section already has,
-    as a set, or as range(length) when one has them all.  n = 0 gives
-    one run, the origin: the one minimal element of T^(0).
+    needs no index of the points already found.  The walk of each section
+    makes that test against the sections before it and yields (row,
+    moving, length, covered): covered holds the steps some earlier
+    section already has, as a set, or as range(length) when one has them
+    all.  n = 0 gives one run, the origin: the one minimal element of
+    T^(0).
 
     With a limit, it raises BudgetExceeded once a section has more than
     that many points, or, at the end of a section, once more than that
@@ -129,58 +141,11 @@ def _generator_runs(p, n, limit=None, reach=None):
     earlier = []  # tight pairs (ix, iy, d) of the sections already swept
     found = 0
     for c in _sections(p, eps):
-        tests = None
-        for row, moving, length, _ in _section_runs(c, m, limit, reach):
+        for run in _section_runs(c, m, limit, reach, earlier):
             if limit is not None and found > limit:
                 continue  # only the section's own size is still checked
-            if tests is None:
-                tests = _step_tests(earlier, moving)
-            covered = _covered_steps(tests, row + (0,), length)
-            found += length - len(covered)
-            yield row, moving, length, covered
+            found += run[2] - len(run[3])
+            yield run
         if limit is not None and found > limit:
             raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
         earlier.append(_tight_pairs(c, m))
-
-
-def _step_tests(earlier, moving):
-    """Per earlier section: its pairs split into fixed ones and ones that move.
-
-    A moving pair (ix, iy, d, s) holds at step (d - w[ix] + w[iy]) * s of a
-    run starting at w, where s = +-1 is the slope of w[ix] - w[iy].
-    """
-    moves = set(moving)
-    tests = []
-    for pairs in earlier:
-        fixed, sloped = [], []
-        for ix, iy, d in pairs:
-            s = (ix in moves) - (iy in moves)
-            if s:
-                sloped.append((ix, iy, d, s))
-            else:
-                fixed.append((ix, iy, d))
-        tests.append((fixed, sloped))
-    return tests
-
-
-def _covered_steps(tests, w, length):
-    """Steps 0 .. length-1 of the run from w on which some section's pairs all hold."""
-    covered = set()
-    for fixed, sloped in tests:
-        for ix, iy, d in fixed:
-            if w[ix] - w[iy] != d:
-                break
-        else:
-            step = None
-            for ix, iy, d, s in sloped:
-                j = (d - w[ix] + w[iy]) * s
-                if step is None:
-                    step = j
-                elif j != step:
-                    break
-            else:
-                if step is None:
-                    return range(length)
-                if 0 <= step < length:
-                    covered.add(step)
-    return covered

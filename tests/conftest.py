@@ -5,7 +5,8 @@ DFS, powerset filtering, brute-force pair search, build-then-filter
 sequence enumeration, the node-wise re-checking search of reduced
 sequences, the down-set scan for minimality, the degree-box
 sweeps of T^(n) and of one section, the sums of degree-one generators,
-the walk over every run of the sections, the residue search for fresh
+the walk over every run of the sections, the first-section check made
+run by run, the degrees of every listed generator, the residue search for fresh
 Frobenius vectors, the bound scans of lattice joins and meets, the
 distributive law on every triple) so the library code is never checked
 against itself.
@@ -18,11 +19,13 @@ from operator import add, sub
 import pytest
 from hypothesis import strategies as st
 
+from hibi.cones import _run_values, _section_runs, _sections, _tight_pairs
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
+from hibi.fiber import _generator_runs
 from hibi.labelings import Labeling
 from hibi.poset import TOP, build_poset, poset_ideals, qdist
-from hibi.sequences import CondNSeq, is_q_reduced, q_max, q_value
+from hibi.sequences import CondNSeq, is_q_reduced, q0, q_max, q_value
 
 
 @pytest.fixture(scope="session")
@@ -329,6 +332,78 @@ def generators_sumset(p, n):
 def run_count(runs):
     """Points of runs (row, moving, length, covered), by walking every run."""
     return sum(length - len(covered) for _, _, length, covered in runs)
+
+
+def step_tests(earlier, moving):
+    """Per earlier section: its pairs split into fixed ones and ones that move.
+
+    A moving pair (ix, iy, d, s) holds at step (d - w[ix] + w[iy]) * s of a
+    run starting at w, where s = +-1 is the slope of w[ix] - w[iy].
+    """
+    moves = set(moving)
+    tests = []
+    for pairs in earlier:
+        fixed, sloped = [], []
+        for ix, iy, d in pairs:
+            s = (ix in moves) - (iy in moves)
+            if s:
+                sloped.append((ix, iy, d, s))
+            else:
+                fixed.append((ix, iy, d))
+        tests.append((fixed, sloped))
+    return tests
+
+
+def covered_steps(tests, w, length):
+    """Steps 0 .. length-1 of the run from w on which some section's pairs all hold."""
+    covered = set()
+    for fixed, sloped in tests:
+        for ix, iy, d in fixed:
+            if w[ix] - w[iy] != d:
+                break
+        else:
+            step = None
+            for ix, iy, d, s in sloped:
+                j = (d - w[ix] + w[iy]) * s
+                if step is None:
+                    step = j
+                elif j != step:
+                    break
+            else:
+                if step is None:
+                    return range(length)
+                if 0 <= step < length:
+                    covered.add(step)
+    return covered
+
+
+def first_section_runs(p, n):
+    """Per section of sign n, in enumerate_N order: (section, its runs at |n|).
+
+    Each run of the section's own walk gets the steps that an earlier
+    section's pairs all hold on, found run by run: along a run only the
+    moving coordinates rise, by one per step, so a pair holds at every
+    step, at none, or at exactly one.  covered is a set, or range(length)
+    when some earlier section holds on the whole run.
+    """
+    m = abs(n)
+    earlier = []
+    out = []
+    for c in _sections(p, 1 if n > 0 else -1):
+        runs = []
+        for row, moving, length, _ in _section_runs(c, m):
+            covered = covered_steps(step_tests(earlier, moving), row + (0,), length)
+            runs.append((row, moving, length, covered))
+        out.append((c, runs))
+        earlier.append(_tight_pairs(c, m))
+    return out
+
+
+def degree_range_listing(p, n):
+    """degree_range by listing: the degrees of every generator, as a set."""
+    lo, hi = q0(p, n), q_max(p, n)
+    degrees = {v[0] for v in _run_values(_generator_runs(p, n))}
+    return lo, hi, degrees == set(range(lo, hi + 1))
 
 
 def lattice_points_sweep(c, n):

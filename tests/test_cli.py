@@ -16,6 +16,7 @@ import hibi
 import hibi.cli as cli
 from hibi.cli import main, run_command
 from hibi.errors import DocumentError
+from hibi.labelings import INT64_MAX
 
 P1_TEXT = """{
   "name": "mine",
@@ -556,6 +557,29 @@ def test_lattice_and_selftest_outputs_are_pinned(tmp_path):
     }
 
 
+def test_polytope_intersections_are_pinned():
+    """Exit codes and texts, hashed, as listing both sections and filtering gave them."""
+    digests = {}
+    for name in ("P1", "P2"):
+        p = hibi.corpus.builtin(name)
+        for f in ("table", "json"):
+            argvs = [
+                ["polytope", name, "--eps", str(eps), "--n", str(n), "--format", f]
+                + ["--seq", ",".join(a.seq.items), "--intersect", ",".join(b.seq.items)]
+                for eps in (1, -1)
+                for a in hibi.cones._sections(p, eps)
+                for b in hibi.cones._sections(p, eps)
+                for n in (1, 2, 3)
+            ]
+            digests[name, f] = len(argvs), _output_digest(argvs)
+    assert digests == {
+        ("P1", "table"): (15, "abcccebacdaf05b46a061b9a407fa07251f8afeea2c1e49d9a52332254ada8d7"),
+        ("P1", "json"): (15, "dc2a38d4ddc441b1ee9fb12b9f586c8c09fde85f8c3a54e59c3e98a773513d6e"),
+        ("P2", "table"): (60, "76dd30005636e95f7f0c60fdcc57e2ef98c890c11bd1b37c111c12a082f311da"),
+        ("P2", "json"): (60, "3e8337cf83a868c92947d0445215008252d485ac35c44785db30c73450610abf"),
+    }
+
+
 def _fan_document(tmp_path, size=1100):
     """A bottom x0 covered by size - 1 incomparable elements."""
     names = ["x0"] + [f"e{i}" for i in range(1, size)]
@@ -596,6 +620,12 @@ def test_values_past_64_bits_are_invalid_input():
         assert run_command(polytope) == want
         assert run_command(polytope + ["--seq", "", "--intersect", ""]) == want
         assert run_command(polytope + ["--format", "json"]) == want
+    # P2's section of y1,x1 leaves the range at this dilation, and its
+    # common points with the empty sequence's section do not
+    n = str(INT64_MAX // 4)
+    meet = ["polytope", "P2", "--eps", "1", "--n", n, "--seq", "y1,x1", "--intersect", ""]
+    text = "invalid input: labeling value 11529215046068469755 exceeds the 64-bit range"
+    assert run_command(meet) == (2, text)
 
 
 # P1 with ids that a format string or a %-template would misread

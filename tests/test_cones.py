@@ -23,7 +23,7 @@ from hibi import (
     p_nonmin,
     witness_partition,
 )
-from hibi.cones import _closure, _point_count, _run_values, _section_runs
+from hibi.cones import _dilation, _meet, _point_count, _run_values, _section_runs
 from hibi.corpus import chain
 from hibi.labelings import INT64_MAX, INT64_MIN
 from test_labelings import V1, V2, V3
@@ -229,7 +229,7 @@ def test_closed_kernel_matches_sweep_on_sections_of_the_other_sign(corpus):
                 for n in (1, 2):
                     want = lattice_points_sweep(c, n)
                     assert _values(c, n) == want
-                    assert (_closure(c, n) is None) == (not want)
+                    assert (_dilation(c, n) is None) == (not want)
                     empty += not want
     assert empty > 0
 
@@ -262,6 +262,37 @@ def test_section_count_and_values_match_sweep_random(p):
             assert _point_count(c, n) == run_count(runs) == len(want)
 
 
+def _meet_by_filtering(a, b, n):
+    """The points of section a at dilation n that section b also has, in a's order."""
+    points_b = set(lattice_points(b, n))
+    return tuple(nu for nu in lattice_points(a, n) if nu in points_b)
+
+
+def test_meet_lists_the_common_points_on_corpus(corpus):
+    proper = 0
+    for _, p in corpus:
+        for eps in (1, -1):
+            sections = [build_C(p, eps, seq) for seq in enumerate_N(p, eps)]
+            for a in sections:
+                for b in sections:
+                    for n in (1, 2, 3):
+                        want = _meet_by_filtering(a, b, n)
+                        assert lattice_points(_meet(a, b), n) == want
+                        proper += len(want) < len(lattice_points(a, n))
+    assert proper > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_extra=6))
+def test_meet_lists_the_common_points_random(p):
+    for eps in (1, -1):
+        sections = [build_C(p, eps, seq) for seq in enumerate_N(p, eps)]
+        for a in sections:
+            for b in sections:
+                for n in (1, 2):
+                    assert lattice_points(_meet(a, b), n) == _meet_by_filtering(a, b, n)
+
+
 def test_contradictory_pins_give_an_empty_section(poset1):
     # x tied to y and to the top, w to both as well: the two ties from the
     # top to y disagree (y = 0 through x, y = -1 through w)
@@ -269,7 +300,7 @@ def test_contradictory_pins_give_an_empty_section(poset1):
     g0, g1 = c.g_parts
     pinned = c._replace(g_parts=(g0 | {"x"}, g1 | {"w"}))
     assert lattice_points_sweep(pinned, 1) == ()
-    assert _closure(pinned, 1) is None
+    assert _dilation(pinned, 1) is None
     assert lattice_points(pinned, 1) == ()
     assert _point_count(pinned, 1) == 0
 
@@ -280,13 +311,11 @@ def test_closed_bounds_are_attained(corpus):
             for seq in enumerate_N(p, eps):
                 c = build_C(p, eps, seq)
                 for n in (1, 2, 3):
-                    pins, d = _closure(c, n)
-                    top = len(d) - 1
                     pts = _values(c, n)
-                    for i, (k, off) in enumerate(pins):
+                    for i, (lo, hi) in enumerate(_dilation(c, n).bounds):
                         column = [v[i] for v in pts]
-                        assert min(column) == off - d[k][top]
-                        assert max(column) == off + d[top][k]
+                        assert min(column) == lo
+                        assert max(column) == hi
 
 
 def test_values_past_64_bits_overflow_exactly():

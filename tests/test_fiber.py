@@ -6,7 +6,14 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import generators_box, lattice_points_sweep, run_count, small_posets
+from conftest import (
+    degree_range_listing,
+    first_section_runs,
+    generators_box,
+    lattice_points_sweep,
+    run_count,
+    small_posets,
+)
 from hibi import (
     BudgetExceeded,
     analytic_spread,
@@ -26,8 +33,10 @@ from hibi import (
     q_max,
     zero_labeling,
 )
-from hibi.corpus import UPWARD_PURE_NAMES, antichain, builtin, chain, upward_pure
+from hibi.cones import _point_count, _section_runs, _sections, _tight_pairs
+from hibi.corpus import UPWARD_PURE_NAMES, antichain, builtin, chain, p1, p2, upward_pure
 from hibi.fiber import _generator_count, _generator_runs
+from hibi.frobenius import Budget
 from hibi.poset import build_poset
 from test_labelings import V1, V2, V3
 
@@ -43,6 +52,12 @@ def test_hilbert_p1(poset1):
 def test_hilbert_rejects_negative(poset1):
     with pytest.raises(ValueError):
         fiber_hilbert(poset1, -1, -1)
+
+
+def test_hilbert_rejects_other_eps(poset1):
+    for eps, n in ((2, 1), (0, 5), (-2, 1), (0, 0)):
+        with pytest.raises(ValueError, match=r"^eps must be \+1 or -1$"):
+            fiber_hilbert(poset1, eps, n)
 
 
 def test_hilbert_chain_is_constant():
@@ -203,6 +218,79 @@ def test_degree_range_matches_box_route(corpus):
 def test_degree_range_matches_box_route_random(p):
     for n in (1, -1, 2, -2):
         assert degree_range(p, n) == degree_range_box(p, n)
+
+
+def test_degree_range_matches_listing(corpus):
+    for _, p in corpus:
+        for n in (1, -1, 2, -2, 3, -3):
+            assert degree_range(p, n) == degree_range_listing(p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_extra=6))
+def test_degree_range_matches_listing_random(p):
+    for n in (1, -1, 2, -2, 3, -3):
+        assert degree_range(p, n) == degree_range_listing(p, n)
+
+
+def assert_first_section_rule(p, n):
+    """The walk's covered steps and the count against the run-by-run oracle.
+
+    The stream of _generator_runs must be the oracle's, with covered
+    compared as a set, and each section's _point_count, given the
+    sections before it, its uncovered steps.
+    """
+
+    def as_sets(runs):
+        return [(row, moving, length, set(covered)) for row, moving, length, covered in runs]
+
+    want = first_section_runs(p, n)
+    assert as_sets(_generator_runs(p, n)) == as_sets(run for _, runs in want for run in runs)
+    m = abs(n)
+    earlier = []
+    for c, runs in want:
+        assert _point_count(c, m, earlier) == run_count(runs)
+        earlier.append(_tight_pairs(c, m))
+
+
+def test_first_section_rule_matches_the_run_checks_on_corpus(corpus):
+    posets = [p for _, p in corpus] + [_poset_of(text) for text in OVERLAP_COVERS]
+    for p in posets:
+        for n in (1, -1, 2, -2, 3, -3):
+            assert_first_section_rule(p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_extra=6))
+def test_first_section_rule_matches_the_run_checks_random(p):
+    for n in (1, -1, 2, -2, 3, -3):
+        assert_first_section_rule(p, n)
+
+
+def test_a_section_after_itself_keeps_no_point(corpus):
+    # its own pairs hold on every point, so the walk covers whole runs
+    for _, p in corpus:
+        for c in _sections(p, 1) + _sections(p, -1):
+            for m in (1, 2):
+                own = [_tight_pairs(c, m)]
+                assert _point_count(c, m, own) == 0
+                runs = list(_section_runs(c, m, earlier=own))
+                assert runs and all(covered == range(length) for _, _, length, covered in runs)
+
+
+def test_first_section_rule_matches_the_run_checks_at_piece_dilations():
+    # the dilations p**e - 1 of the Frobenius pieces that the default budget admits
+    budget = Budget()
+    primes = [q for q in range(2, budget.max_prime + 1) if all(q % k for k in range(2, q))]
+    dilations = sorted({q**e - 1 for q in primes for e in range(1, budget.max_e + 1)})
+    checked = 0
+    for p in (p1(), p2()):
+        for m in dilations:  # the pieces grow with the dilation
+            if _generator_count(p, -m) > budget.max_piece:
+                break
+            assert_first_section_rule(p, -m)
+            checked += 1
+    assert checked == len(dilations) + 6  # all of P1's, P2's up to 3**2 - 1
 
 
 def budget_message_by_sections(p, n, limit):
