@@ -8,12 +8,15 @@ The sets G_i collect the elements squeezed between x_i and y_i whose two
 half distances add up exactly; on G the coordinates are pinned affinely
 to the y anchors, which is why dim C = #(P minus G) + t.
 
-Each dilation is prepared once, as one plan (_dilation): closed bounds,
-free classes in levels, and the first-section rule of the fiber cone (a
-point is left to the first section, in enumerate_N order, whose pairs it
-is tight on) checked level by level.  One closed walk (_section_runs)
-lists the plan's points as runs, one memoized sweep (_point_count)
-counts them, and reaches and degree ranges are read off its bounds.
+Each dilation is prepared as one plan (_dilation): closed bounds, free
+classes in levels, and the first-section rule of the fiber cone (a point
+is left to the first section, in enumerate_N order, whose pairs it is
+tight on) checked level by level.  Every weight of the n-fold system is
+n times its weight at n = 1, so a plan is built once per section, at
+unit scale, kept by the poset, and scaled by n on each use.  One closed
+walk (_section_runs) lists the plan's points as runs, one memoized sweep
+(_point_count) counts them, and reaches and degree ranges are read off
+its bounds.
 """
 
 from collections import namedtuple
@@ -132,8 +135,8 @@ def _close(size, covers):
     return d
 
 
-def _contraction(c, n):
-    """The n-fold dilation's cover bounds between tied classes, or None if a tie fails.
+def _contraction(c):
+    """The first dilation's cover bounds between tied classes, or None if a tie fails.
 
     The pins of the G parts tie coordinates together at fixed offsets, so
     each tied class is contracted first: to the top when it holds the top,
@@ -141,13 +144,11 @@ def _contraction(c, n):
     = (k, off) says nu(i) = x_k + off, where the classes x_0 .. x_K, K =
     size - 1, are numbered in canonical order of their first coordinate;
     the last pin is the top's, in x_K, which is fixed at 0.  covers maps
-    (a, b) to the tightest cover gap (at least n eps) as an upper bound on
+    (a, b) to the tightest cover gap (at least eps) as an upper bound on
     x_b - x_a, for a != b, before any closure.
     """
-    if n < 1:
-        raise ValueError("dilation must be positive")
     p = c.poset
-    ne = n * c.epsilon
+    eps = c.epsilon
     idx = p.index
     m = len(p.elements)
     ties = [[] for _ in range(m + 1)]  # (j, w): nu(j) = nu(i) + w; m is the top
@@ -155,7 +156,7 @@ def _contraction(c, n):
         a = m if y == TOP else idx[y]
         for z in part:
             if z != TOP and z != y:
-                off = qdist(p, ne, z, y)
+                off = qdist(p, eps, z, y)
                 ties[a].append((idx[z], off))
                 ties[idx[z]].append((a, -off))
     root = [None] * (m + 1)
@@ -182,7 +183,7 @@ def _contraction(c, n):
         ka, oa = pins[i]
         for b in p.up_covers[z]:
             kb, ob = pins[m if b == TOP else idx[b]]
-            w = oa - ob - ne  # nu(b) - nu(i) <= -n eps
+            w = oa - ob - eps  # nu(b) - nu(i) <= -eps
             if ka == kb:
                 if w < 0:
                     return None
@@ -198,13 +199,17 @@ _Plan = namedtuple("_Plan", "pins bounds boxes ups lows fronts last_read checks 
 def _dilation(c, n, earlier=()):
     """The plan of the n-fold dilation, or None when it is empty.
 
-    The cover bounds are contracted on the pins (_contraction), closed
-    (_close) and checked against the 64-bit range.  No degree box is
-    needed: cover paths to the top bound each coordinate below, and the
-    pins with the cover gaps bound the bottom, hence every coordinate,
-    above by the sequence's q-value.  A class the closure fixes to the
-    top is a constant; each other class is a level, in canonical order
-    of first coordinates.  x[t] is the value of level t, and x[-1] = 0.
+    Every weight of the n-fold system is n times its weight at n = 1: the
+    cover gaps, the pin offsets qdist(p, n eps, z, y) = n qdist(p, eps, z,
+    y) and the earlier sections' pairs.  Min-plus closure commutes with
+    that scaling, and which classes are fixed, which levels read which and
+    which pairs can hold do not change with it.  So the poset keeps one
+    plan per section and earlier sections, built at n = 1 (_unit_plan),
+    and the n-fold plan is that plan with its values scaled by n.  The
+    64-bit check is made on the scaled bounds, so a failed n leaves the
+    kept plan as it was.
+
+    x[t] is the value of level t, and x[-1] = 0.
 
     - pins[i] = (t, off): coordinate i is x[t] + off.
     - bounds[i]: the lowest and highest value of coordinate i, attained.
@@ -223,21 +228,63 @@ def _dilation(c, n, earlier=()):
       when some earlier section holds on every point.
 
     earlier holds one tuple of pairs (i, j, w) per earlier section
-    (_tight_pairs); a point with nu(i) - nu(j) = w on every pair of one
-    of them lies in that section.
+    (_tight_pairs, at n = 1); a point of the n-fold dilation with nu(i) -
+    nu(j) = n w on every pair of one of them lies in that section.  The
+    plan is shared, so all of it is tuples.
     """
-    contracted = _contraction(c, n)
+    if n < 1:
+        raise ValueError("dilation must be positive")
+    earlier = tuple(earlier)
+    key = (c.epsilon, c.equalities, c.g_parts, earlier)
+    plans = c.poset._plans
+    try:
+        plan = plans[key]
+    except KeyError:
+        plan = plans[key] = _unit_plan(c, earlier)
+    if plan is None:
+        return None
+    bounds = plan.bounds if n == 1 else tuple((n * lo, n * hi) for lo, hi in plan.bounds)
+    for extremes in bounds:
+        for v in extremes:
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+    if n == 1:
+        return plan
+    return plan._replace(
+        pins=_scaled(plan.pins, n),
+        bounds=bounds,
+        boxes=tuple([(n * lo, n * hi) for lo, hi in plan.boxes]),
+        ups=tuple([_scaled(up, n) for up in plan.ups]),
+        lows=tuple([_scaled(low, n) for low in plan.lows]),
+        checks=tuple(
+            [tuple([(bit, _scaled(tests, n)) for bit, tests in level]) for level in plan.checks]
+        ),
+    )
+
+
+def _scaled(pairs, n):
+    """(u, n w) for each (u, w) of pairs."""
+    return tuple([(u, n * w) for u, w in pairs])
+
+
+def _unit_plan(c, earlier):
+    """The plan of the first dilation (_dilation), before its 64-bit check; None if empty.
+
+    The cover bounds are contracted on the pins (_contraction) and closed
+    (_close).  No degree box is needed: cover paths to the top bound each
+    coordinate below, and the pins with the cover gaps bound the bottom,
+    hence every coordinate, above by the sequence's q-value.  A class the
+    closure fixes to the top is a constant; each other class is a level,
+    in canonical order of first coordinates.
+    """
+    contracted = _contraction(c)
     d = None if contracted is None else _close(*contracted[1:])
     if d is None:
         return None
     pins, _, covers = contracted
     top = len(d) - 1
     dtop = d[top]
-    bounds = [(off - d[k][top], off + dtop[k]) for k, off in pins[:-1]]
-    for extremes in bounds:
-        for v in extremes:
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+    bounds = tuple([(off - d[k][top], off + dtop[k]) for k, off in pins[:-1]])
     free = [k for k in range(top) if dtop[k] + d[k][top] != 0]
     level = {k: t for t, k in enumerate(free)}
     r = len(free)
@@ -276,18 +323,30 @@ def _dilation(c, n, earlier=()):
     for t, earlier_levels in enumerate(reads):
         for u in earlier_levels:
             last_read[u] = t
-    fronts, front = [], []
+    fronts, front = [], ()
     for t in range(r):
         fronts.append(front)
-        front = [u for u in front if last_read[u] > t] + [t] * (last_read[t] > t)
+        front = tuple([u for u in front if last_read[u] > t] + [t] * (last_read[t] > t))
     boxes, ups, lows = [], [], []
     for f, front in zip(free, fronts):
         df = d[f]
         boxes.append((-df[top], dtop[f]))
-        ups.append([(u, d[free[u]][f]) for u in front if d[free[u]][f] != d[free[u]][top] + dtop[f]])
-        lows.append([(u, df[free[u]]) for u in front if df[free[u]] != df[top] + dtop[free[u]]])
+        ups.append(tuple([(u, d[free[u]][f]) for u in front if d[free[u]][f] != d[free[u]][top] + dtop[f]]))
+        lows.append(tuple([(u, df[free[u]]) for u in front if df[free[u]] != df[top] + dtop[free[u]]]))
     keeps = [~sum(bit for bit, _ in level_checks) for level_checks in checks]
-    return _Plan(tuple(at[:-1]), bounds, boxes, ups, lows, fronts, last_read, checks, ends, keeps, live)
+    return _Plan(
+        tuple(at[:-1]),
+        bounds,
+        tuple(boxes),
+        tuple(ups),
+        tuple(lows),
+        tuple(fronts),
+        tuple(last_read),
+        tuple(map(tuple, checks)),
+        tuple(ends),
+        tuple(keeps),
+        live,
+    )
 
 
 def _holding(mask, level_checks, x, lo, hi):
@@ -403,14 +462,14 @@ def _section_runs(c, n, limit=None, reach=None, earlier=()):
             entering = True
 
 
-def _tight_pairs(c, n):
-    """The section's pairs at dilation n as (i, j, w): nu(i) - nu(j) = w on its points.
+def _tight_pairs(c):
+    """The section's pairs as (i, j, w): nu(i) - nu(j) = n w on the n-fold dilation's points.
 
     i and j are canonical positions, with j = len(elements) for the top.
     """
     idx = c.poset.index
     top = len(c.poset.elements)
-    return tuple((idx[x], top if y == TOP else idx[y], n * d) for x, y, d in c.equalities)
+    return tuple((idx[x], top if y == TOP else idx[y], d) for x, y, d in c.equalities)
 
 
 def _run_values(runs):
@@ -520,9 +579,8 @@ def _over(n, limit):
 def _section_reach(c, n):
     """Largest coordinate magnitude over the n-fold dilation; 0 when it is empty.
 
-    Every weight of the closed system is n times its weight at n = 1, and
-    min-plus closure commutes with that scaling, so the reach is n times
-    the reach at n = 1.
+    The plan is the first dilation's scaled by n (_dilation), so the
+    reach is n times the reach at n = 1.
     """
     plan = _dilation(c, n)
     return 0 if plan is None else max(max(-lo, hi) for lo, hi in plan.bounds)

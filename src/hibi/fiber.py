@@ -107,11 +107,11 @@ def _generator_count(p, n):
     if n == 0:
         return 1
     m = abs(n)
-    earlier = []
+    earlier = ()
     total = 0
     for c in _sections(p, 1 if n > 0 else -1):
         total += _point_count(c, m, earlier)
-        earlier.append(_tight_pairs(c, m))
+        earlier += (_tight_pairs(c),)
     return total
 
 
@@ -138,7 +138,7 @@ def _generator_runs(p, n, limit=None, reach=None):
         return
     eps = 1 if n > 0 else -1
     m = abs(n)
-    earlier = []  # tight pairs (ix, iy, d) of the sections already swept
+    earlier = ()  # unit tight pairs (ix, iy, d) of the sections already swept
     found = 0
     for c in _sections(p, eps):
         for run in _section_runs(c, m, limit, reach, earlier):
@@ -148,4 +148,4 @@ def _generator_runs(p, n, limit=None, reach=None):
             yield run
         if limit is not None and found > limit:
             raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
-        earlier.append(_tight_pairs(c, m))
+        earlier += (_tight_pairs(c),)

@@ -28,8 +28,8 @@ cap, rather than truncating.  Nothing is cached between calls: a piece
 lives only as long as the call that builds it, and tcx_report builds each
 piece once per prime, from the bottom up.  A packing is sized from the
 exponent being built, never from e_max alone: tcx_report's serves up to
-four times the current e and is laid out anew, repacking the pieces it
-holds, when e passes that.
+four times the current e and is laid out anew, streaming the pieces it
+holds again, when e passes that.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -338,11 +338,10 @@ def tcx_report(target, primes, e_max, budget=None):
             if packing is None or e > packing.top:
                 # A packing made at e serves up to 4e: a packed int is at most
                 # about four times as wide as piece e needs, and the held
-                # pieces are repacked about log_4(e_max) times in all.
-                grown = _Packing(width, unit, prime, min(e_max, 4 * e))
-                for k, piece in pieces.items():
-                    pieces[k] = set(map(grown.pack, map(packing.unpack, piece)))
-                packing = grown
+                # pieces are streamed again about log_4(e_max) times in all.
+                packing = _Packing(width, unit, prime, min(e_max, 4 * e))
+                for k in pieces:
+                    pieces[k] = set(_piece(runs, prime**k - 1, budget.max_piece, packing))
             pieces[e] = set(_piece(runs, prime**e - 1, budget.max_piece, packing))
             # the last piece is not read again, so its fresh set can be itself
             fresh = pieces[e] if e == e_max else set(pieces[e])

@@ -21,7 +21,9 @@ poset; no module keeps a cache keyed by a poset.  It owns:
 - _cover_pairs: the covers of P+ as index pairs (for the T^(n) tests);
 - _ideals: the nonempty down-sets (poset_ideals);
 - _reduced: the reduced sequences per sign eps (sequences.enumerate_N);
-- _sections: the sections of those sequences per sign (cones._sections).
+- _sections: the sections of those sequences per sign (cones._sections);
+- _plans: the dilation plan of each section, given the sections before it,
+  at unit scale (cones._dilation scales it by n).
 """
 
 import heapq
@@ -118,6 +120,11 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
     @cached_property
     def _sections(self):
         """eps -> the sections of the reduced sequences; filled by cones._sections."""
+        return {}
+
+    @cached_property
+    def _plans(self):
+        """(eps, equalities, g_parts, earlier) -> unit plan; filled by cones._dilation."""
         return {}
 
     def leq(self, x, y):

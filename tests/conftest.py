@@ -6,7 +6,7 @@ sequence enumeration, the node-wise re-checking search of reduced
 sequences, the down-set scan for minimality, the degree-box
 sweeps of T^(n) and of one section, the sums of degree-one generators,
 the walk over every run of the sections, the first-section check made
-run by run, the degrees of every listed generator, the residue search for fresh
+run by run, the dilation plan built afresh at each n, the degrees of every listed generator, the residue search for fresh
 Frobenius vectors, the bound scans of lattice joins and meets, the
 distributive law on every triple) so the library code is never checked
 against itself.
@@ -19,11 +19,11 @@ from operator import add, sub
 import pytest
 from hypothesis import strategies as st
 
-from hibi.cones import _run_values, _section_runs, _sections, _tight_pairs
+from hibi.cones import _close, _Plan, _run_values, _section_runs, _sections, _tight_pairs
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
 from hibi.fiber import _generator_runs
-from hibi.labelings import Labeling
+from hibi.labelings import INT64_MAX, INT64_MIN, Labeling
 from hibi.poset import TOP, build_poset, poset_ideals, qdist
 from hibi.sequences import CondNSeq, is_q_reduced, q0, q_max, q_value
 
@@ -395,8 +395,134 @@ def first_section_runs(p, n):
             covered = covered_steps(step_tests(earlier, moving), row + (0,), length)
             runs.append((row, moving, length, covered))
         out.append((c, runs))
-        earlier.append(_tight_pairs(c, m))
+        earlier.append(tuple((i, j, m * d) for i, j, d in _tight_pairs(c)))
     return out
+
+
+def dilation_fresh(c, n, earlier=()):
+    """cones._dilation built afresh at n: no kept plan, nothing scaled.
+
+    Contracts the pins with their offsets at n eps, closes the cover
+    bounds, makes the 64-bit check and lays out the levels, the fronts and
+    the earlier sections' checks from the n-fold weights.  earlier holds
+    unit pairs, as _dilation takes them; they are scaled by n here.
+    """
+    if n < 1:
+        raise ValueError("dilation must be positive")
+    p = c.poset
+    ne = n * c.epsilon
+    idx = p.index
+    m = len(p.elements)
+    ties = [[] for _ in range(m + 1)]  # (j, w): nu(j) = nu(i) + w; m is the top
+    for (_, y, _), part in zip(c.equalities, c.g_parts):
+        a = m if y == TOP else idx[y]
+        for z in part:
+            if z != TOP and z != y:
+                off = qdist(p, ne, z, y)
+                ties[a].append((idx[z], off))
+                ties[idx[z]].append((a, -off))
+    root = [None] * (m + 1)
+    offset = [0] * (m + 1)
+    reps = []
+    for r in [m] + list(range(m)):
+        if root[r] is not None:
+            continue
+        root[r] = r
+        reps.append(r)
+        stack = [r]
+        while stack:
+            a = stack.pop()
+            for b, w in ties[a]:
+                if root[b] is None:
+                    root[b], offset[b] = r, offset[a] + w
+                    stack.append(b)
+                elif offset[b] != offset[a] + w:
+                    return None
+    number = {r: k for k, r in enumerate(reps[1:] + [m])}  # reps[0] is the top
+    pins = [(number[root[i]], offset[i]) for i in range(m + 1)]
+    covers = {}
+    for i, z in enumerate(p.elements):
+        ka, oa = pins[i]
+        for b in p.up_covers[z]:
+            kb, ob = pins[m if b == TOP else idx[b]]
+            w = oa - ob - ne  # nu(b) - nu(i) <= -n eps
+            if ka == kb:
+                if w < 0:
+                    return None
+            elif w < covers.get((ka, kb), float("inf")):
+                covers[ka, kb] = w
+    d = _close(len(reps), covers)
+    if d is None:
+        return None
+    top = len(d) - 1
+    dtop = d[top]
+    bounds = [(off - d[k][top], off + dtop[k]) for k, off in pins[:-1]]
+    for extremes in bounds:
+        for v in extremes:
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise OverflowError(f"labeling value {v} exceeds the 64-bit range")
+    free = [k for k in range(top) if dtop[k] + d[k][top] != 0]
+    level = {k: t for t, k in enumerate(free)}
+    r = len(free)
+    at = [(level[k], off) if k in level else (-1, off + dtop[k]) for k, off in pins]
+    reads = [set() for _ in range(r)]
+    for a, b in covers:
+        if a in level and b in level:
+            ta, tb = sorted((level[a], level[b]))
+            reads[tb].add(ta)
+    checks = [[] for _ in range(r)]
+    ends = [0] * r
+    live = 0
+    for s, pairs in enumerate(earlier):
+        tests = {}
+        for i, j, w in pairs:
+            (ua, oa), (ub, ob) = at[i], at[j]
+            w = n * w + ob - oa  # x[ua] - x[ub] = w
+            if ua == ub:
+                if w:
+                    break
+            elif ua > ub:
+                tests.setdefault(ua, []).append((ub, w))
+            else:
+                tests.setdefault(ub, []).append((ua, -w))
+        else:
+            if not tests:
+                live = None
+                break
+            bit = 1 << s
+            live |= bit
+            ends[max(tests)] |= bit
+            for t, test in tests.items():
+                checks[t].append((bit, tuple(test)))
+                reads[t].update(u for u, _ in test if u >= 0)
+    last_read = [-1] * r
+    for t, earlier_levels in enumerate(reads):
+        for u in earlier_levels:
+            last_read[u] = t
+    fronts, front = [], []
+    for t in range(r):
+        fronts.append(tuple(front))
+        front = [u for u in front if last_read[u] > t] + [t] * (last_read[t] > t)
+    boxes, ups, lows = [], [], []
+    for f, front in zip(free, fronts):
+        df = d[f]
+        boxes.append((-df[top], dtop[f]))
+        ups.append(tuple((u, d[free[u]][f]) for u in front if d[free[u]][f] != d[free[u]][top] + dtop[f]))
+        lows.append(tuple((u, df[free[u]]) for u in front if df[free[u]] != df[top] + dtop[free[u]]))
+    keeps = [~sum(bit for bit, _ in level_checks) for level_checks in checks]
+    return _Plan(
+        tuple(at[:-1]),
+        tuple(bounds),
+        tuple(boxes),
+        tuple(ups),
+        tuple(lows),
+        tuple(fronts),
+        tuple(last_read),
+        tuple(map(tuple, checks)),
+        tuple(ends),
+        tuple(keeps),
+        live,
+    )
 
 
 def degree_range_listing(p, n):

@@ -557,6 +557,60 @@ def test_lattice_and_selftest_outputs_are_pinned(tmp_path):
     }
 
 
+# Commands that share P1 and what it keeps: its sections and their plans.
+KEPT_DATA_BATTERY = (
+    ["analyze", "P1"],
+    ["generators", "P1", "--n", "1"],
+    ["generators", "P1", "--n", "-1"],
+    ["generators", "P1", "--n", "2"],
+    ["generators", "P1", "--n", "-2"],
+    ["polytope", "P1", "--n", "1"],
+    ["polytope", "P1", "--n", "2"],
+    ["polytope", "P1", "--eps", "1", "--n", "2", "--format", "json"],
+    ["polytope", "P1", "--eps", "-1", "--n", "2", "--seq", "y,x", "--intersect", ""],
+    ["frobenius", "P1", "--prime", "2,3", "--emax", "3"],
+    ["selftest"],
+)
+
+
+def _results_in_one_process(argvs):
+    """(exit code, text) of each command line, run in order in a new process."""
+    code = (
+        "import json, sys\n"
+        "from hibi.cli import run_command\n"
+        "results = [run_command(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(results))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(result) for result in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_commands_read_the_same_kept_data_in_any_order():
+    battery = [list(argv) for argv in KEPT_DATA_BATTERY]
+    fresh = [_results_in_one_process([argv])[0] for argv in battery]
+    # forwards each command follows those before it, backwards all the others
+    shared = _results_in_one_process(battery + battery[::-1])
+    assert shared == fresh + fresh[::-1]
+    assert [code for code, _ in fresh] == [0] * len(battery)
+
+
+def test_a_dilation_past_64_bits_leaves_the_kept_plans_as_they_were():
+    first = run_command(["generators", "P1", "--n", "1"])
+    huge = run_command(["generators", "P1", "--n", "99999999999999999999"])
+    text = "invalid input: labeling value 399999999999999999996 exceeds the 64-bit range"
+    assert huge == (2, text)
+    assert run_command(["generators", "P1", "--n", "1"]) == first
+    assert first[0] == 0
+
+
 def test_polytope_intersections_are_pinned():
     """Exit codes and texts, hashed, as listing both sections and filtering gave them."""
     digests = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import lattice_points_sweep, run_count, small_posets, t_box
+from conftest import dilation_fresh, lattice_points_sweep, run_count, small_posets, t_box
 from hibi import (
     TOP,
     BudgetExceeded,
@@ -23,7 +23,15 @@ from hibi import (
     p_nonmin,
     witness_partition,
 )
-from hibi.cones import _dilation, _meet, _point_count, _run_values, _section_runs
+from hibi.cones import (
+    _dilation,
+    _meet,
+    _point_count,
+    _run_values,
+    _section_runs,
+    _sections,
+    _tight_pairs,
+)
 from hibi.corpus import chain
 from hibi.labelings import INT64_MAX, INT64_MIN
 from test_labelings import V1, V2, V3
@@ -291,6 +299,61 @@ def test_meet_lists_the_common_points_random(p):
             for b in sections:
                 for n in (1, 2):
                     assert lattice_points(_meet(a, b), n) == _meet_by_filtering(a, b, n)
+
+
+def _plan_cases(p):
+    """(section, earlier) pairs that cover every kind of plan the library builds.
+
+    Each section alone and after the sections before it (the first-section
+    rule), each with the other sign, and every meet of two sections.
+    """
+    for eps in (1, -1):
+        sections = _sections(p, eps)
+        for k, c in enumerate(sections):
+            yield c, ()
+            yield c, tuple(_tight_pairs(b) for b in sections[:k])
+            yield c._replace(epsilon=-eps), ()
+            for b in sections:
+                yield _meet(c, b), ()
+
+
+def _only_tuples(value):
+    """True when value is an int, None, or a tuple built of those all the way down."""
+    if isinstance(value, tuple):
+        return all(map(_only_tuples, value))
+    return value is None or isinstance(value, int)
+
+
+def assert_plans_match_fresh_builds(p):
+    checked = 0
+    for c, earlier in _plan_cases(p):
+        for n in (1, 2, 3, 7, 24):
+            plan = _dilation(c, n, earlier)
+            assert plan == dilation_fresh(c, n, earlier)
+            assert _only_tuples(plan)
+            checked += plan is not None
+    assert checked > 0
+
+
+def test_kept_plans_scale_to_fresh_builds_on_corpus(corpus):
+    for _, p in corpus:
+        assert_plans_match_fresh_builds(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_extra=6))
+def test_kept_plans_scale_to_fresh_builds_random(p):
+    assert_plans_match_fresh_builds(p)
+
+
+def test_a_dilation_past_64_bits_keeps_the_unit_plan():
+    c = build_C(chain(3), 1, ())
+    plan = _dilation(c, 1)
+    with pytest.raises(OverflowError, match="labeling value 9223372036854775808 exceeds"):
+        _dilation(c, INT64_MAX // 4 + 1)
+    assert _dilation(c, 1) is plan
+    with pytest.raises(ValueError, match="dilation must be positive"):
+        _dilation(c, 0)
 
 
 def test_contradictory_pins_give_an_empty_section(poset1):

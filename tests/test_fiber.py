@@ -37,7 +37,7 @@ from hibi.cones import _point_count, _section_runs, _sections, _tight_pairs
 from hibi.corpus import UPWARD_PURE_NAMES, antichain, builtin, chain, p1, p2, upward_pure
 from hibi.fiber import _generator_count, _generator_runs
 from hibi.frobenius import Budget
-from hibi.poset import build_poset
+from hibi.poset import Poset, build_poset
 from test_labelings import V1, V2, V3
 
 
@@ -250,7 +250,7 @@ def assert_first_section_rule(p, n):
     earlier = []
     for c, runs in want:
         assert _point_count(c, m, earlier) == run_count(runs)
-        earlier.append(_tight_pairs(c, m))
+        earlier.append(_tight_pairs(c))
 
 
 def test_first_section_rule_matches_the_run_checks_on_corpus(corpus):
@@ -272,10 +272,29 @@ def test_a_section_after_itself_keeps_no_point(corpus):
     for _, p in corpus:
         for c in _sections(p, 1) + _sections(p, -1):
             for m in (1, 2):
-                own = [_tight_pairs(c, m)]
+                own = [_tight_pairs(c)]
                 assert _point_count(c, m, own) == 0
                 runs = list(_section_runs(c, m, earlier=own))
                 assert runs and all(covered == range(length) for _, _, length, covered in runs)
+
+
+def test_the_poset_keeps_its_plans_whatever_the_dilation():
+    p = Poset(*p2())  # a poset of its own: nothing kept yet
+
+    def sweep(n):
+        for eps in (1, -1):
+            fiber_hilbert(p, eps, n)
+            degree_range(p, eps * n)
+            if n <= 4:  # the listings grow fast
+                generators(p, eps * n)
+
+    sweep(1)
+    # per sign, each section after the sections before it, and each
+    # section but the first alone: (2 + 1) + (4 + 3)
+    assert len(p._plans) == 10
+    for n in range(2, 41):
+        sweep(n)
+    assert len(p._plans) == 10
 
 
 def test_first_section_rule_matches_the_run_checks_at_piece_dilations():
