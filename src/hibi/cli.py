@@ -7,11 +7,10 @@ counts as one), 3 self-test violation, 4 budget exceeded (recursion too
 deep counts as one, and so does running out of memory).
 """
 
-import argparse
 import os
 import sys
-from functools import cache, lru_cache, partial
-from pathlib import Path
+from functools import cache, lru_cache
+from types import SimpleNamespace
 
 from .cones import (
     _dilation,
@@ -47,11 +46,6 @@ class UsageError(Exception):
     """Bad command line; reported with exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(f"{self.prog}: error: {message}")
-
-
 def _bool(value):
     return "true" if value else "false"
 
@@ -81,6 +75,8 @@ def _load(ref):
     """Resolve a poset reference: built-in name, then file, then file stem."""
     if ref in BUILTIN_NAMES:
         return ref, builtin(ref)
+    from pathlib import Path  # a built-in name never needs it
+
     path = Path(ref)
     if path.exists():
         doc = _document(path.read_text(encoding="utf-8"))
@@ -91,14 +87,13 @@ def _load(ref):
     raise ValueError(f"no file or built-in poset named {ref!r}")
 
 
-def _row_format(p, head):
-    """One format string for a row of values: head, then id=value per element.
+def _row_template(p):
+    """One %-template for a row of values: id=value per element.
 
-    Element ids are brace-escaped, so format(*values) fills in the values
-    and nothing else; {0} in head is the bottom's value.
+    Element ids are %-escaped, so template % values fills in the values
+    and nothing else.
     """
-    ids = (z.replace("{", "{{").replace("}", "}}") for z in p.elements)
-    return head + " ".join(f"{z}={{{i}}}" for i, z in enumerate(ids))
+    return " ".join(z.replace("%", "%%") + "=%d" for z in p.elements)
 
 
 def _render_seq(seq):
@@ -165,9 +160,10 @@ def _cmd_generators(args):
             ],
         }
         return 0, _json_text(payload)
-    row = _row_format(p, "  degree {0:>4}  ").format
+    row = _row_template(p)
     lines = [f"poset {name}: {len(gens)} generators for n = {args.n}"]
-    lines += [row(*nu.values) for nu in gens]
+    # values[0], the bottom's value, is the degree
+    lines += ["  degree %4d  " % nu.values[0] + row % nu.values for nu in gens]
     return 0, "\n".join(lines)
 
 
@@ -248,8 +244,8 @@ def _polytope_intersection(name, p, args):
         f"poset {name}: {_render_seq(first)} and {_render_seq(second)} share "
         f"{len(common)} points at n={args.n}"
     ]
-    row = _row_format(p, "  ").format
-    lines += [row(*nu.values) for nu in common]
+    row = _row_template(p)
+    lines += ["  " + row % nu.values for nu in common]
     return 0, "\n".join(lines)
 
 
@@ -405,78 +401,147 @@ def _cmd_selftest(args):
     return code, "\n".join(lines)
 
 
-def _add_common(sub, poset=True, eps=False, n=None):
-    sub.add_argument("--format", choices=("table", "json"), default="table")
-    if eps:
-        sub.add_argument("--eps", type=int, choices=(1, -1), default=-1)
-    if n is not None:
-        sub.add_argument("--n", type=int, **n)
-    if poset:
-        sub.add_argument("poset", help="built-in name or document file")
+_FORMAT = {"--format": {"choices": ("table", "json"), "default": "table"}}
+_EPS = {"--eps": {"type": int, "choices": (1, -1), "default": -1}}
 
-
-def _add_polytope(sub):
-    _add_common(sub, eps=True, n={"default": 1})
-    sub.add_argument("--seq", help="comma-separated sequence items (empty for the empty sequence)")
-    sub.add_argument("--intersect", help="second sequence; report the common lattice points")
-
-
-def _add_frobenius(sub):
-    _add_common(sub)
-    sub.add_argument("--prime", default="2", help="comma-separated primes")
-    sub.add_argument("--emax", type=int, default=2)
-    sub.add_argument("--budget", type=int, default=1_000_000, help="piece size cap")
-
-
-# name -> (help, add_arguments(subparser), handler), in the order of hibi -h
+# The command-line grammar, in the order of hibi -h: name -> (help, handler,
+# whether it takes the poset positional, options).  Options map each flag
+# to its add_argument keywords; one left out has argparse's default: no
+# type (the text itself), no choices, default None, not required.
 COMMANDS = {
-    "analyze": ("one-page summary of a poset", _add_common, _cmd_analyze),
+    "analyze": ("one-page summary of a poset", _cmd_analyze, True, _FORMAT),
     "generators": (
         "minimal generators of the n-th twist",
-        partial(_add_common, n={"required": True}),
         _cmd_generators,
+        True,
+        {**_FORMAT, "--n": {"type": int, "required": True}},
     ),
-    "sequences": ("reduced alternating sequences", partial(_add_common, eps=True), _cmd_sequences),
-    "polytope": ("polytope sections and lattice points", _add_polytope, _cmd_polytope),
-    "spread": ("analytic spread of the chosen side", partial(_add_common, eps=True), _cmd_spread),
-    "level": ("levelness and Gorenstein flags", _add_common, _cmd_level),
-    "frobenius": ("twisted-piece complexity tables", _add_frobenius, _cmd_frobenius),
-    "lattice": ("lattice of nonempty down-sets", _add_common, _cmd_lattice),
-    "selftest": (
-        "run the invariant battery on the corpus",
-        partial(_add_common, poset=False),
-        _cmd_selftest,
+    "sequences": ("reduced alternating sequences", _cmd_sequences, True, {**_FORMAT, **_EPS}),
+    "polytope": (
+        "polytope sections and lattice points",
+        _cmd_polytope,
+        True,
+        {
+            **_FORMAT,
+            **_EPS,
+            "--n": {"type": int, "default": 1},
+            "--seq": {"help": "comma-separated sequence items (empty for the empty sequence)"},
+            "--intersect": {"help": "second sequence; report the common lattice points"},
+        },
     ),
+    "spread": ("analytic spread of the chosen side", _cmd_spread, True, {**_FORMAT, **_EPS}),
+    "level": ("levelness and Gorenstein flags", _cmd_level, True, _FORMAT),
+    "frobenius": (
+        "twisted-piece complexity tables",
+        _cmd_frobenius,
+        True,
+        {
+            **_FORMAT,
+            "--prime": {"default": "2", "help": "comma-separated primes"},
+            "--emax": {"type": int, "default": 2},
+            "--budget": {"type": int, "default": 1_000_000, "help": "piece size cap"},
+        },
+    ),
+    "lattice": ("lattice of nonempty down-sets", _cmd_lattice, True, _FORMAT),
+    "selftest": ("run the invariant battery on the corpus", _cmd_selftest, False, _FORMAT),
 }
+
+
+def _is_value(word):
+    """Whether argparse reads word as a value: no leading dash, or a negative integer."""
+    return word[:1] != "-" or word[1:].isdecimal()
+
+
+def _parse_exact(argv):
+    """The fields argparse parses argv to, if argv uses the COMMANDS table exactly.
+
+    Exactly: the command first; each option by its full flag, at most once,
+    as --flag value or --flag=value, with a value its type and choices take;
+    the poset positional once where the command takes one, and no other
+    word.  Otherwise None, and argparse parses the line: it prints help and
+    names every usage error.  A value or positional that begins with a dash
+    must be a negative integer, which argparse reads as a value, not as an
+    option; argparse also drops a value "--", which is deferred with them.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, takes_poset, options = COMMANDS[argv[0]]
+    given, positionals = {}, []
+    words = iter(argv[1:])
+    for word in words:
+        if word[:2] == "--":
+            flag, equals, value = word.partition("=")
+            value = value if equals else next(words, None)
+            if flag not in options or flag in given or value is None or not _is_value(value):
+                return None
+            given[flag] = value
+        elif _is_value(word):
+            positionals.append(word)
+        else:
+            return None
+    if len(positionals) != int(takes_poset):
+        return None
+    fields = {"command": argv[0], "handler": handler}
+    if takes_poset:
+        fields["poset"] = positionals[0]
+    for flag, spec in options.items():
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            fields[flag[2:]] = spec.get("default")
+            continue
+        value = given[flag]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        fields[flag[2:]] = value
+    return SimpleNamespace(**fields)
 
 
 @cache
 def build_parser(command=None):
     """The hibi parser with the one subcommand named, or with all of them.
 
-    Built once per key and process; parse_args returns a fresh Namespace
-    per call.  A command line is parsed alike by both, but only the full
-    parser can print the top-level help and name the valid commands.
+    Built from COMMANDS once per key and process, and only for a command
+    line that _parse_exact leaves to it; parse_args returns a fresh
+    Namespace per call.  A command line is parsed alike by both parsers,
+    but only the full parser can print the top-level help and name the
+    valid commands.
     """
-    parser = _Parser(prog="hibi", description="poset divisor calculators")
+    import argparse  # a command line that needs no help or usage error never loads it
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(f"{self.prog}: error: {message}")
+
+    parser = Parser(prog="hibi", description="poset divisor calculators")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments, handler = COMMANDS[name]
+        help_text, handler, takes_poset, options = COMMANDS[name]
         sub = commands.add_parser(name, help=help_text)
-        add_arguments(sub)
+        for flag, spec in options.items():
+            sub.add_argument(flag, **spec)
+        if takes_poset:
+            sub.add_argument("poset", help="built-in name or document file")
         sub.set_defaults(handler=handler)
     return parser
 
 
 def run_command(argv):
     """Run one command line; returns (exit code, report text)."""
-    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        return 1, str(exc)
-    except SystemExit as exc:
-        return (exc.code or 0), ""
+    args = _parse_exact(argv)
+    if args is None:
+        parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except UsageError as exc:
+            return 1, str(exc)
+        except SystemExit as exc:
+            return (exc.code or 0), ""
     try:
         return args.handler(args)
     except (BudgetExceeded, RecursionError) as exc:

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hibi
 import hibi.cli as cli
@@ -280,8 +282,93 @@ PARSER_BATTERY = (
         ["frobenius", "P1", "--prime"],
         ["selftest", "P1"],
         ["selftest", "--form", "json", "--format", "bad"],
+        ["level", "--", "P1"],
+        ["level", "P1", "--"],
+        ["level", "P1", "--format", "json", "--format", "table"],
+        ["level", "P1", "--format=json"],
+        ["level", ""],
+        ["level", "-"],
+        ["level", "-1"],
+        ["level", "P1", "-x"],
+        ["generators", "P1", "--n="],
+        ["generators", "P1", "--n", "-\u0661"],
+        ["generators", "P1", "--n", "-1.5"],
+        ["generators", "--n", " -1 ", "P1"],
+        ["spread", "P1", "--eps", "+1"],
+        ["spread", "P1", "--eps", "-1 "],
+        ["polytope", "P1", "--seq", "-x y"],
+        ["frobenius", "P1", "--prime", "-2"],
     ]
 )
+
+# SHA-256 of (exit code, report text, stdout, stderr) for each line of
+# PARSER_BATTERY at 80 columns, as the argparse-only command line gave them.
+PARSER_BATTERY_DIGESTS = (
+    "1fb25080aa178884646ba6de3faf2c42e131bd0979be69f3c669abf233f86d2f",
+    "33d327542a0e7a3208d6a6daafdb6af8827cc88740fdd7099df97a462674f79e",
+    "5fd85a33443dddabb344dea594a4915791ef37fe688640e2a58513dc2152a768",
+    "f3ef8c29884bfddd93cdcc8502a5abc5558dcf1a0428e979cc3ad311e06fd4bf",
+    "5cd4e8011bd767cb9cd14f7c4dd454d6052e6ef691c7981c9ff0d88a8b26b825",
+    "62e3aa2dc70ae8ad1625874509bd9186c1f92416f8e096c8832a72b63470d502",
+    "96420ef7c07a4909ec2ca4a797be6921e78e9160076d0e006b94e72042b358c9",
+    "d8701ed0619a38283a8a4587ed0893880cd6e20c54f5d5aada68e45ef9e69342",
+    "b8f613c671e90826681e692182904c0a6be56e19eeffbe7a0e9d6c8e8ed66e83",
+    "66a9dd645bdbf85cbc03cec2bbc96c1feb7d026e3ac59b12ca52f961683cb0f1",
+    "35db19b3b722c3b0acd49a21e1d11199fb46a49949b4c1f60d32f60323e7c72f",
+    "35db19b3b722c3b0acd49a21e1d11199fb46a49949b4c1f60d32f60323e7c72f",
+    "35db19b3b722c3b0acd49a21e1d11199fb46a49949b4c1f60d32f60323e7c72f",
+    "c7310b511a277db2b1ac9e43ed5719664c503a47391b1ba7fb7fb2340330f871",
+    "c7310b511a277db2b1ac9e43ed5719664c503a47391b1ba7fb7fb2340330f871",
+    "31ee42abc1d02a05fb556bf5da0b104614f56d957de51ff1e81ca4615728e4c3",
+    "2a22c1636309ada364b2c4909e4eabc14297fb8e5fbb4cf6cbf3dd4a218eb926",
+    "c8be38e780df2190466b5bc84c4f2f114cb7afc03ca5a725491f05e6de13f8b3",
+    "62e3aa2dc70ae8ad1625874509bd9186c1f92416f8e096c8832a72b63470d502",
+    "62e3aa2dc70ae8ad1625874509bd9186c1f92416f8e096c8832a72b63470d502",
+    "2fd7945bc0e913f1e5afc1557a518ef5fd2c34301ded0894c0ba9d81e319400a",
+    "feddc86b0eeef13140a504bcac9b385a4d7b725a1687e0d03d26d0ba9a6b765f",
+    "605b8e767ee4233e48510a6035a472f35813a9c2cd267d1e5e1e00e110e7b104",
+    "979b115e1b989d49fcf07bfbfa7cf5bde03c3204e28f071730f4c98620e10cb4",
+    "51cc616f824be73f3b39cd1cc68aadb151231926b4302a90b00abfc229f30459",
+    "3a14faf520a15f48b7e7b0287cca559f65b34a882569d3debad004e8f95b39cb",
+    "85b65f290a1b72029379bf2147fd5ee42568c1daaa7f3892ca758e8986dc5e40",
+    "68c978cff34447afb4124a52054052e094be44e4140a5bc7fbf79a596531ec53",
+    "2fe0108f773a8cfa0e78df3b1dbbebf17ccb92c67c988d743a374739fcaa4f5e",
+    "23478edce3d799bc2e6050dd835bffdf646f9e1ea2c0dab722835aa26f23ebec",
+    "b0184312b5071a699733fabaacc05cc63e3e28528403399e895b555423527937",
+    "34253c5311ece305df52b84b2865049fd6306f3def453674b39fe5f856467e64",
+    "57f51d8630d5ef37d7eee8b79978542525b960098b02b1eeff97702139d21027",
+    "223f784536c2b5f980a8607c36d0532d87112e4b732690ca856a28772e68c618",
+    "8dbe72b644ac3d69b0885887b6cb0e0a5be6835744bfa8c08e7e96610a2c1895",
+    "bb58dce649ecc368fc0774fc12bc7e11ff6a82b3da6e1fc876156178c7ac5cd3",
+    "2fd7945bc0e913f1e5afc1557a518ef5fd2c34301ded0894c0ba9d81e319400a",
+    "2fd7945bc0e913f1e5afc1557a518ef5fd2c34301ded0894c0ba9d81e319400a",
+    "2fd7945bc0e913f1e5afc1557a518ef5fd2c34301ded0894c0ba9d81e319400a",
+    "979b115e1b989d49fcf07bfbfa7cf5bde03c3204e28f071730f4c98620e10cb4",
+    "20cdafe0ac76c5aa76daed1c6e7bf8f89ad551e913f5df08cfefbb7b392a7a28",
+    "8c9ec918c588a7d44464ec2d3200b2c35d8efeeb85fd5e73b8e3250da6fb484a",
+    "a90bb8e9114c21cda0fc7275b6a52ecda10cc09b4e6695e056c14d67cc5ab702",
+    "82130916f6249260a2167642a1bf05e5a4f1221979f0a1439354d1586bbb6dbf",
+    "8b10aa143fbf2b0497a925bd088df229e9428abad4034e96944417d427a6c688",
+    "55bdcd697fae0126e093bc75743f1c06b5924500e9beb005e395e1902ccf1841",
+    "bf4c2eb073594b5456aefc25a1696471f741b64f73f3cb21da6beafccc7808fc",
+    "55bdcd697fae0126e093bc75743f1c06b5924500e9beb005e395e1902ccf1841",
+    "23478edce3d799bc2e6050dd835bffdf646f9e1ea2c0dab722835aa26f23ebec",
+    "23478edce3d799bc2e6050dd835bffdf646f9e1ea2c0dab722835aa26f23ebec",
+    "57f3f32bf694f8786133dc1c2a7f2dcb152254da15612805c1a2a9e9d53a02cb",
+    "91b9e83ef4ea77e82f8132a03127c3ebd171242a01064deddd8356954fb7a82b",
+)
+
+
+def _battery_digest(argv, capsys):
+    result = run_command(argv), capsys.readouterr()
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+def test_parser_battery_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    battery = [tuple(argv) for argv in PARSER_BATTERY]
+    got = [_battery_digest(list(argv), capsys) for argv in battery]
+    assert list(zip(battery, got)) == list(zip(battery, PARSER_BATTERY_DIGESTS))
 
 
 def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
@@ -298,47 +385,171 @@ def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
     assert codes.count(0) > 9 and codes.count(1) > 9
 
 
-def test_command_parsers_are_built_once_per_name():
+def test_command_parsers_are_built_once_per_name(capsys):
     cli.build_parser.cache_clear()
-    run_command(["level", "P1"])
-    run_command(["spread", "P1"])
-    run_command(["level", "P2"])
-    assert cli.build_parser.cache_info().currsize == 2
+    for argv in (["level", "P1"], ["spread", "P1"], ["level", "P2", "--format=json"]):
+        assert run_command(argv)[0] == 0
+    assert cli.build_parser.cache_info().currsize == 0
+    assert run_command(["level", "-h"]) == (0, "")
+    assert "usage: hibi level" in capsys.readouterr().out
+    assert run_command(["level", "P1", "--bogus"])[0] == 1
+    assert run_command(["spread", "P1", "--eps", "2"])[0] == 1
+    assert run_command(["level", "P1", "--form", "json"])[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
     with pytest.raises(cli.UsageError, match=r"invalid choice: 'spread' \(choose from 'level'\)"):
         cli.build_parser("level").parse_args(["spread", "P1"])
-    assert run_command(["bogus"])[0] == 1
+    code, text = run_command(["bogus"])
+    assert code == 1 and all(repr(name) in text for name in cli.COMMANDS)
     assert cli.build_parser.cache_info().currsize == 3
 
 
+# Words beside each option's own values: signs, spaces, Unicode digits
+# (Arabic-Indic, fullwidth, superscript), dashes, help and option words.
+ODD_WORDS = (
+    "", " 1 ", "+1", "-0", "01", "1_0", "-1_0", "-1.5", ".5", "x", "-x y", "a=b", "=",
+    "-1 ", "-1\n", "\n1", "\u0661", "-\u0661\u0662", "\uff11", "-\u00b2",
+    "-", "--", "-h", "--help", "--bogus", "-x", "json", "P1",
+)
+
+
+def _good_values(spec):
+    if "choices" in spec:
+        return [str(choice) for choice in spec["choices"]]
+    if spec.get("type") is int:
+        return ["-12", "-1", "0", "1", "3"]
+    return ["P1", "", "2,3", "y,x"]
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, clean): a line of the COMMANDS grammar, perhaps perturbed;
+    clean when it uses the grammar exactly, as the table parser must accept."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, takes_poset, options = cli.COMMANDS[name]
+    odd = st.sampled_from(ODD_WORDS)
+    chunks, clean = [], True
+    for flag, spec in options.items():
+        times = draw(st.sampled_from((0, 0, 1, 1, 1, 1, 1, 2)))
+        clean &= times == 1 or (times == 0 and not spec.get("required"))
+        for _ in range(times):
+            value = draw(st.sampled_from(_good_values(spec)))
+            if draw(st.integers(0, 9)) == 0:
+                value, clean = draw(odd), False
+            word = flag
+            if draw(st.integers(0, 9)) == 0:
+                word = flag[: draw(st.integers(2, len(flag)))]
+                clean &= word == flag
+            if draw(st.booleans()):
+                chunks.append([f"{word}={value}"])
+            else:
+                chunks.append([word, value])
+    count = draw(st.sampled_from((0, 1, 1, 1, 1, 1, 1, 2) if takes_poset else (0,) * 7 + (1,)))
+    clean &= count == int(takes_poset)
+    for _ in range(count):
+        word = draw(st.sampled_from(("P1", "chain3", "")))
+        if draw(st.integers(0, 9)) == 0:
+            word, clean = draw(odd), False
+        chunks.append([word])
+    extra = draw(st.lists(odd, max_size=2)) if draw(st.integers(0, 9)) == 0 else []
+    clean &= not extra
+    chunks += [[word] for word in extra]
+    argv = [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+    if draw(st.integers(0, 9)) == 0:
+        return argv[:1] + [name] + argv[1:], False
+    return [name] + argv, clean
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example((["level", "-\u00b2"], False))  # a superscript is a digit, not a decimal
+@example((["frobenius", "P1", "--prime", "-\u00b2"], False))
+@example((["polytope", "P1", "--seq=--"], False))  # argparse drops this "--"
+@example((["generators", "--n=-\u0661\u0662", "-1"], False))
+def test_table_parser_agrees_with_argparse(line):
+    argv, clean = line
+    fields = cli._parse_exact(argv)
+    if fields is None:
+        assert not clean, argv
+        return
+    for parser in (cli.build_parser(argv[0]), cli.build_parser()):
+        try:
+            want = parser.parse_args(argv)
+        except (cli.UsageError, SystemExit) as exc:
+            pytest.fail(f"argparse rejects {argv!r}: {exc!r}")
+        assert vars(fields) == vars(want), argv
+
+
+# python -m hibi loads these only for the reports and errors that need them
+WATCHED_MODULES = ("json", "hibi.documents", "argparse", "gettext", "locale")
+
+
 def _modules_loaded_by(argv):
-    """(json before hibi, json after, hibi.documents after) for python -m hibi argv."""
-    code = (
+    """(exit code, watched modules loaded before hibi, after) for python -m hibi argv."""
+    script = (
         "import runpy, sys\n"
-        "before = 'json' in sys.modules\n"
+        f"watched = {WATCHED_MODULES!r}\n"
+        "before, code = {m for m in watched if m in sys.modules}, None\n"
         f"sys.argv = ['hibi'] + {argv!r}\n"
         "try:\n"
         "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n"
-        "sys.stderr.write(repr((before, 'json' in sys.modules, 'hibi.documents' in sys.modules)))\n"
+        "    code = exc.code\n"
+        "sys.stderr.write(repr((code, before, {m for m in watched if m in sys.modules})))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stderr)
 
 
 def test_commands_import_json_and_documents_only_when_used(tmp_path):
-    before, json_loaded, documents_loaded = _modules_loaded_by(
-        ["frobenius", "P1", "--prime", "2", "--emax", "1"]
-    )
-    assert json_loaded == before and not documents_loaded
+    code, before, after = _modules_loaded_by(["frobenius", "P1", "--prime", "2", "--emax", "1"])
+    assert code == 0 and not {"json", "hibi.documents"} & (after - before)
     path = tmp_path / "mine.json"
     path.write_text(P1_TEXT, encoding="utf-8")
-    assert _modules_loaded_by(["level", str(path)])[1:] == (True, True)
-    assert _modules_loaded_by(["level", "P1", "--format", "json"])[1:] == (True, False)
+    code, _, after = _modules_loaded_by(["level", str(path)])
+    assert code == 0 and {"json", "hibi.documents"} <= after
+    code, _, after = _modules_loaded_by(["level", "P1", "--format", "json"])
+    assert code == 0 and "json" in after and "hibi.documents" not in after
+
+
+def test_valid_command_lines_never_import_argparse(tmp_path):
+    path = tmp_path / "mine.json"
+    path.write_text(P1_TEXT, encoding="utf-8")
+    parsing = {"argparse", "gettext", "locale"}
+    for argv in (
+        ["level", "P1"],
+        ["generators", str(path), "--n", "-1"],
+        ["frobenius", "P1", "--prime", "2"],
+    ):
+        code, before, after = _modules_loaded_by(argv)
+        assert code == 0 and not parsing & (after - before), argv
+    for argv, want in ((["level", "-h"], 0), (["spread", "P1", "--eps", "2"], 1)):
+        code, _, after = _modules_loaded_by(argv)
+        assert code == want and "argparse" in after, argv
+
+
+def test_poset_references_resolve_like_paths(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    folder = (2, "cannot read input: [Errno 21] Is a directory: '.'")
+    assert run_command(["level", ""]) == folder
+    assert run_command(["level", "."]) == folder
+    assert run_command(["level", "dir/"]) == (
+        2,
+        "cannot read input: [Errno 21] Is a directory: 'dir'",
+    )
+    p1 = run_command(["level", "P1"])
+    assert p1[0] == 0
+    assert run_command(["level", "P1/"]) == p1
+    assert run_command(["level", "nope/P1.json"]) == p1
+    assert run_command(["level", "nope/Q1"]) == (
+        2,
+        "invalid input: no file or built-in poset named 'nope/Q1'",
+    )
 
 
 def test_validation_errors_exit_two(tmp_path):
