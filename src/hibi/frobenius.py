@@ -24,12 +24,14 @@ top vector only when the vectors match.
 
 Budgets guard every enumeration: primes and exponents are capped, and a
 piece enumeration aborts with an explicit error as soon as it passes the
-cap, rather than truncating.  Nothing is cached between calls: a piece
-lives only as long as the call that builds it, and tcx_report builds each
-piece once per prime, from the bottom up.  A packing is sized from the
-exponent being built, never from e_max alone: tcx_report's serves up to
-four times the current e and is laid out anew, streaming the pieces it
-holds again, when e passes that.
+cap, rather than truncating.  Every count takes one route, _fresh: the
+top piece first, so its cap rejects before any lower piece is walked,
+then the lower pieces, all under a packing sized from that exponent.
+Nothing is cached between calls: a piece lives only as long as the count
+that builds it, and tcx_report takes each row (e, dim_e, c_e) from its
+own count, walking the lower pieces again at each e.  The pieces of a
+d-dimensional target grow like prime**(d*e), so a table walks at most
+about prime**d / (prime**d - 1) times the points of its pieces.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -139,10 +141,11 @@ def _check_caps(prime, e, budget):
 class _Packing:
     """Integer vectors of one width packed as single ints: v -> sum v_i * 2**(bits*i).
 
-    It serves the pieces 1 .. top of a target at one prime: piece k has
-    coordinates within r_k = (prime**k - 1) * unit, where unit is the
-    largest coordinate magnitude of the first dilation, and bits is the
-    least that reads back every vector within r_top.  The map is linear.
+    It serves the pieces 1 .. e of a target at one prime, for the one
+    count of the e-th fresh vectors: piece k has coordinates within
+    r_k = (prime**k - 1) * unit, where unit is the largest coordinate
+    magnitude of the first dilation, and bits is the least that reads
+    back every vector within r_e.  The map is linear.
     A vector w with every |w_i| < 2**bits packs to 0 only when w is 0
     (its digits vanish mod 2**bits from the lowest up), and a vector with
     every |v_i| < 2**(bits-1) is read back by unpack.  So a difference
@@ -153,11 +156,11 @@ class _Packing:
     A plain class: a namedtuple would cost every cold start its creation.
     """
 
-    __slots__ = ("unit", "top", "bits", "weights")
+    __slots__ = ("unit", "bits", "weights")
 
-    def __init__(self, width, unit, prime, top):
-        self.unit, self.top = unit, top
-        self.bits = bits = ((prime**top - 1) * unit).bit_length() + 1
+    def __init__(self, width, unit, prime, e):
+        self.unit = unit
+        self.bits = bits = ((prime**e - 1) * unit).bit_length() + 1
         self.weights = tuple(1 << bits * i for i in range(width))
 
     def pack(self, v):
@@ -257,7 +260,7 @@ def _drop_splits(fresh, pieces, prime, e):
 
 
 def _fresh(target, prime, e, budget):
-    """The packed fresh vectors of the e-th piece, as a set, and their packing."""
+    """The e-th piece's packed fresh vectors as a set, the piece's size dim_e, the packing."""
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = _check_caps(prime, e, budget)
@@ -266,14 +269,15 @@ def _fresh(target, prime, e, budget):
     cap = budget.max_piece
     # top piece first: its caps bound the lower pieces
     fresh = set(_piece(runs, prime**e - 1, cap, packing))
+    dim_e = len(fresh)
     pieces = {k: list(_piece(runs, prime**k - 1, cap, packing)) for k in range(e - 1, 0, -1)}
     _drop_splits(fresh, pieces, prime, e)
-    return fresh, packing
+    return fresh, dim_e, packing
 
 
 def _fresh_values(target, prime, e, budget):
     """Value tuples of the fresh vectors, in lexicographic order like their piece."""
-    fresh, packing = _fresh(target, prime, e, budget)
+    fresh, _, packing = _fresh(target, prime, e, budget)
     return sorted(map(packing.unpack, fresh))
 
 
@@ -328,25 +332,12 @@ def tcx_report(target, primes, e_max, budget=None):
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     tables = []
-    resolved = None
     for prime in primes:
-        packing, pieces, rows = None, {}, []
+        rows = []
         for e in range(1, e_max + 1):
-            budget = _check_caps(prime, e, budget)
-            if resolved is None:  # only once the first caps admit some work
-                tag, width, unit, runs = resolved = _resolve(target)
-            if packing is None or e > packing.top:
-                # A packing made at e serves up to 4e: a packed int is at most
-                # about four times as wide as piece e needs, and the held
-                # pieces are streamed again about log_4(e_max) times in all.
-                packing = _Packing(width, unit, prime, min(e_max, 4 * e))
-                for k in pieces:
-                    pieces[k] = set(_piece(runs, prime**k - 1, budget.max_piece, packing))
-            pieces[e] = set(_piece(runs, prime**e - 1, budget.max_piece, packing))
-            # the last piece is not read again, so its fresh set can be itself
-            fresh = pieces[e] if e == e_max else set(pieces[e])
-            dim_e = len(fresh)
-            _drop_splits(fresh, pieces, prime, e)
+            # pieces 1 .. e - 1 passed the cap in the rows before, so a row
+            # can only reject at its own top piece, the one _fresh builds first
+            fresh, dim_e, _ = _fresh(target, prime, e, budget)
             rows.append((e, dim_e, len(fresh)))
         rows = tuple(rows)
         last_c = rows[-1][2]
@@ -354,5 +345,5 @@ def tcx_report(target, primes, e_max, budget=None):
         ratio = None
         if len(rows) >= 2 and last_c > 0 and rows[-2][2] > 0:
             ratio = log(last_c / rows[-2][2], prime)
-        tables.append(TComplexityTable(prime, tag, rows, estimate, ratio))
+        tables.append(TComplexityTable(prime, _resolve(target)[0], rows, estimate, ratio))
     return tuple(tables)

@@ -31,7 +31,7 @@ from hibi import (
 )
 from hibi.cli import run_command
 from hibi.cones import _section_reach, _section_runs
-from hibi.corpus import antichain, chain, filters1, filters2, p2, p3
+from hibi.corpus import antichain, chain, filters1, filters2, p1, p2, p3
 from hibi.poset import build_poset
 
 TRIANGLE = Polytope(dim=2, inequalities=(((1, 1), 1),), lower=(0, 0), upper=(1, 1))
@@ -337,7 +337,7 @@ def test_capped_piece_is_rejected_exactly_when_larger(corpus):
 
 # --- packed fresh counts against the residue-search oracle ------------------
 
-AGREE = Budget(max_prime=5, max_e=3, max_piece=20_000)
+AGREE = Budget(max_prime=5, max_e=6, max_piece=20_000)
 
 
 def _fiber_piece_values(p, prime):
@@ -359,10 +359,10 @@ def _polytope_piece_values(delta, prime):
     return points
 
 
-def _value_pieces(points):
-    """Value-tuple pieces 1, 2, ... up to e = 3 or the first that passes the cap."""
+def _value_pieces(points, e_max):
+    """Value-tuple pieces 1, 2, ... up to e_max or the first that passes the cap."""
     pieces = {}
-    for e in (1, 2, 3):
+    for e in range(1, e_max + 1):
         try:
             pieces[e] = points(e)
         except BudgetExceeded:
@@ -370,9 +370,9 @@ def _value_pieces(points):
     return pieces
 
 
-def _assert_agreement(target, prime, points, count, fresh):
+def _assert_agreement(target, prime, points, count, fresh, e_max=3):
     """tcx_report rows, c_e and h_e (values and order) equal the residue oracle."""
-    pieces = _value_pieces(points)
+    pieces = _value_pieces(points, e_max)
     if not pieces:
         return
     want = {e: residue_new_elements(pieces, prime, e) for e in pieces}
@@ -416,6 +416,21 @@ def test_polytope_fresh_agrees_with_residue_oracle():
             _assert_agreement(delta, prime, points, c_e_polytope, h_e_polytope)
 
 
+def test_rows_up_to_e_6_at_prime_2_agree_with_residue_oracle():
+    # every row is its own _fresh count, so rows 4 .. 6 are checked against
+    # the residue search on t_piece and lattice_points, not against c_e;
+    # these corpus posets have pieces up to e = 6 within AGREE, P2 and P3 not
+    for p in (p1(), filters1(), chain(4), antichain(3)):
+        _assert_agreement(p, 2, _fiber_piece_values(p, 2), c_e_fiber, h_e_fiber, 6)
+        for eps in (1, -1):
+            c = build_C(p, eps, next(iter(enumerate_N(p, eps))))
+            points = _section_piece_values(c, 2)
+            _assert_agreement(c, 2, points, c_e_ehrhart, h_e_ehrhart, 6)
+    for delta in (TRIANGLE, SEGMENT):
+        points = _polytope_piece_values(delta, 2)
+        _assert_agreement(delta, 2, points, c_e_polytope, h_e_polytope, 6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_posets(), st.sampled_from((2, 3, 5)), st.data())
 def test_fresh_agrees_with_residue_oracle_on_random_posets(p, prime, data):
@@ -442,8 +457,8 @@ def test_fresh_agrees_with_residue_oracle_on_random_polytopes(delta, prime):
 
 
 # Exit-4 texts, and so the piece at which each rejection comes, as the
-# residue search gave them: the top piece is built first in c_e / h_e, the
-# pieces go bottom up in tcx_report, and a fiber piece checks each section
+# residue search gave them: every count builds its top piece first,
+# tcx_report's rows go bottom up, and a fiber piece checks each section
 # before the distinct count.
 REJECTIONS = (
     (["frobenius", "P1", "--budget", "2"], "dilation 1 has more than 2 lattice points"),
@@ -467,6 +482,7 @@ def test_cli_rejections_keep_their_texts():
 def test_library_rejections_keep_their_texts_and_order(poset1):
     square = Polytope(dim=2, inequalities=(), lower=(-1, 0), upper=(1, 2))
     section = build_C(p3(), -1, ())
+    deep = Budget(max_e=8, max_piece=500)
     cases = (
         (c_e_fiber, (poset1, 2, 3), 5, "dilation 7 has more than 5 lattice points"),
         (c_e_fiber, (poset1, 2, 3), 30, "dilation 7 has more than 30 lattice points"),
@@ -480,12 +496,14 @@ def test_library_rejections_keep_their_texts_and_order(poset1):
             1000,
             "dilation 26 has more than 1000 lattice points",
         ),
+        # P1's pieces at prime 2 have 3, 10, 36, 136 and 528 points: e = 5 is the first over
+        (tcx_report, (poset1, (2,), 8), deep, "dilation 31 has more than 500 lattice points"),
         (c_e_ehrhart, (section, 3, 2), 30, "dilation 8 has more than 30 lattice points"),
         (h_e_polytope, (square, 3, 2), 30, "dilation box of size 289 exceeds the cap 30"),
     )
     for fn, args, cap, text in cases:
         with pytest.raises(BudgetExceeded) as info:
-            fn(*args, Budget(max_piece=cap))
+            fn(*args, cap if isinstance(cap, Budget) else Budget(max_piece=cap))
         assert str(info.value) == text
 
 
@@ -517,8 +535,9 @@ def test_caps_are_checked_before_any_section_is_built(poset1):
         assert "_sections" not in vars(p)
 
 
-def test_report_past_a_new_layout_agrees_with_single_counts(poset1):
-    # e = 5 passes the first layout, made at e = 1, and repacks pieces 1 .. 4
+def test_report_rows_at_e_5_and_6_are_pinned_for_three_targets(poset1):
+    # P1's fiber cone, its section (y, x) and TRIANGLE have the same rows up
+    # to e = 6; the counts at e = 5 and 6 are pinned in the table and alone
     roomy = Budget(max_prime=5, max_e=6, max_piece=100_000)
     want = ((1, 3, 3), (2, 10, 1), (3, 36, 3), (4, 136, 9), (5, 528, 27), (6, 2080, 81))
     section = build_C(poset1, -1, ("y", "x"))
