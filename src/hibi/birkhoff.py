@@ -23,7 +23,7 @@ from itertools import islice
 
 from .errors import NotALattice, NotDistributive
 from .labelings import indicator
-from .poset import TOP, bit_positions, build_poset, down_set_masks, poset_ideals
+from .poset import TOP, _down_sets, bit_positions, build_poset, down_set_masks, poset_ideals
 
 
 class DistLattice(namedtuple("DistLattice", "elements order joins meets")):
@@ -172,27 +172,25 @@ def is_distributive(h):
     return found == n + 1
 
 
-def _ideal_label(p, ideal):
-    return "{" + ",".join(str(z) for z in p.elements if z in ideal) + "}"
-
-
 def lattice_from_poset(p):
     """Lattice of nonempty down-sets of P ordered by inclusion.
 
     Join is union and meet is intersection; element ids spell out the
     members in canonical order, so the output is deterministic.  The order
     is passed as its covers I < I + {z}, each from a smaller down-set to a
-    larger one, which build_dist_lattice closes in one sweep.
+    larger one, found among the poset's down-set bitmasks, which
+    build_dist_lattice closes in one sweep.
     """
-    ideals = poset_ideals(p)
-    labels = tuple(_ideal_label(p, ideal) for ideal in ideals)
-    where = {ideal: i for i, ideal in enumerate(ideals)}
-    downs = p.down_covers
+    masks = _down_sets(p)
+    names = [str(z) for z in p.elements]
+    labels = tuple("{" + ",".join(names[i] for i in bit_positions(m)) + "}" for m in masks)
+    where = {m: i for i, m in enumerate(masks)}
+    full = (1 << len(names)) - 1
     covers = [
-        (labels[i], labels[where[ideal | {z}]])
-        for i, ideal in enumerate(ideals)
-        for z in p.elements
-        if z not in ideal and all(a in ideal for a in downs[z])
+        (labels[i], labels[where[m | 1 << z]])
+        for i, m in enumerate(masks)
+        for z in bit_positions(full & ~m)
+        if m | 1 << z in where
     ]
     return build_dist_lattice(labels, covers)
 

@@ -9,7 +9,7 @@ deep counts as one, and so does running out of memory).
 
 import os
 import sys
-from functools import cache, lru_cache
+from functools import lru_cache
 from types import SimpleNamespace
 
 from .cones import (
@@ -34,7 +34,7 @@ from .fiber import (
     is_level,
 )
 from .labelings import generators, in_T, is_minimal
-from .poset import count_ideals, is_pure
+from .poset import _down_sets, is_pure
 from .sequences import as_seq, enumerate_N, nu_down, nu_up, q0, q_max
 
 # hibi lattice builds join and meet tables with one entry per pair of
@@ -72,7 +72,7 @@ def _document(text):
 
 
 def _load(ref):
-    """Resolve a poset reference: built-in name, then file, then file stem."""
+    """Resolve a poset reference: built-in name, then file, then bare file stem."""
     if ref in BUILTIN_NAMES:
         return ref, builtin(ref)
     from pathlib import Path  # a built-in name never needs it
@@ -81,8 +81,8 @@ def _load(ref):
     if path.exists():
         doc = _document(path.read_text(encoding="utf-8"))
         return doc.name, doc.poset
-    stem = path.name[:-5] if path.name.endswith(".json") else path.name
-    if stem in BUILTIN_NAMES:
+    stem = ref.removesuffix(".json")
+    if not os.path.dirname(ref) and stem in BUILTIN_NAMES:
         return stem, builtin(stem)
     raise ValueError(f"no file or built-in poset named {ref!r}")
 
@@ -315,7 +315,7 @@ def _cmd_lattice(args):
     from .birkhoff import join_irreducibles, lattice_from_poset, poset_isomorphic
 
     name, p = _load(args.poset)
-    if count_ideals(p, MAX_DOWN_SETS) > MAX_DOWN_SETS:
+    if _down_sets(p, MAX_DOWN_SETS) is None:
         raise BudgetExceeded(f"poset {name} has more than {MAX_DOWN_SETS} down-sets")
     h = lattice_from_poset(p)
     roundtrip = poset_isomorphic(p, join_irreducibles(h))
@@ -502,15 +502,11 @@ def _parse_exact(argv):
     return SimpleNamespace(**fields)
 
 
-@cache
-def build_parser(command=None):
-    """The hibi parser with the one subcommand named, or with all of them.
+def build_parser():
+    """The hibi argparse parser, built from COMMANDS.
 
-    Built from COMMANDS once per key and process, and only for a command
-    line that _parse_exact leaves to it; parse_args returns a fresh
-    Namespace per call.  A command line is parsed alike by both parsers,
-    but only the full parser can print the top-level help and name the
-    valid commands.
+    Built afresh for each command line that _parse_exact leaves to it:
+    one that asks for help, has a usage error or abbreviates an option.
     """
     import argparse  # a command line that needs no help or usage error never loads it
 
@@ -520,8 +516,7 @@ def build_parser(command=None):
 
     parser = Parser(prog="hibi", description="poset divisor calculators")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS if command is None else (command,):
-        help_text, handler, takes_poset, options = COMMANDS[name]
+    for name, (help_text, handler, takes_poset, options) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         for flag, spec in options.items():
             sub.add_argument(flag, **spec)
@@ -535,9 +530,8 @@ def run_command(argv):
     """Run one command line; returns (exit code, report text)."""
     args = _parse_exact(argv)
     if args is None:
-        parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except UsageError as exc:
             return 1, str(exc)
         except SystemExit as exc:

@@ -19,7 +19,8 @@ poset; no module keeps a cache keyed by a poset.  It owns:
 - _chains: per source x, the shortest and longest saturated chain to every
   y >= x in P+ (its keys are the up-set of x);
 - _cover_pairs: the covers of P+ as index pairs (for the T^(n) tests);
-- _ideals: the nonempty down-sets (poset_ideals);
+- _down_sets: the nonempty down-sets as bitmasks of canonical positions;
+- _ideals: the same down-sets as frozensets of ids (poset_ideals);
 - _reduced: the reduced sequences per sign eps (sequences.enumerate_N);
 - _sections: the sections of those sequences per sign (cones._sections);
 - _plans: the dilation plan of each section, given the sections before it,
@@ -107,10 +108,8 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
     @cached_property
     def _ideals(self):
         """The nonempty down-sets, in the order poset_ideals documents."""
-        keyed = sorted(
-            (m.bit_count(), bit_positions(m)) for m in down_set_masks(_lower_cover_masks(self)) if m
-        )
-        return tuple(frozenset(self.elements[i] for i in members) for _, members in keyed)
+        names = self.elements
+        return tuple(frozenset(names[i] for i in bit_positions(m)) for m in _down_sets(self))
 
     @cached_property
     def _reduced(self):
@@ -271,15 +270,23 @@ def down_set_masks(required):
             stack.append((t + 1, mask | 1 << t))
 
 
-def _lower_cover_masks(p):
-    idx = p.index
-    return [sum(1 << idx[a] for a in p.down_covers[z]) for z in p.elements]
+def _down_sets(p, limit=None):
+    """The nonempty down-sets of P as bitmasks, in poset_ideals order; P keeps them.
 
-
-def count_ideals(p, limit):
-    """Number of nonempty down-sets of P; stops counting at limit + 1."""
-    found = islice(down_set_masks(_lower_cover_masks(p)), limit + 2)
-    return sum(1 for _ in found) - 1
+    With a limit, a poset with more than limit of them gives None: the
+    search stops at the first mask past the limit and nothing is kept.
+    """
+    masks = p.__dict__.get("_down_sets")
+    if masks is None:
+        required = [sum(1 << p.index[a] for a in p.down_covers[z]) for z in p.elements]
+        stop = None if limit is None else limit + 1
+        found = list(islice(filter(None, down_set_masks(required)), stop))
+        if limit is not None and len(found) > limit:
+            return None
+        # by size, then by positions: the set holding the lowest differing one first
+        found.sort(key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+        masks = p.__dict__["_down_sets"] = tuple(found)
+    return masks if limit is None or len(masks) <= limit else None
 
 
 def poset_ideals(p):

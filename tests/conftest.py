@@ -8,7 +8,8 @@ sweeps of T^(n) and of one section, the sums of degree-one generators,
 the walk over every run of the sections, the first-section check made
 run by run, the dilation plan built afresh at each n, the degrees of every listed generator, the residue search for fresh
 Frobenius vectors, the bound scans of lattice joins and meets, the
-distributive law on every triple) so the library code is never checked
+lattice of down-sets built from frozensets, the distributive law on
+every triple) so the library code is never checked
 against itself.
 """
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hibi.cones import _close, _Plan, _run_values, _section_runs, _sections, _tight_pairs
+from hibi.birkhoff import build_dist_lattice
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
 from hibi.fiber import _generator_runs
@@ -719,6 +721,27 @@ def lattice_tables_scan(elements, pairs):
         (elements[i], elements[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
     )
     return order, tuple(map(tuple, joins)), tuple(map(tuple, meets))
+
+
+def lattice_from_ideals(p):
+    """The lattice of nonempty down-sets, built from poset_ideals as frozensets.
+
+    A cover I < I + {z} is found by testing every element z outside I
+    against its lower covers and looking up the frozenset union.
+    """
+    ideals = poset_ideals(p)
+    labels = tuple(
+        "{" + ",".join(str(z) for z in p.elements if z in ideal) + "}" for ideal in ideals
+    )
+    where = {ideal: i for i, ideal in enumerate(ideals)}
+    downs = p.down_covers
+    covers = [
+        (labels[i], labels[where[ideal | {z}]])
+        for i, ideal in enumerate(ideals)
+        for z in p.elements
+        if z not in ideal and all(a in ideal for a in downs[z])
+    ]
+    return build_dist_lattice(labels, covers)
 
 
 def distributive_law(h):

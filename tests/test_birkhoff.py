@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_systems, distributive_law, lattice_tables_scan, small_posets
+from conftest import (
+    closure_systems,
+    distributive_law,
+    lattice_from_ideals,
+    lattice_tables_scan,
+    small_posets,
+)
 from hibi import (
     NotALattice,
     NotDistributive,
@@ -154,6 +160,17 @@ def test_ideal_lattice_of_antichain_pair_is_diamond():
     assert h.meet(*free) == h.bottom
 
 
+def test_mask_lattice_matches_the_frozenset_oracle_on_corpus(corpus):
+    for name, p in corpus:
+        assert lattice_from_poset(p) == lattice_from_ideals(p), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_posets(max_extra=7))
+def test_mask_lattice_matches_the_frozenset_oracle_random(p):
+    assert lattice_from_poset(p) == lattice_from_ideals(p)
+
+
 def test_ideal_lattice_size_matches_ideal_count(corpus):
     for _, p in corpus:
         h = lattice_from_poset(p)
@@ -231,3 +248,26 @@ def test_isomorphism_of_long_chains_takes_under_two_seconds():
     assert not poset_isomorphic(p, fork)
     assert time.process_time() - start < 2
 
+
+
+
+# Covers a_i < b_j over x0 < a0..a3: one 8-cycle, the same 8-cycle with
+# its a's and b's renumbered, and two 4-cycles.  Every a and every b has
+# two neighbours, so the signature refinement splits nothing and only the
+# backtracking search tells them apart.
+EIGHT_CYCLE = "a0<b0 a0<b1 a1<b1 a1<b2 a2<b2 a2<b3 a3<b3 a3<b0"
+EIGHT_CYCLE_RENUMBERED = "a2<b1 a2<b3 a0<b3 a0<b0 a3<b0 a3<b2 a1<b2 a1<b1"
+TWO_FOUR_CYCLES = "a0<b0 a0<b1 a1<b0 a1<b1 a2<b2 a2<b3 a3<b2 a3<b3"
+
+
+def _crown(text):
+    covers = [("x0", f"a{i}") for i in range(4)] + [tuple(c.split("<")) for c in text.split()]
+    return build_poset(["x0"] + [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)], covers, "x0")
+
+
+def test_isomorphism_backtracks_past_matching_signatures():
+    eight, fours = _crown(EIGHT_CYCLE), _crown(TWO_FOUR_CYCLES)
+    assert len(eight.covers) == len(fours.covers) == 12
+    assert not poset_isomorphic(eight, fours)
+    assert not poset_isomorphic(fours, eight)
+    assert poset_isomorphic(eight, _crown(EIGHT_CYCLE_RENUMBERED))

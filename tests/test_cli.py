@@ -234,15 +234,11 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
         ["polytope", "--help"],
         polytope,
     ]
-    first = {}
-    for argv in calls:
-        cli.build_parser.cache_clear()
-        first[tuple(argv)] = run_command(argv)
+    first = {tuple(argv): run_command(argv) for argv in calls}
     capsys.readouterr()
-    cli.build_parser.cache_clear()
     results = [run_command(argv) for argv in calls]
     assert results == [first[tuple(argv)] for argv in calls]
-    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser() is not cli.build_parser()
     # the default --emax 2 still applies after an explicit --emax 1
     assert "    2     10      1" in results[2][1]
     assert "    2 " not in results[1][1]
@@ -371,37 +367,26 @@ def test_parser_battery_output_is_pinned(capsys, monkeypatch):
     assert list(zip(battery, got)) == list(zip(battery, PARSER_BATTERY_DIGESTS))
 
 
-def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
-    full = cli.build_parser()
-    code, text = run_command(["bogus"])
-    assert code == 1 and all(repr(name) in text for name in cli.COMMANDS)
-    results = []
-    for argv in PARSER_BATTERY:
-        results.append((run_command(argv), capsys.readouterr()))
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
-    for argv, result in zip(PARSER_BATTERY, results):
-        assert (run_command(argv), capsys.readouterr()) == result, argv
-    codes = [code for (code, _), _ in results]
-    assert codes.count(0) > 9 and codes.count(1) > 9
+def test_a_valid_line_never_builds_a_parser(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
 
+    def counted():
+        built.append(real())
+        return built[-1]
 
-def test_command_parsers_are_built_once_per_name(capsys):
-    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
     for argv in (["level", "P1"], ["spread", "P1"], ["level", "P2", "--format=json"]):
         assert run_command(argv)[0] == 0
-    assert cli.build_parser.cache_info().currsize == 0
+    assert built == []
     assert run_command(["level", "-h"]) == (0, "")
     assert "usage: hibi level" in capsys.readouterr().out
     assert run_command(["level", "P1", "--bogus"])[0] == 1
     assert run_command(["spread", "P1", "--eps", "2"])[0] == 1
     assert run_command(["level", "P1", "--form", "json"])[0] == 0
-    info = cli.build_parser.cache_info()
-    assert (info.currsize, info.misses) == (2, 2)
-    with pytest.raises(cli.UsageError, match=r"invalid choice: 'spread' \(choose from 'level'\)"):
-        cli.build_parser("level").parse_args(["spread", "P1"])
     code, text = run_command(["bogus"])
     assert code == 1 and all(repr(name) in text for name in cli.COMMANDS)
-    assert cli.build_parser.cache_info().currsize == 3
+    assert len(built) == 5
 
 
 # Words beside each option's own values: signs, spaces, Unicode digits
@@ -472,12 +457,11 @@ def test_table_parser_agrees_with_argparse(line):
     if fields is None:
         assert not clean, argv
         return
-    for parser in (cli.build_parser(argv[0]), cli.build_parser()):
-        try:
-            want = parser.parse_args(argv)
-        except (cli.UsageError, SystemExit) as exc:
-            pytest.fail(f"argparse rejects {argv!r}: {exc!r}")
-        assert vars(fields) == vars(want), argv
+    try:
+        want = cli.build_parser().parse_args(argv)
+    except (cli.UsageError, SystemExit) as exc:
+        pytest.fail(f"argparse rejects {argv!r}: {exc!r}")
+    assert vars(fields) == vars(want), argv
 
 
 # python -m hibi loads these only for the reports and errors that need them
@@ -544,12 +528,13 @@ def test_poset_references_resolve_like_paths(tmp_path, monkeypatch):
     )
     p1 = run_command(["level", "P1"])
     assert p1[0] == 0
-    assert run_command(["level", "P1/"]) == p1
-    assert run_command(["level", "nope/P1.json"]) == p1
-    assert run_command(["level", "nope/Q1"]) == (
-        2,
-        "invalid input: no file or built-in poset named 'nope/Q1'",
-    )
+    assert run_command(["level", "P1.json"]) == p1
+    # a reference with a directory part names a file, never a built-in
+    for ref in ("P1/", "nope/P1.json", "nope/Q1"):
+        assert run_command(["level", ref]) == (
+            2,
+            f"invalid input: no file or built-in poset named {ref!r}",
+        )
 
 
 def test_validation_errors_exit_two(tmp_path):
@@ -766,6 +751,30 @@ def test_lattice_and_selftest_outputs_are_pinned(tmp_path):
         "selftest": "90df6cad543e06b34eea807c97cdbc4b10628ff9b09e2f2aef8eebeba178e00f",
         "lattice block": "08381799ccf7b7d4ad556acc79190e571e897aec86d5450faf9567debf28baf3",
     }
+
+
+def test_lattice_searches_the_down_sets_twice(tmp_path, monkeypatch):
+    import hibi.birkhoff as birkhoff
+    import hibi.poset as poset
+
+    searched = []
+    real = poset.down_set_masks
+
+    def counted(required):
+        searched.append(len(required))
+        return real(required)
+
+    for module in (poset, birkhoff):
+        monkeypatch.setattr(module, "down_set_masks", counted)
+    doc = tmp_path / "rooted.json"
+    doc.write_text(json.dumps({**ROOTED16A, "name": "rooted16a-searched"}))  # a fresh poset
+    # one search for the down-sets of P, kept for the cap and the lattice,
+    # and one for Birkhoff's count on the join-irreducibles
+    assert run_command(["lattice", str(doc)])[0] == 0
+    assert searched == [16, 16]
+    # P keeps its down-sets; a new lattice is counted again
+    assert run_command(["lattice", str(doc)])[0] == 0
+    assert searched == [16, 16, 16]
 
 
 # Commands that share P1 and what it keeps: its sections and their plans.

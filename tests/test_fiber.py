@@ -11,6 +11,7 @@ from conftest import (
     first_section_runs,
     generators_box,
     lattice_points_sweep,
+    residue_new_elements,
     run_count,
     small_posets,
 )
@@ -36,7 +37,7 @@ from hibi import (
 from hibi.cones import _point_count, _section_runs, _sections, _tight_pairs
 from hibi.corpus import UPWARD_PURE_NAMES, antichain, builtin, chain, p1, p2, upward_pure
 from hibi.fiber import _generator_count, _generator_runs
-from hibi.frobenius import Budget
+from hibi.frobenius import Budget, c_e_fiber, h_e_fiber, t_piece
 from hibi.poset import Poset, build_poset
 from test_labelings import V1, V2, V3
 
@@ -398,6 +399,22 @@ def test_partly_covered_runs_match_the_box_route():
                         generators_via_sequences(p, n, limit=limit)
                     assert str(info.value) == want
     assert partial > 0 and moving_two > 0
+
+
+def test_partly_covered_runs_give_the_residue_oracle_fresh_counts():
+    # prime 2: the pieces e = 1..3 are T^(-1), T^(-3) and T^(-7), where
+    # some runs of these posets are covered in part
+    partial = 0
+    for p in map(_poset_of, OVERLAP_COVERS):
+        for n in (1, 3, 7):
+            runs = _generator_runs(p, -n)
+            partial += sum(0 < len(covered) < length for _, _, length, covered in runs)
+        pieces = {e: [nu.values for nu in t_piece(p, 2, e)] for e in (1, 2, 3)}
+        for e in pieces:
+            want = residue_new_elements(pieces, 2, e)
+            assert c_e_fiber(p, 2, e) == len(want)
+            assert [nu.values for nu in h_e_fiber(p, 2, e)] == want
+    assert partial > 0
 
 
 def _rooted(rng, size):

@@ -31,7 +31,8 @@ from hibi import (
 )
 from hibi.cones import ConeSection, _sections
 from hibi.corpus import antichain, chain, p1
-from hibi.poset import Poset
+import hibi.poset
+from hibi.poset import Poset, _down_sets
 
 
 def test_build_rejects_duplicate_ids():
@@ -192,6 +193,49 @@ def test_ideals_match_powerset_oracle_random(p):
     assert all(p.bottom in s for s in ideals)
     sizes = [len(s) for s in ideals]
     assert sizes == sorted(sizes)
+    # by size, then by the canonical indices of the members
+    order = sorted(downsets_powerset(p), key=lambda s: (len(s), sorted(map(p.index.get, s))))
+    assert ideals == tuple(order)
+
+
+def assert_capped_down_sets(p, monkeypatch):
+    """_down_sets(p, limit) is None exactly past the count, and then keeps nothing."""
+    count = len(poset_ideals(p))
+    pulled = []
+    real = hibi.poset.down_set_masks
+
+    def counted(required):
+        for mask in real(required):
+            pulled.append(mask)
+            yield mask
+
+    monkeypatch.setattr(hibi.poset, "down_set_masks", counted)
+    for limit in (count - 1, count, count + 1):
+        fresh = Poset(*p)  # the same poset with nothing kept
+        pulled.clear()
+        got = _down_sets(fresh, limit)
+        if limit < count:
+            # the search stops at the first mask past the limit (and the
+            # empty down-set, which it may meet on the way)
+            assert got is None and len(pulled) <= limit + 2
+            assert "_down_sets" not in vars(fresh)
+        else:
+            assert vars(fresh)["_down_sets"] is got
+            assert got == _down_sets(p)
+        assert (_down_sets(p, limit) is None) == (limit < count)
+
+
+def test_capped_down_sets_match_the_ideal_count(corpus, monkeypatch):
+    for _, p in corpus:
+        assert_capped_down_sets(p, monkeypatch)
+    assert_capped_down_sets(chain(1100), monkeypatch)
+
+
+@settings(max_examples=40)
+@given(small_posets())
+def test_capped_down_sets_match_the_ideal_count_random(p):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_capped_down_sets(p, monkeypatch)
 
 
 def test_is_pure(poset1, poset2, poset3):
