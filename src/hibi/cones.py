@@ -14,9 +14,10 @@ is left to the first section, in enumerate_N order, whose pairs it is
 tight on) checked level by level.  Every weight of the n-fold system is
 n times its weight at n = 1, so a plan is built once per section, at
 unit scale, kept by the poset, and scaled by n on each use.  One closed
-walk (_section_runs) lists the plan's points as runs, one memoized sweep
-(_point_count) counts them, and reaches and degree ranges are read off
-its bounds.
+walk (_section_runs) lists the plan's points as runs, a caller that caps
+a listing counts its runs (_capped), one memoized sweep (_point_count)
+counts the points without listing, and reaches and degree ranges are
+read off the plan's bounds.
 """
 
 from collections import namedtuple
@@ -104,7 +105,8 @@ def lattice_points(c, n, limit=None):
     enumeration stops with BudgetExceeded as soon as it has found more
     points than that.
     """
-    return _kernel_labelings(c.poset, _run_values(_section_runs(c, n, limit)))
+    text = f"dilation {n} has more than {limit} lattice points"
+    return _kernel_labelings(c.poset, _run_values(_capped(_section_runs(c, n), limit, text)))
 
 
 _INF = float("inf")
@@ -377,7 +379,7 @@ def _level_range(plan, t, x):
     return lo, hi
 
 
-def _section_runs(c, n, limit=None, reach=None, earlier=()):
+def _section_runs(c, n, earlier=()):
     """Runs of the n-fold dilation's points, in lexicographic order.
 
     A closed system of difference constraints is backtrack-free (Dechter,
@@ -387,44 +389,33 @@ def _section_runs(c, n, limit=None, reach=None, earlier=()):
     the output lexicographic, and the last level's whole range is one run.
     Each run is (row, moving, length, covered): the point where the last
     level takes its lowest value, the coordinates of that level, the
-    number of points, and the steps an earlier section (as in _dilation)
-    already has; along the run the moving coordinates rise by one per
-    step.  covered is () without earlier sections, range(length) when one
-    holds on the whole run, and otherwise the set of steps where one of
-    those still live at the last level holds.  Beyond the plan the walk
-    holds O(depth) values.
-
-    With a limit, it raises BudgetExceeded before the run that takes the
-    section's own count past limit.  With a reach, it raises RuntimeError
-    before the first run unless every coordinate stays within -reach ..
-    reach; the closed bounds are attained, so both this and the 64-bit
-    check are exact.
+    number of steps, and the steps an earlier section (as in _dilation)
+    already has, as a set, or () when none has any; along the run the
+    moving coordinates rise by one per step.  The walk only lists: at a
+    value of a level where an earlier section's pairs all hold it goes on
+    to the next value, as _point_count does, so no run is covered at every
+    step, and a caller that caps the points counts them (_capped).  Beyond
+    the plan the walk holds O(depth) values.
     """
     plan = _dilation(c, n, earlier)
-    if plan is None:
+    if plan is None or plan.live is None:
         return
-    if reach is not None and any(lo < -reach or hi > reach for lo, hi in plan.bounds):
-        raise RuntimeError(f"a coordinate of dilation {n} leaves the range +-{reach}")
     pins, checks, ends, keeps = plan.pins, plan.checks, plan.ends, plan.keeps
     r = len(plan.boxes)
     if not r:
-        if limit is not None and limit < 1:
-            raise _over(n, limit)
-        yield tuple([off for _, off in pins]), (), 1, () if plan.live is not None else range(1)
+        yield tuple([off for _, off in pins]), (), 1, ()
         return
     last = r - 1
     moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
     # Depth-first walk over the levels; ub[t] is the upper end of level t's
-    # range, masks[t] the sections live on entering it (None once one
-    # holds on every point below) and holding[t] its values where some
-    # hold.  The closure leaves no dead ends.
+    # range, masks[t] the sections live on entering it and holding[t] its
+    # values where some hold.  The closure leaves no dead ends.
     x = [0] * (r + 1)  # x[-1] stays 0
     ub = [0] * r
     masks = [plan.live] + [0] * r
     holding = [None] * r
     t = 0
     entering = True
-    size = 0
     while t >= 0:
         if entering:
             lo, hi = _level_range(plan, t, x)
@@ -433,33 +424,41 @@ def _section_runs(c, n, limit=None, reach=None, earlier=()):
                 holding[t] = _holding(mask, checks[t], x, lo, hi)
             if t == last:
                 x[t] = lo
-                length = hi - lo + 1
-                if limit is not None:
-                    size += length
-                    if size > limit:
-                        raise _over(n, limit)
-                if mask is None:
-                    covered = range(length)
-                else:
-                    covered = {v - lo for v in holding[t]} if mask else ()
-                yield tuple([x[u] + off for u, off in pins]), moving, length, covered
+                covered = {v - lo for v in holding[t]} if mask else ()
+                if len(covered) <= hi - lo:
+                    yield tuple([x[u] + off for u, off in pins]), moving, hi - lo + 1, covered
                 t -= 1
                 entering = False
                 continue
-            x[t], ub[t] = lo, hi
-        else:
-            x[t] += 1
+            x[t], ub[t] = lo - 1, hi
+            entering = False
+        x[t] += 1
         if x[t] > ub[t]:
             t -= 1
-            entering = False
-        else:
-            mask = masks[t]
-            if mask:
-                bits = holding[t].get(x[t], 0)
-                mask = None if bits & ends[t] else mask & keeps[t] | bits
-            masks[t + 1] = mask
-            t += 1
-            entering = True
+            continue
+        mask = masks[t]
+        if mask:
+            bits = holding[t].get(x[t], 0)
+            if bits & ends[t]:
+                continue  # an earlier section has every point below this value
+            mask = mask & keeps[t] | bits
+        masks[t + 1] = mask
+        t += 1
+        entering = True
+
+
+def _capped(runs, limit, text):
+    """runs, stopped by BudgetExceeded(text) before the run that takes their points past limit.
+
+    A run's points are its steps less the covered ones.  With no limit,
+    every run passes.
+    """
+    size = 0
+    for run in runs:
+        size += run[2] - len(run[3])
+        if limit is not None and size > limit:
+            raise BudgetExceeded(text)
+        yield run
 
 
 def _tight_pairs(c):
@@ -480,8 +479,6 @@ def _run_values(runs):
     """
     out = []
     for row, moving, length, covered in runs:
-        if len(covered) == length:
-            continue
         if length == 1:
             out.append(row)
             continue
@@ -570,10 +567,6 @@ def _value_tasks(lo, hi, stay, tight, done):
         bits = tight.get(v, 0)
         if not bits & done:
             yield 1, v, stay | bits
-
-
-def _over(n, limit):
-    return BudgetExceeded(f"dilation {n} has more than {limit} lattice points")
 
 
 def _section_reach(c, n):

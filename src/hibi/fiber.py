@@ -4,11 +4,14 @@ The generators of T^(n) are the points of the |n|-fold dilated sections,
 each kept by its first section in enumerate_N order that it is tight on.
 cones makes that check on the plan of each dilation (cones._dilation),
 given the tight pairs of the sections before it: listings expand the
-runs of its walk, the Hilbert counts list nothing (cones._point_count),
-and the degree range reads its closed bounds.
+runs of its walk, which skips the points an earlier section has and
+leaves a cap to the listing (cones._capped), the Hilbert counts list
+nothing (cones._point_count), and the degree range reads its closed
+bounds.
 """
 
 from .cones import (
+    _capped,
     _dilation,
     _point_count,
     _run_values,
@@ -18,7 +21,6 @@ from .cones import (
     dim_formula,
     lattice_points,
 )
-from .errors import BudgetExceeded
 from .labelings import _kernel_labelings
 from .poset import is_pure
 from .sequences import enumerate_N, q0, q_max
@@ -86,15 +88,15 @@ def generators_via_sequences(p, n, limit=None):
 
     The minimal elements are exactly the points of the |n|-fold dilated
     sections over the reduced sequences of sign n.  With a limit, it stops
-    with BudgetExceeded at the first section with more points than that,
-    or at the end of the section that takes the distinct points past it.
+    with BudgetExceeded before the run that takes them past that many.
     """
     return _kernel_labelings(p, _generator_values(p, n, limit))
 
 
 def _generator_values(p, n, limit=None):
     """Value tuples of the minimal elements of T^(n), in lexicographic order."""
-    return sorted(_run_values(_generator_runs(p, n, limit)))
+    text = f"T^({n}) has more than {limit} minimal elements"
+    return sorted(_run_values(_capped(_generator_runs(p, n), limit, text)))
 
 
 def _generator_count(p, n):
@@ -115,37 +117,22 @@ def _generator_count(p, n):
     return total
 
 
-def _generator_runs(p, n, limit=None, reach=None):
-    """The sections' runs (cones._section_runs), each with the steps it repeats.
+def _generator_runs(p, n):
+    """The sections' runs (cones._section_runs), each less the steps earlier ones have.
 
     Sections overlap, so each point is kept only by its first section in
     enumerate_N order whose equalities it is tight on: a point of T^(n)
     tight on those pairs lies in that section, so the test is exact and
     needs no index of the points already found.  The walk of each section
-    makes that test against the sections before it and yields (row,
-    moving, length, covered): covered holds the steps some earlier
-    section already has, as a set, or as range(length) when one has them
-    all.  n = 0 gives one run, the origin: the one minimal element of
-    T^(0).
-
-    With a limit, it raises BudgetExceeded once a section has more than
-    that many points, or, at the end of a section, once more than that
-    many distinct points have been found.  A reach goes to the walk of
-    every section (cones._section_runs).
+    makes that test against the sections before it, so the runs list
+    every minimal element once.  n = 0 gives one run, the origin: the one
+    minimal element of T^(0).
     """
     if n == 0:
         yield (0,) * len(p.elements), (), 1, ()
         return
-    eps = 1 if n > 0 else -1
     m = abs(n)
     earlier = ()  # unit tight pairs (ix, iy, d) of the sections already swept
-    found = 0
-    for c in _sections(p, eps):
-        for run in _section_runs(c, m, limit, reach, earlier):
-            if limit is not None and found > limit:
-                continue  # only the section's own size is still checked
-            found += run[2] - len(run[3])
-            yield run
-        if limit is not None and found > limit:
-            raise BudgetExceeded(f"T^({n}) has more than {limit} minimal elements")
+    for c in _sections(p, 1 if n > 0 else -1):
+        yield from _section_runs(c, m, earlier)
         earlier += (_tight_pairs(c),)

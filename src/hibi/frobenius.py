@@ -17,21 +17,24 @@ fresh vectors of the top piece P_e are the packed set difference
 P_e minus the sums a + p^k * b over a in P_k and b in P_{e-k}: a packed
 sumset, built by C-level int addition and set updates, running over the
 smaller of the two sides.  The packing is exact, not hashed: bits comes
-from the reach of the first dilation, which scales with the dilation
-and which the walk of every section checks before it yields a point,
-and _Packing gives the bound under which a packed sum matches a packed
-top vector only when the vectors match.
+from the reach of the first dilation, and the reach of the n-th is
+exactly n times that, as a polytope's box and a section's plan scale
+with n (cones._dilation); _Packing gives the bound under which a packed
+sum matches a packed top vector only when the vectors match.
 
 Budgets guard every enumeration: primes and exponents are capped, and a
 piece enumeration aborts with an explicit error as soon as it passes the
-cap, rather than truncating.  Every count takes one route, _fresh: the
-top piece first, so its cap rejects before any lower piece is walked,
-then the lower pieces, all under a packing sized from that exponent.
-Nothing is cached between calls: a piece lives only as long as the count
-that builds it, and tcx_report takes each row (e, dim_e, c_e) from its
-own count, walking the lower pieces again at each e.  The pieces of a
-d-dimensional target grow like prime**(d*e), so a table walks at most
-about prime**d / (prime**d - 1) times the points of its pieces.
+cap, rather than truncating: _piece counts the points of the runs as
+they stream (cones._capped) and stops before the run that would take
+them past the cap, and a polytope first checks its box.  Every count
+takes one route, _fresh: the top piece first, so its cap rejects before
+any lower piece is walked, then the lower pieces, all under a packing
+sized from that exponent.  Nothing is cached between calls: a piece
+lives only as long as the count that builds it, and tcx_report takes
+each row (e, dim_e, c_e) from its own count, walking the lower pieces
+again at each e.  The pieces of a d-dimensional target grow like
+prime**(d*e), so a table walks at most about prime**d / (prime**d - 1)
+times the points of its pieces.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -45,7 +48,7 @@ from itertools import chain, product
 from math import log
 from operator import mul
 
-from .cones import ConeSection, _section_reach, _section_runs, _sections
+from .cones import ConeSection, _capped, _section_reach, _section_runs, _sections
 from .errors import BudgetExceeded
 from .fiber import _generator_runs, _generator_values
 from .labelings import _kernel_labelings
@@ -144,8 +147,9 @@ class _Packing:
     It serves the pieces 1 .. e of a target at one prime, for the one
     count of the e-th fresh vectors: piece k has coordinates within
     r_k = (prime**k - 1) * unit, where unit is the largest coordinate
-    magnitude of the first dilation, and bits is the least that reads
-    back every vector within r_e.  The map is linear.
+    magnitude of the first dilation (exact, as the (prime**k - 1)-th
+    dilation is the first scaled), and bits is the least that reads back
+    every vector within r_e.  The map is linear.
     A vector w with every |w_i| < 2**bits packs to 0 only when w is 0
     (its digits vanish mod 2**bits from the lowest up), and a vector with
     every |v_i| < 2**(bits-1) is read back by unpack.  So a difference
@@ -182,28 +186,26 @@ class _Packing:
 def _resolve(target):
     """(tag, width, unit, runs) of a target: the one place its type is read.
 
-    runs(n, cap, reach) streams the n-th dilation's points as runs (row,
-    moving, length, covered) and stops once they pass the cap.  They stay
-    within reach = n * unit, as a polytope's dilation box and a section's
+    runs(n, cap) streams the n-th dilation's points as runs (row, moving,
+    length, covered); a polytope rejects a dilation box over the cap
+    before it lists, and _piece caps the points of every target.  They
+    stay within n * unit, as a polytope's dilation box and a section's
     closed bounds scale with n.  A fiber cone closes its sections here.
     """
     if isinstance(target, Poset):
-
-        def runs(n, cap, reach):  # the n-th dilation is T^(-n)
-            return _generator_runs(target, -n, cap, reach)
-
         unit = max((_section_reach(c, 1) for c in _sections(target, -1)), default=0)
-        return "fiber cone", len(target.elements), unit, runs
+        # the n-th dilation is T^(-n)
+        return "fiber cone", len(target.elements), unit, lambda n, cap: _generator_runs(target, -n)
     if isinstance(target, ConeSection):
         width, unit = len(target.poset.elements), _section_reach(target, 1)
-        return "ehrhart of sequence", width, unit, partial(_section_runs, target)
+        return "ehrhart of sequence", width, unit, lambda n, cap: _section_runs(target, n)
     if isinstance(target, Polytope):
         unit = max(map(abs, target.lower + target.upper), default=0)
         return "raw polytope", target.dim, unit, partial(_polytope_runs, target)
     raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
 
 
-def _polytope_runs(target, n, cap, reach):
+def _polytope_runs(target, n, cap):
     """The n-th dilation's points as runs of length 1, once its box is within cap."""
     volume = 1
     for lo, hi in zip(target.lower, target.upper):
@@ -218,16 +220,18 @@ def _polytope_runs(target, n, cap, reach):
 
 
 def _piece(runs, n, cap, packing):
-    """The packed points of the n-th dilation, streamed by runs, a piece the packing serves."""
-    return chain.from_iterable(_run_ints(runs(n, cap, n * packing.unit), packing))
+    """The packed points of the n-th dilation, streamed by runs, a piece the packing serves.
+
+    It stops with BudgetExceeded before the run that takes them past cap.
+    """
+    text = f"dilation {n} has more than {cap} lattice points"
+    return chain.from_iterable(_run_ints(_capped(runs(n, cap), cap, text), packing))
 
 
 def _run_ints(runs, packing):
     """Per run (row, moving, length, covered): its packed points off the covered steps."""
     pack, weights = packing.pack, packing.weights
     for row, moving, length, covered in runs:
-        if len(covered) == length:
-            continue
         start = pack(row)
         if length == 1:
             yield (start,)

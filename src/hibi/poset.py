@@ -19,8 +19,8 @@ poset; no module keeps a cache keyed by a poset.  It owns:
 - _chains: per source x, the shortest and longest saturated chain to every
   y >= x in P+ (its keys are the up-set of x);
 - _cover_pairs: the covers of P+ as index pairs (for the T^(n) tests);
-- _down_sets: the nonempty down-sets as bitmasks of canonical positions;
-- _ideals: the same down-sets as frozensets of ids (poset_ideals);
+- _down_sets: the nonempty down-sets as bitmasks of canonical positions
+  (poset_ideals reads them as frozensets of ids);
 - _reduced: the reduced sequences per sign eps (sequences.enumerate_N);
 - _sections: the sections of those sequences per sign (cones._sections);
 - _plans: the dilation plan of each section, given the sections before it,
@@ -104,12 +104,6 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
         return tuple(
             (idx[a], -1 if b == TOP else idx[b]) for a in self.elements for b in self.up_covers[a]
         )
-
-    @cached_property
-    def _ideals(self):
-        """The nonempty down-sets, in the order poset_ideals documents."""
-        names = self.elements
-        return tuple(frozenset(names[i] for i in bit_positions(m)) for m in _down_sets(self))
 
     @cached_property
     def _reduced(self):
@@ -295,7 +289,8 @@ def poset_ideals(p):
     Every nonempty down-set contains the bottom.  Ordered by cardinality,
     then lexicographically by canonical element indices.
     """
-    return p._ideals
+    names = p.elements
+    return tuple(frozenset(names[i] for i in bit_positions(m)) for m in _down_sets(p))
 
 
 def is_pure(p):
