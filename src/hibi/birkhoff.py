@@ -15,6 +15,9 @@ Lattices and Order, 2002, ch. 5) the lattice is distributive exactly when
 that map is onto, that is when the two sets have the same size.
 is_distributive decides by that count, in time quadratic in the lattice
 size, instead of testing the distributive law on every triple.
+
+A lattice keeps only the bitmask rows of its order; joins, meets and the
+join-irreducibles are read off them, with no table over pairs.
 """
 
 from collections import namedtuple
@@ -26,12 +29,13 @@ from .labelings import indicator
 from .poset import TOP, _down_sets, bit_positions, build_poset, down_set_masks, poset_ideals
 
 
-class DistLattice(namedtuple("DistLattice", "elements order joins meets")):
-    """Finite lattice: element order, full order relation, join/meet tables.
+class DistLattice(namedtuple("DistLattice", "elements up down")):
+    """Finite lattice: elements and the bitmask rows of the order.
 
-    joins and meets are square tables indexed by element positions and
-    holding element positions.  build_dist_lattice is the validating
-    constructor; it computes the tables from the order relation.
+    Bit j of up[i] (of down[i]) is set when j lies above (below) i, i
+    itself included.  build_dist_lattice is the validating constructor.
+    leq tests one bit; the join of a and b is the element whose up row is
+    up[a] & up[b], found by one dict lookup, and meets likewise.
 
     No __slots__: the cached properties below live in the instance dict.
     """
@@ -41,64 +45,93 @@ class DistLattice(namedtuple("DistLattice", "elements order joins meets")):
         return {z: i for i, z in enumerate(self.elements)}
 
     @cached_property
+    def _where_up(self):
+        return {mask: i for i, mask in enumerate(self.up)}
+
+    @cached_property
+    def _where_down(self):
+        return {mask: i for i, mask in enumerate(self.down)}
+
+    @cached_property
     def bottom(self):
-        for z in self.elements:
-            if all((z, w) in self.order for w in self.elements):
-                return z
-        raise NotALattice("no minimum element")
+        if (1 << len(self.elements)) - 1 not in self._where_up:
+            raise NotALattice("no minimum element")
+        return self.elements[self._where_up[(1 << len(self.elements)) - 1]]
 
     @cached_property
     def top(self):
-        for z in self.elements:
-            if all((w, z) in self.order for w in self.elements):
-                return z
-        raise NotALattice("no maximum element")
+        if (1 << len(self.elements)) - 1 not in self._where_down:
+            raise NotALattice("no maximum element")
+        return self.elements[self._where_down[(1 << len(self.elements)) - 1]]
 
     @cached_property
     def _irreducibles(self):
         """Join-irreducible positions along a linear extension, with masks.
 
-        The bottom counts as join-irreducible.  An element is reducible
-        when it is the join of two elements other than itself, both then
-        strictly below it.  The second item gives, for each position of the
-        extension, the bitmask of the earlier positions below it.
+        The bottom counts as join-irreducible.  An element of a finite
+        lattice is join-irreducible exactly when the elements strictly
+        below it have a largest one, their join; that is when its strict
+        down row is 0 or another element's down row.  The second item
+        gives, for each position of the extension, the bitmask of the
+        earlier positions below it.
         """
-        joins = self.joins
-        reducible = {
-            k for i, row in enumerate(joins) for j, k in enumerate(row) if k != i and k != j
-        }
-        irr = [i for i in range(len(joins)) if i not in reducible]
-        below = {k: [j for j in irr if j != k and joins[j][k] == k] for k in irr}
+        down, where = self.down, self._where_down
+        irr = [k for k, row in enumerate(down) if row == 1 << k or row ^ 1 << k in where]
+        irr_mask = sum(1 << k for k in irr)
+        below = {k: (down[k] & irr_mask) ^ 1 << k for k in irr}
         # fewer elements below comes first, so this is a linear extension
-        ext = sorted(irr, key=lambda k: len(below[k]))
+        ext = sorted(irr, key=lambda k: below[k].bit_count())
         pos = {k: t for t, k in enumerate(ext)}
-        return tuple(ext), tuple(sum(1 << pos[j] for j in below[k]) for k in ext)
+        return tuple(ext), tuple(sum(1 << pos[j] for j in bit_positions(below[k])) for k in ext)
 
     def leq(self, a, b):
-        return (a, b) in self.order
+        idx = self.index
+        return bool(self.up[idx[a]] >> idx[b] & 1)
 
     def join(self, a, b):
-        idx = self.index
-        return self.elements[self.joins[idx[a]][idx[b]]]
+        idx, up = self.index, self.up
+        return self.elements[self._where_up[up[idx[a]] & up[idx[b]]]]
 
     def meet(self, a, b):
-        idx = self.index
-        return self.elements[self.meets[idx[a]][idx[b]]]
+        idx, down = self.index, self.down
+        return self.elements[self._where_down[down[idx[a]] & down[idx[b]]]]
+
+
+def _closure(nbrs, sweep):
+    """Closure rows of the lists nbrs, swept in the order sweep until none changes.
+
+    When each list holds only positions swept before its own, one sweep closes.
+    """
+    rows = [1 << i for i in range(len(nbrs))]
+    changed = True
+    while changed:
+        changed = False
+        for i in sweep:
+            acc = rows[i]
+            for j in nbrs[i]:
+                acc |= rows[j]
+            if acc != rows[i]:
+                rows[i] = acc
+                changed = True
+    return rows
 
 
 def build_dist_lattice(elements, pairs):
     """Validate an order given by (below, above) pairs and build the lattice.
 
-    The pairs may be any generating set; the reflexive-transitive closure
-    is computed here.  Raises NotALattice when the closure is not a
-    partial order or some pair of elements lacks a join or a meet.
-    Distributivity is deliberately not checked here, so nondistributive
-    lattices can be built and fed to join_irreducibles for its error path.
+    The pairs may be any generating set; their closure is computed here,
+    as up rows swept over the successors from the last element to the
+    first and down rows swept over the predecessors from the first to the
+    last.  Raises NotALattice when the closure is not a partial order or
+    some pair of elements lacks a join or a meet.  Distributivity is
+    deliberately not checked here, so nondistributive lattices can be
+    built and fed to join_irreducibles for its error path.
 
-    Elements are bitmask rows: up[i] holds the positions above i and
-    down[i] those below it.  The join of i and j is the element whose up
-    row is exactly up[i] & up[j], found by one dict lookup; meets likewise
-    on the down rows.
+    A finite poset with a bottom in which every pair has a join is a
+    lattice (a meet is the join of the common lower bounds), so it checks
+    that some up row is full and that up[i] & up[j] is an up row for each
+    i < j, storing nothing; only on failure does it scan the pairs in
+    order to name the first without a join or a meet.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
@@ -109,24 +142,16 @@ def build_dist_lattice(elements, pairs):
         raise NotALattice("empty element list")
 
     succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
     for a, b in pairs:
         if a not in idx or b not in idx:
             raise NotALattice(f"unknown id in order pair ({a!r}, {b!r})")
-        succ[idx[a]].append(idx[b])
-    up = [1 << i for i in range(n)]
-    # Sweeps from the last element to the first; when every pair goes from
-    # an earlier to a later element, the first sweep closes the relation.
-    changed = True
-    while changed:
-        changed = False
-        for i in reversed(range(n)):
-            acc = up[i]
-            for j in succ[i]:
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    where_up = {mask: i for i, mask in enumerate(up)}
+        i, j = idx[a], idx[b]
+        succ[i].append(j)
+        pred[j].append(i)
+    up = _closure(succ, range(n - 1, -1, -1))
+    h = DistLattice(elements, tuple(up), tuple(_closure(pred, range(n))))
+    down, where_up = h.down, h._where_up
     if len(where_up) < n:
         # two equal up rows are two elements each below the other
         for i in range(n):
@@ -135,30 +160,21 @@ def build_dist_lattice(elements, pairs):
                     raise NotALattice(
                         f"order is not antisymmetric: {elements[i]!r} and {elements[j]!r}"
                     )
-
-    down = [0] * n
-    order = []
-    for i, mask in enumerate(up):
-        for j in bit_positions(mask):
-            down[j] |= 1 << i
-            order.append((elements[i], elements[j]))
-    where_down = {mask: i for i, mask in enumerate(down)}
-
-    # -1 marks a pair without a join (or meet); the scan below names the first
-    joins = tuple(tuple(where_up.get(u & v, -1) for v in up) for u in up)
-    meets = tuple(tuple(where_down.get(d & e, -1) for e in down) for d in down)
-    if any(-1 in row for row in joins) or any(-1 in row for row in meets):
+    if (1 << n) - 1 not in where_up or not all(
+        all(map(where_up.__contains__, map(u.__and__, up[i + 1 :]))) for i, u in enumerate(up)
+    ):
+        # not a lattice, so this scan raises
         for i in range(n):
             for j in range(i, n):
                 if not up[i] & up[j]:
                     raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no join")
                 if not down[i] & down[j]:
                     raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no meet")
-                if joins[i][j] < 0:
+                if up[i] & up[j] not in where_up:
                     raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no join")
-                if meets[i][j] < 0:
+                if down[i] & down[j] not in h._where_down:
                     raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no meet")
-    return DistLattice(elements, frozenset(order), joins, meets)
+    return h
 
 
 def is_distributive(h):

@@ -4,7 +4,8 @@ Subcommand reports are pure projections of library results: running the
 same command twice on the same input produces byte-identical text.  Exit
 codes: 0 success, 1 usage, 2 invalid input (a value past the 64-bit range
 counts as one), 3 self-test violation, 4 budget exceeded (recursion too
-deep counts as one, and so does running out of memory).
+deep counts as one, and so do running out of memory and a frobenius
+exponent whose dilation leaves the 64-bit range).
 """
 
 import os
@@ -26,6 +27,7 @@ from .cones import (
 from .corpus import BUILTIN_NAMES, UPWARD_PURE_NAMES, all_builtins, builtin, upward_pure
 from .errors import BudgetExceeded
 from .fiber import (
+    _generator_values,
     analytic_spread,
     degree_range,
     fiber_hilbert,
@@ -34,11 +36,11 @@ from .fiber import (
     is_level,
 )
 from .labelings import generators, in_T, is_minimal
-from .poset import _down_sets, is_pure
+from .poset import TOP, _down_sets, is_pure
 from .sequences import as_seq, enumerate_N, nu_down, nu_up, q0, q_max
 
-# hibi lattice builds join and meet tables with one entry per pair of
-# down-sets, so it refuses a poset with more down-sets than this
+# hibi lattice checks the join of every pair of down-sets, so it refuses
+# a poset with more down-sets than this
 MAX_DOWN_SETS = 1000
 
 
@@ -149,21 +151,21 @@ def _cmd_analyze(args):
 
 def _cmd_generators(args):
     name, p = _load(args.poset)
-    gens = generators(p, args.n)
+    rows = _generator_values(p, args.n)
     if args.format == "json":
         payload = {
             "name": name,
             "n": args.n,
-            "count": len(gens),
+            "count": len(rows),
+            # a row's first value, the bottom's, is its degree
             "generators": [
-                {"degree": nu.degree, "values": nu.as_dict()} for nu in gens
+                {"degree": v[0], "values": {**dict(zip(p.elements, v)), TOP: 0}} for v in rows
             ],
         }
         return 0, _json_text(payload)
-    row = _row_template(p)
-    lines = [f"poset {name}: {len(gens)} generators for n = {args.n}"]
-    # values[0], the bottom's value, is the degree
-    lines += ["  degree %4d  " % nu.values[0] + row % nu.values for nu in gens]
+    row = "  degree %4d  " + _row_template(p)
+    lines = [f"poset {name}: {len(rows)} generators for n = {args.n}"]
+    lines += [row % (v[0], *v) for v in rows]
     return 0, "\n".join(lines)
 
 

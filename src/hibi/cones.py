@@ -580,34 +580,36 @@ def _section_reach(c, n):
 
 
 def dim_bruteforce(c):
-    """Affine rank of the dilation-1 integer points, over exact rationals.
+    """Affine rank of the dilation-1 integer points, by integer elimination.
 
     Valid as a dimension oracle because the witness construction already
     exhibits #F + t + 1 affinely independent integer points.
     """
-    from fractions import Fraction  # only the self-test needs exact rationals
-
     pts = _run_values(_section_runs(c, 1))
     base = pts[0]
-    rows = [[Fraction(v - b) for v, b in zip(q, base)] for q in pts[1:]]
-    return _rank(rows)
+    return _rank([[v - b for v, b in zip(q, base)] for q in pts[1:]])
 
 
 def _rank(rows):
-    if not rows:
-        return 0
-    rank = 0
-    width = len(rows[0])
-    for col in range(width):
+    """Rank of integer rows by fraction-free (Bareiss) elimination.
+
+    After each pivot every row below it, one with 0 under the pivot too,
+    is scaled by the pivot and divided by the pivot before it; by
+    Sylvester's identity each entry is then a minor of the input, so the
+    division is exact and no fraction appears.
+    """
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
+        top = rows[rank]
+        lead = top[col]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / lead
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+            f = rows[i][col]
+            rows[i] = [(lead * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = lead
         rank += 1
         if rank == len(rows):
             break

@@ -22,19 +22,20 @@ exactly n times that, as a polytope's box and a section's plan scale
 with n (cones._dilation); _Packing gives the bound under which a packed
 sum matches a packed top vector only when the vectors match.
 
-Budgets guard every enumeration: primes and exponents are capped, and a
-piece enumeration aborts with an explicit error as soon as it passes the
-cap, rather than truncating: _piece counts the points of the runs as
-they stream (cones._capped) and stops before the run that would take
-them past the cap, and a polytope first checks its box.  Every count
-takes one route, _fresh: the top piece first, so its cap rejects before
-any lower piece is walked, then the lower pieces, all under a packing
-sized from that exponent.  Nothing is cached between calls: a piece
-lives only as long as the count that builds it, and tcx_report takes
-each row (e, dim_e, c_e) from its own count, walking the lower pieces
-again at each e.  The pieces of a d-dimensional target grow like
-prime**(d*e), so a table walks at most about prime**d / (prime**d - 1)
-times the points of its pieces.
+Budgets guard every enumeration: primes and exponents are capped, an
+exponent whose dilation reaches past the 64-bit range is refused before
+any piece is built, and a piece enumeration aborts with an explicit
+error as soon as it passes the cap, rather than truncating: _piece
+counts the points of the runs as they stream (cones._capped) and stops
+before the run that would take them past the cap, and a polytope first
+checks its box.  Every count takes one route, _fresh: the top piece
+first, so its cap rejects before any lower piece is walked, then the
+lower pieces, all under a packing sized from that exponent.  Nothing is
+cached between calls: a piece lives only as long as the count that
+builds it, and tcx_report takes each row (e, dim_e, c_e) from its own
+count, walking the lower pieces again at each e.  The pieces of a
+d-dimensional target grow like prime**(d*e), so a table walks at most
+about prime**d / (prime**d - 1) times the points of its pieces.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -51,7 +52,7 @@ from operator import mul
 from .cones import ConeSection, _capped, _section_reach, _section_runs, _sections
 from .errors import BudgetExceeded
 from .fiber import _generator_runs, _generator_values
-from .labelings import _kernel_labelings
+from .labelings import INT64_MAX, _kernel_labelings
 from .poset import Poset
 
 
@@ -269,6 +270,9 @@ def _fresh(target, prime, e, budget):
         raise ValueError("e must be at least 1")
     budget = _check_caps(prime, e, budget)
     _, width, unit, runs = _resolve(target)
+    # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
+    if (prime**e - 1) * unit > INT64_MAX:
+        raise BudgetExceeded(f"exponent {e} takes the dilation past the 64-bit range")
     packing = _Packing(width, unit, prime, e)
     cap = budget.max_piece
     # top piece first: its caps bound the lower pieces

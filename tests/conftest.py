@@ -9,10 +9,11 @@ the walk over every run of the sections, the first-section check made
 run by run, the dilation plan built afresh at each n, the degrees of every listed generator, the residue search for fresh
 Frobenius vectors, the bound scans of lattice joins and meets, the
 lattice of down-sets built from frozensets, the distributive law on
-every triple) so the library code is never checked
-against itself.
+every triple, the generators report rendered from Labelings) so the
+library code is never checked against itself.
 """
 
+import json
 from functools import lru_cache
 from itertools import combinations, product
 from operator import add, sub
@@ -25,7 +26,7 @@ from hibi.birkhoff import build_dist_lattice
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
 from hibi.fiber import _generator_runs
-from hibi.labelings import INT64_MAX, INT64_MIN, Labeling
+from hibi.labelings import INT64_MAX, INT64_MIN, Labeling, generators
 from hibi.poset import TOP, build_poset, poset_ideals, qdist
 from hibi.sequences import CondNSeq, is_q_reduced, q0, q_max, q_value
 
@@ -723,6 +724,23 @@ def lattice_tables_scan(elements, pairs):
     return order, tuple(map(tuple, joins)), tuple(map(tuple, meets))
 
 
+def generators_report(name, p, n, fmt):
+    """The text of hibi generators, rendered from one Labeling per generator."""
+    gens = generators(p, n)
+    if fmt == "json":
+        payload = {
+            "name": name,
+            "n": n,
+            "count": len(gens),
+            "generators": [{"degree": nu.degree, "values": nu.as_dict()} for nu in gens],
+        }
+        return json.dumps(payload, indent=2, ensure_ascii=False)
+    row = " ".join(z.replace("%", "%%") + "=%d" for z in p.elements)
+    lines = [f"poset {name}: {len(gens)} generators for n = {n}"]
+    lines += ["  degree %4d  " % nu.values[0] + row % nu.values for nu in gens]
+    return "\n".join(lines)
+
+
 def lattice_from_ideals(p):
     """The lattice of nonempty down-sets, built from poset_ideals as frozensets.
 
@@ -744,10 +762,19 @@ def lattice_from_ideals(p):
     return build_dist_lattice(labels, covers)
 
 
+def lattice_tables(h):
+    """(order, joins, meets) as lattice_tables_scan gives them, read off leq, join and meet."""
+    els, pos = h.elements, h.index
+    order = frozenset((a, b) for a in els for b in els if h.leq(a, b))
+    joins = tuple(tuple(pos[h.join(a, b)] for b in els) for a in els)
+    meets = tuple(tuple(pos[h.meet(a, b)] for b in els) for a in els)
+    return order, joins, meets
+
+
 def distributive_law(h):
-    """The meet-over-join law checked on every triple of elements."""
+    """The meet-over-join law checked on every triple, on the tables of join and meet."""
     n = len(h.elements)
-    joins, meets = h.joins, h.meets
+    _, joins, meets = lattice_tables(h)
     for a in range(n):
         row = meets[a]
         for b in range(n):

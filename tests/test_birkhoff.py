@@ -10,10 +10,12 @@ from conftest import (
     closure_systems,
     distributive_law,
     lattice_from_ideals,
+    lattice_tables,
     lattice_tables_scan,
     small_posets,
 )
 from hibi import (
+    DistLattice,
     NotALattice,
     NotDistributive,
     build_dist_lattice,
@@ -33,22 +35,30 @@ M3 = (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"))
 N5 = (("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1"))
 BOWTIE = (("a", "b", "c", "d"), (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")))
 TWO_CYCLE = (("a", "b"), (("a", "b"), ("b", "a")))
+# a bottom, but the adjacent pair a, b has no join; every pair has a join, but no bottom
+VEE = (("0", "a", "b"), (("0", "a"), ("0", "b")))
+WEDGE = (("a", "b", "1"), (("a", "1"), ("b", "1")))
 
 
 def _outcome(build, elements, pairs):
-    """The tables a lattice builder returns, or the text of its NotALattice."""
+    """The tables a lattice builder gives, or the text of its NotALattice."""
     try:
         result = build(elements, pairs)
     except NotALattice as exc:
         return str(exc)
-    if hasattr(result, "joins"):
-        return result.order, result.joins, result.meets
-    return result
+    return lattice_tables(result) if isinstance(result, DistLattice) else result
 
 
 def _agrees_with_oracles(elements, pairs):
     h = build_dist_lattice(elements, pairs)
-    assert (h.order, h.joins, h.meets) == lattice_tables_scan(elements, pairs)
+    order, joins, meets = lattice_tables_scan(elements, pairs)
+    assert lattice_tables(h) == (order, joins, meets)
+    # join-irreducible: the join of no two elements other than itself
+    reducible = {k for i, row in enumerate(joins) for j, k in enumerate(row) if k not in (i, j)}
+    assert set(h._irreducibles[0]) == set(range(len(joins))) - reducible
+    lows = [a for a in h.elements if all((a, b) in order for b in h.elements)]
+    highs = [b for b in h.elements if all((a, b) in order for a in h.elements)]
+    assert [h.bottom, h.top] == lows + highs
     assert is_distributive(h) == distributive_law(h)
     return h
 
@@ -86,7 +96,9 @@ def test_antisymmetry_violation():
         build_dist_lattice(*TWO_CYCLE)
 
 
-@pytest.mark.parametrize("elements, pairs", [BOWTIE, TWO_CYCLE], ids=["bowtie", "2-cycle"])
+@pytest.mark.parametrize(
+    "elements, pairs", [BOWTIE, TWO_CYCLE, VEE, WEDGE], ids=["bowtie", "2-cycle", "vee", "wedge"]
+)
 def test_non_lattice_text_matches_scan_oracle(elements, pairs):
     text = _outcome(build_dist_lattice, elements, pairs)
     assert isinstance(text, str)
@@ -109,7 +121,7 @@ def test_small_lattices_match_oracles(elements, pairs):
 def test_corpus_ideal_lattices_match_oracles(corpus):
     for name, p in corpus:
         h = lattice_from_poset(p)
-        pairs = [(a, b) for a, b in h.order if a != b]
+        pairs = [(a, b) for a, b in lattice_tables(h)[0] if a != b]
         assert _agrees_with_oracles(h.elements, pairs) == h, name
         assert is_distributive(h), name
 

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 import hibi
 import hibi.cli as cli
+from conftest import generators_report, small_posets
 from hibi.cli import main, run_command
+from hibi.documents import PosetDocument, serialize_poset_document
 from hibi.errors import DocumentError
 from hibi.labelings import INT64_MAX
 
@@ -180,12 +183,32 @@ def test_frobenius_rejects_composite_prime():
     assert "prime" in text
 
 
-def test_frobenius_overflow_is_invalid_input():
-    # the e = 3 piece of chain3 has values near -4 * 1000000007**3
-    code, text = run_command(["frobenius", "chain3", "--prime", "1000000007", "--emax", "3"])
-    assert code == 2
-    assert text.startswith("invalid input: labeling value -4000000084")
-    assert text.endswith("exceeds the 64-bit range")
+def test_frobenius_past_64_bits_is_a_budget_exit():
+    # the e = 3 piece of chain3 would hold values near -4 * 1000000007**3
+    assert run_command(["frobenius", "chain3", "--prime", "1000000007", "--emax", "3"]) == (
+        4,
+        "budget exceeded: exponent 3 takes the dilation past the 64-bit range",
+    )
+
+
+def test_an_exponent_past_64_bits_builds_no_piece(monkeypatch):
+    import hibi.frobenius as frobenius
+
+    built = []
+    piece = frobenius._piece
+
+    def recording(runs, n, cap, packing):
+        built.append(n)
+        return piece(runs, n, cap, packing)
+
+    monkeypatch.setattr(frobenius, "_piece", recording)
+    assert run_command(["frobenius", "chain3", "--prime", "2", "--emax", "1000000"]) == (
+        4,
+        "budget exceeded: exponent 62 takes the dilation past the 64-bit range",
+    )
+    # rows e = 1 .. 61 build pieces 1 .. e each; the row of e = 62 builds none
+    assert len(built) == 61 * 62 // 2
+    assert max(built) == 2**61 - 1
 
 
 def test_frobenius_large_prime_is_checked_quickly():
@@ -732,7 +755,7 @@ def test_lattice_and_selftest_outputs_are_pinned(tmp_path):
     rooted.write_text(json.dumps(ROOTED16A))
     block = tmp_path / "p3lattice.json"
     h = hibi.lattice_from_poset(hibi.corpus.p3())
-    order = sorted([a, b] for a, b in h.order if a != b)
+    order = sorted([a, b] for a in h.elements for b in h.elements if a != b and h.leq(a, b))
     lattice = {"elements": list(h.elements), "order": order}
     block.write_text(json.dumps({"name": "P3lattice", "lattice": lattice}))
     formats = ("table", "json")
@@ -900,6 +923,31 @@ def test_values_past_64_bits_are_invalid_input():
     meet = ["polytope", "P2", "--eps", "1", "--n", n, "--seq", "y1,x1", "--intersect", ""]
     text = "invalid input: labeling value 11529215046068469755 exceeds the 64-bit range"
     assert run_command(meet) == (2, text)
+
+
+def _generators_agree(name, p, ref):
+    for n in range(-3, 4):
+        for fmt in ("table", "json"):
+            argv = ["generators", ref, "--n", str(n), "--format", fmt]
+            assert run_command(argv) == (0, generators_report(name, p, n, fmt)), (name, n, fmt)
+
+
+def test_generators_report_matches_the_labeling_rendering(corpus, tmp_path):
+    for name, p in corpus:
+        _generators_agree(name, p, name)
+    path = _odd_document(tmp_path)
+    doc = cli._document(Path(path).read_text(encoding="utf-8"))
+    _generators_agree(doc.name, doc.poset, path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets())
+def test_generators_report_matches_the_labeling_rendering_random(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_poset_document(PosetDocument("drawn", p)))
+        _generators_agree("drawn", p, path)
 
 
 # P1 with ids that a format string or a %-template would misread

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import dilation_fresh, lattice_points_sweep, run_count, small_posets, t_box
 from hibi import (
@@ -27,6 +28,7 @@ from hibi.cones import (
     _dilation,
     _meet,
     _point_count,
+    _rank,
     _run_values,
     _section_runs,
     _sections,
@@ -143,6 +145,38 @@ def test_formula_matches_bruteforce(poset1, poset2, poset3):
             for seq in enumerate_N(p, eps):
                 c = build_C(p, eps, seq)
                 assert dim_formula(c) == dim_bruteforce(c)
+
+
+def _sections_agree(p):
+    for eps in (1, -1):
+        for c in _sections(p, eps):
+            points = [nu.values for nu in lattice_points(c, 1)]
+            assert dim_bruteforce(c) == affine_rank(points), (eps, c.seq)
+
+
+def test_integer_rank_matches_the_fraction_rank_on_corpus(corpus):
+    for _, p in corpus:
+        _sections_agree(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets())
+def test_integer_rank_matches_the_fraction_rank_random(p):
+    _sections_agree(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda w: st.lists(st.lists(st.integers(-4, 4), min_size=w, max_size=w), max_size=9)
+    )
+)
+# a row with 0 under a pivot must still be scaled, or a later division is inexact
+@example([[1, 2, -1, -2, -1, 1], [0, 0, 0, 1, 2, 0], [-2, 1, -2, 0, 0, 1],
+          [-1, 2, 0, 0, 2, 1], [-1, 0, 1, 0, 2, 0], [-1, -2, -2, 1, 2, 2]])
+def test_integer_rank_matches_the_fraction_rank_on_drawn_rows(rows):
+    # rank-deficient rows and zero columns exercise the skipped pivots
+    assert _rank([list(r) for r in rows]) == affine_rank([[0] * len(rows[0])] + rows if rows else [])
 
 
 def test_single_point_section():

@@ -35,7 +35,7 @@ FIELDS = {
         "g_set",
         "f_set",
     ),
-    DistLattice: ("elements", "order", "joins", "meets"),
+    DistLattice: ("elements", "up", "down"),
     PosetDocument: ("name", "poset", "lattice"),
     Budget: ("max_prime", "max_e", "max_piece"),
     Polytope: ("dim", "inequalities", "lower", "upper"),
