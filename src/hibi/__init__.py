@@ -25,14 +25,12 @@ _HOMES = {
     ),
     "cones": (
         "ConeSection",
-        "affine_witnesses",
         "build_C",
         "dim_bruteforce",
         "dim_formula",
         "ehrhart_counts",
         "is_standard",
         "lattice_points",
-        "witness_partition",
     ),
     "corpus": ("BUILTIN_NAMES", "all_builtins", "builtin", "upward_pure"),
     "documents": ("PosetDocument", "parse_poset_document", "serialize_poset_document"),

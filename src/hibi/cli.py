@@ -112,8 +112,6 @@ def _parse_primes(text):
         primes = tuple(int(s) for s in text.split(","))
     except ValueError:
         raise ValueError(f"--prime expects comma-separated integers, got {text!r}") from None
-    if not primes:
-        raise ValueError("--prime expects at least one prime")
     return primes
 
 
@@ -121,15 +119,13 @@ def _cmd_analyze(args):
     name, p = _load(args.poset)
     ranges = {n: (q0(p, n), q_max(p, n)) for n in (1, -1)}
     counts = {n: fiber_hilbert(p, n, 1) for n in (1, -1)}
+    flags = _flags(p)
     if args.format == "json":
         payload = {
             "name": name,
             "elements": len(p.elements),
             "covers": len(p.covers),
-            "pure": is_pure(p),
-            "gorenstein": is_gorenstein(p),
-            "level": is_level(p),
-            "anticanonical_level": is_anticanonical_level(p),
+            **flags,
             "spread": {"1": analytic_spread(p, 1), "-1": analytic_spread(p, -1)},
             "generators": {"1": counts[1], "-1": counts[-1]},
             "degree_range": {"1": list(ranges[1]), "-1": list(ranges[-1])},
@@ -137,10 +133,7 @@ def _cmd_analyze(args):
         return 0, _json_text(payload)
     lines = [
         f"poset {name}: {len(p.elements)} elements, {len(p.covers)} covers",
-        f"pure: {_bool(is_pure(p))}",
-        f"gorenstein: {_bool(is_gorenstein(p))}",
-        f"level: {_bool(is_level(p))}",
-        f"anticanonical level: {_bool(is_anticanonical_level(p))}",
+        *[f"{key.replace('_', ' ')}: {_bool(value)}" for key, value in flags.items()],
         f"analytic spread (eps=1): {analytic_spread(p, 1)}",
         f"analytic spread (eps=-1): {analytic_spread(p, -1)}",
         f"generators (n=1): {counts[1]}, degrees {ranges[1][0]}..{ranges[1][1]}",
@@ -259,14 +252,19 @@ def _cmd_spread(args):
     return 0, str(value)
 
 
-def _cmd_level(args):
-    name, p = _load(args.poset)
-    flags = {
+def _flags(p):
+    """The purity, Gorenstein and level flags that analyze and level report."""
+    return {
         "pure": is_pure(p),
         "gorenstein": is_gorenstein(p),
         "level": is_level(p),
         "anticanonical_level": is_anticanonical_level(p),
     }
+
+
+def _cmd_level(args):
+    name, p = _load(args.poset)
+    flags = _flags(p)
     if args.format == "json":
         return 0, _json_text({"name": name, **flags})
     lines = [f"poset {name}:"]

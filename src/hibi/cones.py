@@ -16,16 +16,17 @@ n times its weight at n = 1, so a plan is built once per section, at
 unit scale, kept by the poset, and scaled by n on each use.  One closed
 walk (_section_runs) lists the plan's points as runs, a caller that caps
 a listing counts its runs (_capped), one memoized sweep (_point_count)
-counts the points without listing, and reaches and degree ranges are
-read off the plan's bounds.
+counts the points without listing, and both step through a level's
+values by one rule (_value_tasks).  Reaches and degree ranges are read
+off the plan's bounds.
 """
 
 from collections import namedtuple
 
 from .errors import BudgetExceeded
-from .labelings import INT64_MAX, INT64_MIN, _kernel_labelings, indicator, label_max
+from .labelings import INT64_MAX, INT64_MIN, _kernel_labelings
 from .poset import TOP, qdist
-from .sequences import as_seq, enumerate_N, is_q_reduced, shifted_family
+from .sequences import as_seq, enumerate_N, is_q_reduced
 
 
 class ConeSection(
@@ -391,60 +392,41 @@ def _section_runs(c, n, earlier=()):
     level takes its lowest value, the coordinates of that level, the
     number of steps, and the steps an earlier section (as in _dilation)
     already has, as a set, or () when none has any; along the run the
-    moving coordinates rise by one per step.  The walk only lists: at a
-    value of a level where an earlier section's pairs all hold it goes on
-    to the next value, as _point_count does, so no run is covered at every
-    step, and a caller that caps the points counts them (_capped).  Beyond
-    the plan the walk holds O(depth) values.
+    moving coordinates rise by one per step.  Every level before the last
+    takes its values from _value_tasks, as _point_count does, so the walk
+    goes past a value where an earlier section has every point below it,
+    yields no run that is covered at every step, and only lists: a caller
+    that caps the points counts them (_capped).  Beyond the plan the walk
+    holds one task iterator per level.
     """
     plan = _dilation(c, n, earlier)
     if plan is None or plan.live is None:
         return
     pins, checks, ends, keeps = plan.pins, plan.checks, plan.ends, plan.keeps
-    r = len(plan.boxes)
-    if not r:
+    last = len(plan.boxes) - 1
+    if last < 0:
         yield tuple([off for _, off in pins]), (), 1, ()
         return
-    last = r - 1
     moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
-    # Depth-first walk over the levels; ub[t] is the upper end of level t's
-    # range, masks[t] the sections live on entering it and holding[t] its
-    # values where some hold.  The closure leaves no dead ends.
-    x = [0] * (r + 1)  # x[-1] stays 0
-    ub = [0] * r
-    masks = [plan.live] + [0] * r
-    holding = [None] * r
+    x = [0] * (last + 2)  # x[-1], the top, is 0
+    stack = [_value_tasks(0, 0, plan.live, {}, 0)]  # the value tasks of x[-1] .. x[t - 1]
     t = 0
-    entering = True
-    while t >= 0:
-        if entering:
+    while stack:
+        for _, x[t - 1], mask in stack[-1]:
+            # enter level t under mask, x[:t] set
             lo, hi = _level_range(plan, t, x)
-            mask = masks[t]
-            if mask:
-                holding[t] = _holding(mask, checks[t], x, lo, hi)
-            if t == last:
-                x[t] = lo
-                covered = {v - lo for v in holding[t]} if mask else ()
-                if len(covered) <= hi - lo:
-                    yield tuple([x[u] + off for u, off in pins]), moving, hi - lo + 1, covered
-                t -= 1
-                entering = False
-                continue
-            x[t], ub[t] = lo - 1, hi
-            entering = False
-        x[t] += 1
-        if x[t] > ub[t]:
+            tight = mask and _holding(mask, checks[t], x, lo, hi)  # 0 with no section live
+            if t < last:
+                stack.append(_value_tasks(lo, hi, mask & keeps[t], tight, ends[t]))
+                t += 1
+                break
+            x[t] = lo
+            covered = {v - lo for v in tight} if mask else ()
+            if len(covered) <= hi - lo:
+                yield tuple([x[u] + off for u, off in pins]), moving, hi - lo + 1, covered
+        else:
+            stack.pop()
             t -= 1
-            continue
-        mask = masks[t]
-        if mask:
-            bits = holding[t].get(x[t], 0)
-            if bits & ends[t]:
-                continue  # an earlier section has every point below this value
-            mask = mask & keeps[t] | bits
-        masks[t + 1] = mask
-        t += 1
-        entering = True
 
 
 def _capped(runs, limit, text):
@@ -496,7 +478,8 @@ def _point_count(c, n, earlier=()):
     """Number of points of the n-fold dilation, less those an earlier section has.
 
     earlier is as in _dilation, whose plan this reads; no point is
-    listed.  The levels are swept in the walk's order (_section_runs).
+    listed.  The levels are swept in the walk's order (_section_runs),
+    by its value step (_value_tasks), and meet no empty range either.
     What a level's value leaves to the levels after it depends only on
     the values of its front and on the earlier sections whose pairs all
     hold so far, so each level memoizes its counts by those.  Each
@@ -525,9 +508,7 @@ def _point_count(c, n, earlier=()):
         if got is None:
             lo, hi = _level_range(plan, t, x)
             tight = _holding(mask, checks[t], x, lo, hi)
-            if lo > hi:
-                got = 0
-            elif t == r - 1:
+            if t == r - 1:
                 got = hi - lo + 1 - len(tight)
             else:
                 stay = mask & keeps[t]
@@ -562,7 +543,21 @@ def _point_count(c, n, earlier=()):
 
 
 def _value_tasks(lo, hi, stay, tight, done):
-    """(1, v, sections) for each value v of a level that a later level reads."""
+    """The tasks (1, v, sections) of the values v = lo .. hi of a level a later one reads.
+
+    The one value step of the walk and the count.  tight maps a value to
+    the earlier sections whose pairs all hold there (_holding), or is 0
+    when no section is live.  A value
+    where one of them is decided for good (done) is passed over, as that
+    section has every point below it; at any other value the sections
+    live below it are stay, the ones not checked at this level, with the
+    ones that hold there.  With no tight value every value is a task
+    (1, v, stay).
+    """
+    if not tight:
+        for v in range(lo, hi + 1):
+            yield 1, v, stay
+        return
     for v in range(lo, hi + 1):
         bits = tight.get(v, 0)
         if not bits & done:
@@ -614,42 +609,6 @@ def _rank(rows):
         if rank == len(rows):
             break
     return rank
-
-
-def _staircase(c):
-    """Witness points and the F_i partition from the shifted-family sweep."""
-    p, eps, seq = c.poset, c.epsilon, c.seq
-    t = seq.t
-    used = set()
-    points = []
-    parts = []
-    current = None
-    for i in range(t + 1):
-        s = t - i
-        _, down_s, up_s = shifted_family(p, eps, seq, s)
-        current = down_s if current is None else label_max(current, down_s)
-        points.append(current)
-        f_i = tuple(z for z in p.elements if current(z) < up_s(z) and z not in used)
-        parts.append(frozenset(f_i))
-        for z in f_i:
-            used.add(z)
-            current = current + indicator(p, (z,))
-            points.append(current)
-    return tuple(points), tuple(parts)
-
-
-def affine_witnesses(c):
-    """#F + t + 1 affinely independent integer points of the section.
-
-    Starts from the fully shifted nu_down, walks each F_i in canonical
-    order adding one unit at a time, and joins levels by pointwise max.
-    """
-    return _staircase(c)[0]
-
-
-def witness_partition(c):
-    """The F_i sets swept out by the witness staircase; their union is F."""
-    return _staircase(c)[1]
 
 
 def is_standard(c, n_max):

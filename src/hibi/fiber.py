@@ -3,11 +3,11 @@
 The generators of T^(n) are the points of the |n|-fold dilated sections,
 each kept by its first section in enumerate_N order that it is tight on.
 cones makes that check on the plan of each dilation (cones._dilation),
-given the tight pairs of the sections before it: listings expand the
-runs of its walk, which skips the points an earlier section has and
-leaves a cap to the listing (cones._capped), the Hilbert counts list
-nothing (cones._point_count), and the degree range reads its closed
-bounds.
+given the tight pairs of the sections before it (_first_sections):
+listings expand the runs of its walk, which skips the points an earlier
+section has and leaves a cap to the listing (cones._capped), the Hilbert
+counts list nothing (cones._point_count), and the degree range reads its
+closed bounds.
 """
 
 from .cones import (
@@ -102,37 +102,38 @@ def _generator_values(p, n, limit=None):
 def _generator_count(p, n):
     """Number of minimal elements of T^(n), without listing them.
 
-    Each section counts the points that no earlier section in
-    enumerate_N order is tight on (cones._point_count), the same first
-    section that _generator_runs keeps a point for.
+    Each section counts the points it keeps (_first_sections) by
+    cones._point_count.
     """
     if n == 0:
         return 1
-    m = abs(n)
-    earlier = ()
-    total = 0
-    for c in _sections(p, 1 if n > 0 else -1):
-        total += _point_count(c, m, earlier)
-        earlier += (_tight_pairs(c),)
-    return total
+    return sum(_point_count(c, abs(n), earlier) for c, earlier in _first_sections(p, n))
 
 
 def _generator_runs(p, n):
-    """The sections' runs (cones._section_runs), each less the steps earlier ones have.
+    """The runs (cones._section_runs) of the points each section keeps (_first_sections).
 
-    Sections overlap, so each point is kept only by its first section in
-    enumerate_N order whose equalities it is tight on: a point of T^(n)
-    tight on those pairs lies in that section, so the test is exact and
-    needs no index of the points already found.  The walk of each section
-    makes that test against the sections before it, so the runs list
-    every minimal element once.  n = 0 gives one run, the origin: the one
-    minimal element of T^(0).
+    So the runs list every minimal element once.  n = 0 gives one run,
+    the origin: the one minimal element of T^(0).
     """
     if n == 0:
         yield (0,) * len(p.elements), (), 1, ()
         return
-    m = abs(n)
-    earlier = ()  # unit tight pairs (ix, iy, d) of the sections already swept
+    for c, earlier in _first_sections(p, n):
+        yield from _section_runs(c, abs(n), earlier)
+
+
+def _first_sections(p, n):
+    """(section, earlier) per section of sign n, in enumerate_N order.
+
+    Sections overlap, so each point is kept only by its first section in
+    enumerate_N order whose equalities it is tight on: a point of T^(n)
+    tight on those pairs lies in that section, so the test is exact and
+    needs no index of the points already found.  earlier holds the unit
+    tight pairs (cones._tight_pairs) of the sections before the section,
+    against which its walk and its count make that test.
+    """
+    earlier = ()
     for c in _sections(p, 1 if n > 0 else -1):
-        yield from _section_runs(c, m, earlier)
+        yield c, earlier
         earlier += (_tight_pairs(c),)

@@ -161,10 +161,9 @@ class _Packing:
     A plain class: a namedtuple would cost every cold start its creation.
     """
 
-    __slots__ = ("unit", "bits", "weights")
+    __slots__ = ("bits", "weights")
 
     def __init__(self, width, unit, prime, e):
-        self.unit = unit
         self.bits = bits = ((prime**e - 1) * unit).bit_length() + 1
         self.weights = tuple(1 << bits * i for i in range(width))
 

@@ -5,8 +5,10 @@ DFS, powerset filtering, brute-force pair search, build-then-filter
 sequence enumeration, the node-wise re-checking search of reduced
 sequences, the down-set scan for minimality, the degree-box
 sweeps of T^(n) and of one section, the sums of degree-one generators,
-the walk over every run of the sections, the first-section check made
-run by run, the dilation plan built afresh at each n, the degrees of every listed generator, the residue search for fresh
+the walk over every run of the sections, the walk's hand-rolled state
+machine, the first-section check made run by run, the dilation plan
+built afresh at each n, the witness staircase of affinely independent
+section points, the degrees of every listed generator, the residue search for fresh
 Frobenius vectors, the bound scans of lattice joins and meets, the
 lattice of down-sets built from frozensets, the distributive law on
 every triple, the generators report rendered from Labelings) so the
@@ -21,14 +23,24 @@ from operator import add, sub
 import pytest
 from hypothesis import strategies as st
 
-from hibi.cones import _close, _Plan, _run_values, _section_runs, _sections, _tight_pairs
+from hibi.cones import (
+    _close,
+    _dilation,
+    _holding,
+    _level_range,
+    _Plan,
+    _run_values,
+    _section_runs,
+    _sections,
+    _tight_pairs,
+)
 from hibi.birkhoff import build_dist_lattice
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
 from hibi.fiber import _generator_runs
-from hibi.labelings import INT64_MAX, INT64_MIN, Labeling, generators
+from hibi.labelings import INT64_MAX, INT64_MIN, Labeling, generators, indicator, label_max
 from hibi.poset import TOP, build_poset, poset_ideals, qdist
-from hibi.sequences import CondNSeq, is_q_reduced, q0, q_max, q_value
+from hibi.sequences import CondNSeq, is_q_reduced, q0, q_max, q_value, shifted_family
 
 
 @pytest.fixture(scope="session")
@@ -337,6 +349,62 @@ def run_count(runs):
     return sum(length - len(covered) for _, _, length, covered in runs)
 
 
+def section_runs_reference(c, n, earlier=()):
+    """cones._section_runs by integer stepping, a state machine over the plan's levels.
+
+    ub[t] is the upper end of level t's range, masks[t] the sections live
+    on entering it and holding[t] its values where some hold; the step
+    rule is written out here, not taken from cones._value_tasks.  Its
+    runs must equal the library walk's exactly: order, boundaries and
+    covered.
+    """
+    plan = _dilation(c, n, earlier)
+    if plan is None or plan.live is None:
+        return
+    pins, checks, ends, keeps = plan.pins, plan.checks, plan.ends, plan.keeps
+    r = len(plan.boxes)
+    if not r:
+        yield tuple([off for _, off in pins]), (), 1, ()
+        return
+    last = r - 1
+    moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
+    x = [0] * (r + 1)  # x[-1] stays 0
+    ub = [0] * r
+    masks = [plan.live] + [0] * r
+    holding = [None] * r
+    t = 0
+    entering = True
+    while t >= 0:
+        if entering:
+            lo, hi = _level_range(plan, t, x)
+            mask = masks[t]
+            if mask:
+                holding[t] = _holding(mask, checks[t], x, lo, hi)
+            if t == last:
+                x[t] = lo
+                covered = {v - lo for v in holding[t]} if mask else ()
+                if len(covered) <= hi - lo:
+                    yield tuple([x[u] + off for u, off in pins]), moving, hi - lo + 1, covered
+                t -= 1
+                entering = False
+                continue
+            x[t], ub[t] = lo - 1, hi
+            entering = False
+        x[t] += 1
+        if x[t] > ub[t]:
+            t -= 1
+            continue
+        mask = masks[t]
+        if mask:
+            bits = holding[t].get(x[t], 0)
+            if bits & ends[t]:
+                continue  # an earlier section has every point below this value
+            mask = mask & keeps[t] | bits
+        masks[t + 1] = mask
+        t += 1
+        entering = True
+
+
 def step_tests(earlier, moving):
     """Per earlier section: its pairs split into fixed ones and ones that move.
 
@@ -526,6 +594,42 @@ def dilation_fresh(c, n, earlier=()):
         tuple(keeps),
         live,
     )
+
+
+def _staircase(c):
+    """Witness points and the F_i partition from the shifted-family sweep."""
+    p, eps, seq = c.poset, c.epsilon, c.seq
+    t = seq.t
+    used = set()
+    points = []
+    parts = []
+    current = None
+    for i in range(t + 1):
+        s = t - i
+        _, down_s, up_s = shifted_family(p, eps, seq, s)
+        current = down_s if current is None else label_max(current, down_s)
+        points.append(current)
+        f_i = tuple(z for z in p.elements if current(z) < up_s(z) and z not in used)
+        parts.append(frozenset(f_i))
+        for z in f_i:
+            used.add(z)
+            current = current + indicator(p, (z,))
+            points.append(current)
+    return tuple(points), tuple(parts)
+
+
+def affine_witnesses(c):
+    """#F + t + 1 affinely independent integer points of the section: the dimension oracle.
+
+    Starts from the fully shifted nu_down, walks each F_i in canonical
+    order adding one unit at a time, and joins levels by pointwise max.
+    """
+    return _staircase(c)[0]
+
+
+def witness_partition(c):
+    """The F_i sets swept out by the witness staircase; their union is F."""
+    return _staircase(c)[1]
 
 
 def degree_range_listing(p, n):

@@ -38,6 +38,9 @@ TWO_CYCLE = (("a", "b"), (("a", "b"), ("b", "a")))
 # a bottom, but the adjacent pair a, b has no join; every pair has a join, but no bottom
 VEE = (("0", "a", "b"), (("0", "a"), ("0", "b")))
 WEDGE = (("a", "b", "1"), (("a", "1"), ("b", "1")))
+DUPLICATE_IDS = (("0", "a", "0"), (("0", "a"),))
+NO_ELEMENTS = ((), ())
+UNKNOWN_ID = (("0", "a"), (("0", "a"), ("a", "b")))
 
 
 def _outcome(build, elements, pairs):
@@ -97,7 +100,9 @@ def test_antisymmetry_violation():
 
 
 @pytest.mark.parametrize(
-    "elements, pairs", [BOWTIE, TWO_CYCLE, VEE, WEDGE], ids=["bowtie", "2-cycle", "vee", "wedge"]
+    "elements, pairs",
+    [BOWTIE, TWO_CYCLE, VEE, WEDGE, DUPLICATE_IDS, NO_ELEMENTS, UNKNOWN_ID],
+    ids=["bowtie", "2-cycle", "vee", "wedge", "duplicate ids", "no elements", "unknown id"],
 )
 def test_non_lattice_text_matches_scan_oracle(elements, pairs):
     text = _outcome(build_dist_lattice, elements, pairs)

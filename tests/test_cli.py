@@ -573,6 +573,78 @@ def test_validation_errors_exit_two(tmp_path):
     assert code == 2
 
 
+# Reports and input errors that no other test reaches, as (argv, exit code, text).
+PINNED_LINES = (
+    (
+        ["frobenius", "P1", "--prime", "2,3", "--emax", "2", "--format", "json"],
+        0,
+        json.dumps(
+            {
+                "name": "P1",
+                "target": "fiber cone",
+                "tables": [
+                    {
+                        "prime": 2,
+                        "rows": [[1, 3, 3], [2, 10, 1]],
+                        "estimate": 0.0,
+                        "last_ratio": -1.5849625007211563,
+                    },
+                    {
+                        "prime": 3,
+                        "rows": [[1, 6, 6], [2, 45, 9]],
+                        "estimate": 1.0,
+                        "last_ratio": 0.3690702464285425,
+                    },
+                ],
+            },
+            indent=2,
+        ),
+    ),
+    (
+        ["frobenius", "chain1", "--prime", "2", "--emax", "2", "--format", "json"],
+        0,
+        json.dumps(
+            {
+                "name": "chain1",
+                "target": "fiber cone",
+                "tables": [
+                    {
+                        "prime": 2,
+                        "rows": [[1, 1, 1], [2, 1, 0]],
+                        "estimate": None,
+                        "last_ratio": None,
+                    }
+                ],
+            },
+            indent=2,
+        ),
+    ),
+    (["spread", "P1", "--format", "json"], 0, '{\n  "name": "P1",\n  "eps": -1,\n  "spread": 3\n}'),
+    (
+        ["frobenius", "P1", "--prime", "2,x"],
+        2,
+        "invalid input: --prime expects comma-separated integers, got '2,x'",
+    ),
+    (
+        ["frobenius", "P1", "--prime="],
+        2,
+        "invalid input: --prime expects comma-separated integers, got ''",
+    ),
+    (["frobenius", "P1", "--prime", "2", "--emax", "0"], 2, "invalid input: --emax must be at least 1"),
+    (["polytope", "P1", "--n", "0"], 2, "invalid input: --n must be a positive dilation factor"),
+    (
+        ["polytope", "P1", "--intersect", "y,x"],
+        2,
+        "invalid input: --intersect needs --seq for the first section",
+    ),
+)
+
+
+@pytest.mark.parametrize("argv, code, text", PINNED_LINES, ids=[" ".join(a) for a, _, _ in PINNED_LINES])
+def test_reports_and_input_errors_are_pinned(argv, code, text):
+    assert run_command(argv) == (code, text)
+
+
 def test_generators_at_zero_is_the_origin():
     code, text = run_command(["generators", "P1", "--n", "0", "--format", "json"])
     assert code == 0

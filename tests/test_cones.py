@@ -6,11 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dilation_fresh, lattice_points_sweep, run_count, small_posets, t_box
+from conftest import (
+    affine_witnesses,
+    dilation_fresh,
+    lattice_points_sweep,
+    run_count,
+    small_posets,
+    t_box,
+    witness_partition,
+)
 from hibi import (
     TOP,
     BudgetExceeded,
-    affine_witnesses,
     build_C,
     dim_bruteforce,
     dim_formula,
@@ -22,7 +29,6 @@ from hibi import (
     lattice_points,
     p_nonmax,
     p_nonmin,
-    witness_partition,
 )
 from hibi.cones import (
     _dilation,

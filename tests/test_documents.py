@@ -101,6 +101,23 @@ def test_non_string_ids():
         parse_poset_document('{"name": "x", "elements": [1], "covers": [], "bottom": "x0"}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"name": 5}', "'name' must be a string"),
+        ('{"name": "x", "elements": 3, "covers": [], "bottom": "x0"}', "'elements' must be a list"),
+        ('{"name": "x", "elements": ["x0"], "covers": {}, "bottom": "x0"}', "'covers' must be a list"),
+        ('{"name": "x", "elements": ["x0"], "covers": [], "bottom": 0}', "'bottom' must be a string"),
+        ('{"name": "x", "lattice": []}', "'lattice' must be an object"),
+        ('{"name": "x", "lattice": {"elements": "a", "order": []}}', "'elements' must be a list"),
+    ],
+)
+def test_mistyped_keys_name_the_key_and_the_type(text, message):
+    with pytest.raises(DocumentError) as err:
+        parse_poset_document(text)
+    assert str(err.value) == message
+
+
 def test_lattice_block_yields_join_irreducibles():
     doc = parse_poset_document(DIAMOND_BLOCK)
     assert doc.lattice is not None

@@ -15,6 +15,7 @@ from conftest import (
     lattice_points_sweep,
     residue_new_elements,
     run_count,
+    section_runs_reference,
     small_posets,
 )
 from hibi import (
@@ -450,6 +451,34 @@ def test_no_run_is_wholly_covered_and_sections_keep_their_counts_random(p):
             stream += runs
             earlier.append(_tight_pairs(c))
         assert list(_generator_runs(p, n)) == stream
+
+
+def assert_walk_matches_the_state_machine(p, n):
+    # every section, after every prefix of the sections before it
+    m = abs(n)
+    for c, earlier in hibi.fiber._first_sections(p, n):
+        for k in range(len(earlier) + 1):
+            want = list(section_runs_reference(c, m, earlier[:k]))
+            assert list(_section_runs(c, m, earlier[:k])) == want
+
+
+def test_section_walk_matches_the_state_machine_on_corpus(corpus):
+    for _, p in corpus:
+        for n in (1, -1, 2, -2, 3, -3, 4, -4):
+            assert_walk_matches_the_state_machine(p, n)
+
+
+def test_section_walk_matches_the_state_machine_on_overlapping_sections():
+    for p in map(_poset_of, OVERLAP_COVERS):
+        for n in (1, -1, 2, -2, 3, -3, 4, -4):
+            assert_walk_matches_the_state_machine(p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_extra=6))
+def test_section_walk_matches_the_state_machine_random(p):
+    for n in (1, -1, 2, -2, 3, -3):
+        assert_walk_matches_the_state_machine(p, n)
 
 
 def _rooted(rng, size):
