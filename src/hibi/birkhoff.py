@@ -17,7 +17,9 @@ is_distributive decides by that count, in time quadratic in the lattice
 size, instead of testing the distributive law on every triple.
 
 A lattice keeps only the bitmask rows of its order; joins, meets and the
-join-irreducibles are read off them, with no table over pairs.
+join-irreducibles are read off them, with no table over pairs.  Each
+product is kept by the object it derives from: a poset keeps its lattice
+and its signatures, a lattice its poset of join-irreducibles.
 """
 
 from collections import namedtuple
@@ -189,14 +191,19 @@ def is_distributive(h):
 
 
 def lattice_from_poset(p):
-    """Lattice of nonempty down-sets of P ordered by inclusion.
+    """Lattice of nonempty down-sets of P ordered by inclusion; P keeps it.
 
     Join is union and meet is intersection; element ids spell out the
     members in canonical order, so the output is deterministic.  The order
     is passed as its covers I < I + {z}, each from a smaller down-set to a
     larger one, found among the poset's down-set bitmasks, which
-    build_dist_lattice closes in one sweep.
+    build_dist_lattice closes in one sweep.  P keeps the lattice in its
+    instance dict, so every later call returns the same object, with what
+    that keeps in turn (join_irreducibles).
     """
+    h = p.__dict__.get("_lattice")
+    if h is not None:
+        return h
     masks = _down_sets(p)
     names = [str(z) for z in p.elements]
     labels = tuple("{" + ",".join(names[i] for i in bit_positions(m)) + "}" for m in masks)
@@ -208,7 +215,8 @@ def lattice_from_poset(p):
         for z in bit_positions(full & ~m)
         if m | 1 << z in where
     ]
-    return build_dist_lattice(labels, covers)
+    h = p.__dict__["_lattice"] = build_dist_lattice(labels, covers)
+    return h
 
 
 def join_irreducibles(h):
@@ -216,8 +224,13 @@ def join_irreducibles(h):
 
     An element is join-irreducible when it is not the join of two strictly
     smaller elements; the bottom qualifies vacuously and becomes the bottom
-    of the returned poset.
+    of the returned poset.  H keeps that poset in its instance dict, so a
+    later call returns the same object; a lattice that is not distributive
+    keeps nothing and raises on every call.
     """
+    kept = h.__dict__.get("_join_irreducibles")
+    if kept is not None:
+        return kept
     if not is_distributive(h):
         raise NotDistributive("lattice violates the distributive law")
     ext, below = h._irreducibles
@@ -230,7 +243,8 @@ def join_irreducibles(h):
             inner |= below[s]
         covers += [(names[s], names[t]) for s in bit_positions(mask & ~inner)]
     ji = [h.elements[k] for k in sorted(ext)]
-    return build_poset(ji, covers, h.bottom)
+    kept = h.__dict__["_join_irreducibles"] = build_poset(ji, covers, h.bottom)
+    return kept
 
 
 def hibi_generators(p):
@@ -239,14 +253,18 @@ def hibi_generators(p):
 
 
 def _signatures(p):
-    """Isomorphism-invariant element signatures by iterated neighbor refinement.
+    """Isomorphism-invariant element signatures by iterated neighbor refinement; P keeps them.
 
     The refinement starts from each element's numbers of upper and lower
     covers and its longest chains down to the bottom and up to a maximal
     element, all isomorphism invariants.  The two chain lengths take one
     pass over the canonical order each, and on a chain they already tell
-    every element apart.
+    every element apart.  P keeps the signatures in its instance dict;
+    callers only read them.
     """
+    kept = p.__dict__.get("_signature")
+    if kept is not None:
+        return kept
     ups = {z: tuple(b for b in p.up_covers[z] if b != TOP) for z in p.elements}
     downs = {z: tuple(b for b in p.down_covers[z] if b != TOP) for z in p.elements}
     depth, height = {}, {}
@@ -270,7 +288,8 @@ def _signatures(p):
             break
         sig = new
     canon = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-    return {z: canon[sig[z]] for z in p.elements}
+    kept = p.__dict__["_signature"] = {z: canon[sig[z]] for z in p.elements}
+    return kept
 
 
 def poset_isomorphic(p, q):

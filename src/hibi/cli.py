@@ -89,13 +89,13 @@ def _load(ref):
     raise ValueError(f"no file or built-in poset named {ref!r}")
 
 
-def _row_template(p):
-    """One %-template for a row of values: id=value per element.
+def _row_template(ids):
+    """One %-template for a row of values: id=value per element id.
 
     Element ids are %-escaped, so template % values fills in the values
     and nothing else.
     """
-    return " ".join(z.replace("%", "%%") + "=%d" for z in p.elements)
+    return " ".join(z.replace("%", "%%") + "=%d" for z in ids)
 
 
 def _render_seq(seq):
@@ -156,9 +156,18 @@ def _cmd_generators(args):
             ],
         }
         return 0, _json_text(payload)
-    row = "  degree %4d  " + _row_template(p)
+    # sorted rows share their leading values, so the first half of the
+    # columns, the degree with them, is formatted once per distinct prefix
+    half = (len(p.elements) + 1) // 2
+    head = "  degree %4d  " + _row_template(p.elements[:half])
+    tail = " " + _row_template(p.elements[half:]) if half < len(p.elements) else ""
     lines = [f"poset {name}: {len(rows)} generators for n = {args.n}"]
-    lines += [row % (v[0], *v) for v in rows]
+    prefix = None
+    for v in rows:
+        if v[:half] != prefix:
+            prefix = v[:half]
+            text = head % (v[0], *prefix)
+        lines.append(text + tail % v[half:])
     return 0, "\n".join(lines)
 
 
@@ -239,7 +248,7 @@ def _polytope_intersection(name, p, args):
         f"poset {name}: {_render_seq(first)} and {_render_seq(second)} share "
         f"{len(common)} points at n={args.n}"
     ]
-    row = _row_template(p)
+    row = _row_template(p.elements)
     lines += ["  " + row % nu.values for nu in common]
     return 0, "\n".join(lines)
 

@@ -17,8 +17,8 @@ unit scale, kept by the poset, and scaled by n on each use.  One closed
 walk (_section_runs) lists the plan's points as runs, a caller that caps
 a listing counts its runs (_capped), one memoized sweep (_point_count)
 counts the points without listing, and both step through a level's
-values by one rule (_value_tasks).  Reaches and degree ranges are read
-off the plan's bounds.
+values by one rule (_value_tasks, inline in the walk's run loop).
+Reaches and degree ranges are read off the plan's bounds.
 """
 
 from collections import namedtuple
@@ -237,13 +237,12 @@ def _dilation(c, n, earlier=()):
     """
     if n < 1:
         raise ValueError("dilation must be positive")
-    earlier = tuple(earlier)
-    key = (c.epsilon, c.equalities, c.g_parts, earlier)
+    key = _plan_key(c, earlier)
     plans = c.poset._plans
     try:
         plan = plans[key]
     except KeyError:
-        plan = plans[key] = _unit_plan(c, earlier)
+        plan = plans[key] = _unit_plan(c, key[-1])
     if plan is None:
         return None
     bounds = plan.bounds if n == 1 else tuple((n * lo, n * hi) for lo, hi in plan.bounds)
@@ -263,6 +262,11 @@ def _dilation(c, n, earlier=()):
             [tuple([(bit, _scaled(tests, n)) for bit, tests in level]) for level in plan.checks]
         ),
     )
+
+
+def _plan_key(c, earlier=()):
+    """The key under which the poset keeps the section's plan (_dilation) and rows (frobenius)."""
+    return c.epsilon, c.equalities, c.g_parts, tuple(earlier)
 
 
 def _scaled(pairs, n):
@@ -393,37 +397,72 @@ def _section_runs(c, n, earlier=()):
     number of steps, and the steps an earlier section (as in _dilation)
     already has, as a set, or () when none has any; along the run the
     moving coordinates rise by one per step.  Every level before the last
-    takes its values from _value_tasks, as _point_count does, so the walk
-    goes past a value where an earlier section has every point below it,
-    yields no run that is covered at every step, and only lists: a caller
-    that caps the points counts them (_capped).  Beyond the plan the walk
-    holds one task iterator per level.
+    steps through its values by the rule of _value_tasks, as _point_count
+    does, so the walk goes past a value where an earlier section has every
+    point below it, yields no run that is covered at every step, and only
+    lists: a caller that caps the points counts them (_capped).  The
+    levels before the last but one are walked by _entries; the last but
+    one and the last, one run per value of the former, in a loop of their
+    own.
     """
     plan = _dilation(c, n, earlier)
     if plan is None or plan.live is None:
         return
-    pins, checks, ends, keeps = plan.pins, plan.checks, plan.ends, plan.keeps
+    pins = plan.pins
     last = len(plan.boxes) - 1
     if last < 0:
         yield tuple([off for _, off in pins]), (), 1, ()
         return
     moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
+    (box_lo, box_hi), ups, lows = plan.boxes[last], plan.ups[last], plan.lows[last]
+    checks = plan.checks[last]
     x = [0] * (last + 2)  # x[-1], the top, is 0
-    stack = [_value_tasks(0, 0, plan.live, {}, 0)]  # the value tasks of x[-1] .. x[t - 1]
+    s = last - 1  # the level each run loop steps through; -1 is the top
+    entries = _entries(plan, x, s) if s >= 0 else [(0, 0, plan.live, 0, 0)]
+    for lo, hi, stay, tight, done in entries:
+        for x[s] in range(lo, hi + 1):
+            mask = stay
+            if tight:  # the step rule of _value_tasks
+                bits = tight.get(x[s], 0)
+                if bits & done:
+                    continue
+                mask |= bits
+            low, high = box_lo, box_hi
+            for u, w in ups:
+                if x[u] + w < high:
+                    high = x[u] + w
+            for u, w in lows:
+                if x[u] - w > low:
+                    low = x[u] - w
+            covered = ()
+            if mask:
+                covered = {v - low for v in _holding(mask, checks, x, low, high)}
+                if len(covered) > high - low:
+                    continue
+            x[last] = low
+            yield tuple([x[u] + off for u, off in pins]), moving, high - low + 1, covered
+
+
+def _entries(plan, x, s):
+    """The arguments of _value_tasks at each entry to level s >= 0, in walk order.
+
+    Each is yielded with x[:s] set.  The levels before s step by their
+    tasks, on a stack of one task iterator per level.
+    """
+    checks, ends, keeps = plan.checks, plan.ends, plan.keeps
+    stack = [_value_tasks(0, 0, plan.live, 0, 0)]  # the value tasks of x[-1] .. x[t - 1]
     t = 0
     while stack:
         for _, x[t - 1], mask in stack[-1]:
             # enter level t under mask, x[:t] set
             lo, hi = _level_range(plan, t, x)
             tight = mask and _holding(mask, checks[t], x, lo, hi)  # 0 with no section live
-            if t < last:
-                stack.append(_value_tasks(lo, hi, mask & keeps[t], tight, ends[t]))
-                t += 1
-                break
-            x[t] = lo
-            covered = {v - lo for v in tight} if mask else ()
-            if len(covered) <= hi - lo:
-                yield tuple([x[u] + off for u, off in pins]), moving, hi - lo + 1, covered
+            if t == s:
+                yield lo, hi, mask & keeps[t], tight, ends[t]
+                continue
+            stack.append(_value_tasks(lo, hi, mask & keeps[t], tight, ends[t]))
+            t += 1
+            break
         else:
             stack.pop()
             t -= 1
@@ -545,7 +584,9 @@ def _point_count(c, n, earlier=()):
 def _value_tasks(lo, hi, stay, tight, done):
     """The tasks (1, v, sections) of the values v = lo .. hi of a level a later one reads.
 
-    The one value step of the walk and the count.  tight maps a value to
+    The value step of the walk and the count; the walk's run loop
+    (_section_runs) takes the same step inline at the level before the
+    last, where each value is one run.  tight maps a value to
     the earlier sections whose pairs all hold there (_holding), or is 0
     when no section is live.  A value
     where one of them is decided for good (done) is passed over, as that

@@ -30,12 +30,21 @@ counts the points of the runs as they stream (cones._capped) and stops
 before the run that would take them past the cap, and a polytope first
 checks its box.  Every count takes one route, _fresh: the top piece
 first, so its cap rejects before any lower piece is walked, then the
-lower pieces, all under a packing sized from that exponent.  Nothing is
-cached between calls: a piece lives only as long as the count that
-builds it, and tcx_report takes each row (e, dim_e, c_e) from its own
-count, walking the lower pieces again at each e.  The pieces of a
+lower pieces, all under a packing sized from that exponent.  No piece is
+kept: a piece lives only as long as the count that builds it, so a
+table's fresh row at e walks the lower pieces again.  The pieces of a
 d-dimensional target grow like prime**(d*e), so a table walks at most
 about prime**d / (prime**d - 1) times the points of its pieces.
+
+Rows are kept.  tcx_report and the c_e counts take each row (e, dim_e,
+c_e) from _row, and the poset that owns the target keeps it per prime
+and e, with the sizes of the pieces it built (_resolve says where).  A
+kept row is given out only after the checks its fresh count makes, in
+the same order: the caps, the 64-bit range, then the piece cap on pieces
+e, e - 1, .. 1.  So a report, its rejection text and its exit code are
+the same whatever was counted before and under what caps.  A polytope
+has no owner and keeps nothing; the h_e listings need the vectors and
+always count afresh.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -49,7 +58,7 @@ from itertools import chain, product
 from math import log
 from operator import mul
 
-from .cones import ConeSection, _capped, _section_reach, _section_runs, _sections
+from .cones import ConeSection, _capped, _plan_key, _section_reach, _section_runs, _sections
 from .errors import BudgetExceeded
 from .fiber import _generator_runs, _generator_values
 from .labelings import INT64_MAX, _kernel_labelings
@@ -184,24 +193,30 @@ class _Packing:
 
 
 def _resolve(target):
-    """(tag, width, unit, runs) of a target: the one place its type is read.
+    """(tag, width, unit, runs, rows) of a target: the one place its type is read.
 
     runs(n, cap) streams the n-th dilation's points as runs (row, moving,
     length, covered); a polytope rejects a dilation box over the cap
     before it lists, and _piece caps the points of every target.  They
     stay within n * unit, as a polytope's dilation box and a section's
     closed bounds scale with n.  A fiber cone closes its sections here.
+    rows is the dict in which the target's rows are kept (_row): a fiber
+    cone's in its poset under None, a section's in its poset under its
+    plan key (cones._plan_key); a polytope has no owner, so it is None.
     """
     if isinstance(target, Poset):
         unit = max((_section_reach(c, 1) for c in _sections(target, -1)), default=0)
+        rows = target._rows.setdefault(None, {})
         # the n-th dilation is T^(-n)
-        return "fiber cone", len(target.elements), unit, lambda n, cap: _generator_runs(target, -n)
+        runs = lambda n, cap: _generator_runs(target, -n)
+        return "fiber cone", len(target.elements), unit, runs, rows
     if isinstance(target, ConeSection):
         width, unit = len(target.poset.elements), _section_reach(target, 1)
-        return "ehrhart of sequence", width, unit, lambda n, cap: _section_runs(target, n)
+        rows = target.poset._rows.setdefault(_plan_key(target), {})
+        return "ehrhart of sequence", width, unit, lambda n, cap: _section_runs(target, n), rows
     if isinstance(target, Polytope):
         unit = max(map(abs, target.lower + target.upper), default=0)
-        return "raw polytope", target.dim, unit, partial(_polytope_runs, target)
+        return "raw polytope", target.dim, unit, partial(_polytope_runs, target), None
     raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
 
 
@@ -224,8 +239,12 @@ def _piece(runs, n, cap, packing):
 
     It stops with BudgetExceeded before the run that takes them past cap.
     """
-    text = f"dilation {n} has more than {cap} lattice points"
-    return chain.from_iterable(_run_ints(_capped(runs(n, cap), cap, text), packing))
+    return chain.from_iterable(_run_ints(_capped(runs(n, cap), cap, _too_many(n, cap)), packing))
+
+
+def _too_many(n, cap):
+    """The text of a piece cap passed at the n-th dilation."""
+    return f"dilation {n} has more than {cap} lattice points"
 
 
 def _run_ints(runs, packing):
@@ -263,23 +282,54 @@ def _drop_splits(fresh, pieces, prime, e):
             fresh.difference_update(map(a.__add__, seconds))
 
 
-def _fresh(target, prime, e, budget):
-    """The e-th piece's packed fresh vectors as a set, the piece's size dim_e, the packing."""
+def _admitted(target, prime, e, budget):
+    """(width, unit, runs, rows, cap) of the count at e, once the checks before any piece pass.
+
+    They come in this order: e itself, the caps (_check_caps), the
+    target (_resolve) and the 64-bit range of the top dilation.
+    """
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = _check_caps(prime, e, budget)
-    _, width, unit, runs = _resolve(target)
+    _, width, unit, runs, rows = _resolve(target)
     # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
     if (prime**e - 1) * unit > INT64_MAX:
         raise BudgetExceeded(f"exponent {e} takes the dilation past the 64-bit range")
+    return width, unit, runs, rows, budget.max_piece
+
+
+def _fresh(target, prime, e, budget):
+    """The e-th piece's packed fresh vectors as a set, the sizes of pieces e .. 1, the packing."""
+    width, unit, runs, _, cap = _admitted(target, prime, e, budget)
     packing = _Packing(width, unit, prime, e)
-    cap = budget.max_piece
     # top piece first: its caps bound the lower pieces
     fresh = set(_piece(runs, prime**e - 1, cap, packing))
-    dim_e = len(fresh)
     pieces = {k: list(_piece(runs, prime**k - 1, cap, packing)) for k in range(e - 1, 0, -1)}
+    sizes = (len(fresh), *map(len, pieces.values()))
     _drop_splits(fresh, pieces, prime, e)
-    return fresh, dim_e, packing
+    return fresh, sizes, packing
+
+
+def _row(target, prime, e, budget):
+    """The row (e, dim_e, c_e) of the e-th piece, kept where _resolve says.
+
+    A kept row holds the sizes of pieces e .. 1 its count built, and is
+    given out only once they pass the piece cap in that order, after the
+    checks of _admitted: the same checks, with the same texts, that a
+    fresh count would make before it could return the row.
+    """
+    _, _, _, rows, cap = _admitted(target, prime, e, budget)
+    kept = None if rows is None else rows.get((prime, e))
+    if kept is None:
+        fresh, sizes, _ = _fresh(target, prime, e, budget)
+        kept = sizes, len(fresh)
+        if rows is not None:
+            rows[prime, e] = kept
+    else:
+        for k, size in zip(range(e, 0, -1), kept[0]):
+            if size > cap:
+                raise BudgetExceeded(_too_many(prime**k - 1, cap))
+    return e, kept[0][0], kept[1]
 
 
 def _fresh_values(target, prime, e, budget):
@@ -305,7 +355,7 @@ def h_e_fiber(p, prime, e, budget=None):
 
 def c_e_fiber(p, prime, e, budget=None):
     """New-generator count of the e-th twisted piece of the fiber cone."""
-    return len(_fresh(p, prime, e, budget)[0])
+    return _row(p, prime, e, budget)[2]
 
 
 def h_e_ehrhart(c, prime, e, budget=None):
@@ -315,7 +365,7 @@ def h_e_ehrhart(c, prime, e, budget=None):
 
 def c_e_ehrhart(c, prime, e, budget=None):
     """New-generator count over the dilation lattice points of a section."""
-    return len(_fresh(c, prime, e, budget)[0])
+    return _row(c, prime, e, budget)[2]
 
 
 def h_e_polytope(delta, prime, e, budget=None):
@@ -325,7 +375,7 @@ def h_e_polytope(delta, prime, e, budget=None):
 
 def c_e_polytope(delta, prime, e, budget=None):
     """New-generator count for the Ehrhart ring of an inequality-given polytope."""
-    return len(_fresh(delta, prime, e, budget)[0])
+    return _row(delta, prime, e, budget)[2]
 
 
 def tcx_report(target, primes, e_max, budget=None):
@@ -340,13 +390,7 @@ def tcx_report(target, primes, e_max, budget=None):
         raise ValueError("e_max must be at least 1")
     tables = []
     for prime in primes:
-        rows = []
-        for e in range(1, e_max + 1):
-            # pieces 1 .. e - 1 passed the cap in the rows before, so a row
-            # can only reject at its own top piece, the one _fresh builds first
-            fresh, dim_e, _ = _fresh(target, prime, e, budget)
-            rows.append((e, dim_e, len(fresh)))
-        rows = tuple(rows)
+        rows = tuple(_row(target, prime, e, budget) for e in range(1, e_max + 1))
         last_c = rows[-1][2]
         estimate = log(last_c, prime) / e_max if last_c > 0 else float("-inf")
         ratio = None

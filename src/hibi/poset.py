@@ -24,7 +24,12 @@ poset; no module keeps a cache keyed by a poset.  It owns:
 - _reduced: the reduced sequences per sign eps (sequences.enumerate_N);
 - _sections: the sections of those sequences per sign (cones._sections);
 - _plans: the dilation plan of each section, given the sections before it,
-  at unit scale (cones._dilation scales it by n).
+  at unit scale (cones._dilation scales it by n);
+- _lattice: the lattice of its nonempty down-sets (birkhoff.lattice_from_poset);
+- _signature: the isomorphism-invariant signature of each element
+  (birkhoff._signatures);
+- _rows: the twisted-piece rows of the fiber cone and of each section, per
+  prime and exponent (frobenius._row).
 """
 
 import heapq
@@ -118,6 +123,11 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
     @cached_property
     def _plans(self):
         """(eps, equalities, g_parts, earlier) -> unit plan; filled by cones._dilation."""
+        return {}
+
+    @cached_property
+    def _rows(self):
+        """Target key -> {(prime, e): (sizes of pieces e .. 1, c_e)}; filled by frobenius._row."""
         return {}
 
     def leq(self, x, y):

@@ -28,6 +28,7 @@ from hibi import (
     poset_ideals,
     poset_isomorphic,
 )
+from hibi.birkhoff import _signatures
 from hibi.corpus import antichain, chain
 
 DIAMOND = (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"))
@@ -80,8 +81,11 @@ def test_diamond_is_distributive():
 def test_m3_is_not_distributive():
     h = build_dist_lattice(("0", "a", "b", "c", "1"), M3)
     assert not is_distributive(h)
-    with pytest.raises(NotDistributive):
-        join_irreducibles(h)
+    # a failure is not kept: every call counts again and raises
+    for _ in range(2):
+        with pytest.raises(NotDistributive):
+            join_irreducibles(h)
+    assert "_join_irreducibles" not in vars(h)
 
 
 def test_n5_is_not_distributive():
@@ -288,3 +292,28 @@ def test_isomorphism_backtracks_past_matching_signatures():
     assert not poset_isomorphic(eight, fours)
     assert not poset_isomorphic(fours, eight)
     assert poset_isomorphic(eight, _crown(EIGHT_CYCLE_RENUMBERED))
+
+
+def _kept_lattice_agrees(p):
+    """P's kept lattice, signatures and join-irreducibles: the same objects, equal to a fresh copy's."""
+    fresh = build_poset(p.elements, p.covers, p.bottom)
+    h = lattice_from_poset(p)
+    assert lattice_from_poset(p) is h
+    assert h == lattice_from_poset(fresh)
+    ji = join_irreducibles(h)
+    assert join_irreducibles(h) is ji
+    assert ji == join_irreducibles(lattice_from_poset(fresh))
+    assert _signatures(p) is _signatures(p)
+    assert _signatures(p) == _signatures(fresh)
+    assert poset_isomorphic(p, ji)
+
+
+def test_kept_lattice_agrees_with_a_fresh_copy_on_corpus(corpus):
+    for _, p in corpus:
+        _kept_lattice_agrees(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets())
+def test_kept_lattice_agrees_with_a_fresh_copy_on_random_posets(p):
+    _kept_lattice_agrees(p)

@@ -191,8 +191,9 @@ def test_frobenius_past_64_bits_is_a_budget_exit():
     )
 
 
-def test_an_exponent_past_64_bits_builds_no_piece(monkeypatch):
+def test_an_exponent_past_64_bits_builds_no_piece(tmp_path, monkeypatch):
     import hibi.frobenius as frobenius
+    from hibi.corpus import chain
 
     built = []
     piece = frobenius._piece
@@ -202,7 +203,10 @@ def test_an_exponent_past_64_bits_builds_no_piece(monkeypatch):
         return piece(runs, n, cap, packing)
 
     monkeypatch.setattr(frobenius, "_piece", recording)
-    assert run_command(["frobenius", "chain3", "--prime", "2", "--emax", "1000000"]) == (
+    # a fresh chain3, so no row kept by the built-in is reused
+    doc = tmp_path / "chain3.json"
+    doc.write_text(serialize_poset_document(PosetDocument("chain3-pieces", chain(3))))
+    assert run_command(["frobenius", str(doc), "--prime", "2", "--emax", "1000000"]) == (
         4,
         "budget exceeded: exponent 62 takes the dilation past the 64-bit range",
     )
@@ -867,9 +871,46 @@ def test_lattice_searches_the_down_sets_twice(tmp_path, monkeypatch):
     # and one for Birkhoff's count on the join-irreducibles
     assert run_command(["lattice", str(doc)])[0] == 0
     assert searched == [16, 16]
-    # P keeps its down-sets; a new lattice is counted again
+    # P keeps its down-sets and its lattice, which keeps its join-irreducibles
     assert run_command(["lattice", str(doc)])[0] == 0
-    assert searched == [16, 16, 16]
+    assert searched == [16, 16]
+
+
+def test_a_repeated_lattice_or_frobenius_walks_and_searches_nothing(tmp_path, monkeypatch):
+    import hibi.birkhoff as birkhoff
+    import hibi.cones as cones
+    import hibi.fiber as fiber
+    import hibi.frobenius as frobenius
+    import hibi.poset as poset
+
+    work = []
+    walk, search = cones._section_runs, poset.down_set_masks
+
+    def walked(*args):
+        work.append("walk")
+        return walk(*args)
+
+    def searched(required):
+        work.append("search")
+        return search(required)
+
+    for module in (cones, fiber, frobenius):
+        monkeypatch.setattr(module, "_section_runs", walked)
+    for module in (poset, birkhoff):
+        monkeypatch.setattr(module, "down_set_masks", searched)
+    doc = tmp_path / "p1.json"
+    doc.write_text(P1_TEXT.replace('"mine"', '"p1-repeated"'))  # a fresh poset
+    commands = (["lattice", str(doc)], ["frobenius", str(doc), "--prime", "2,3", "--emax", "3"])
+    first = [run_command(argv) for argv in commands]
+    assert "walk" in work and "search" in work
+    work.clear()
+    assert [run_command(argv) for argv in commands] == first
+    # a smaller cap is refused from the kept rows
+    assert run_command(commands[1] + ["--budget", "2"]) == (
+        4,
+        "budget exceeded: dilation 1 has more than 2 lattice points",
+    )
+    assert work == []
 
 
 # Commands that share P1 and what it keeps: its sections and their plans.
@@ -1010,6 +1051,11 @@ def test_generators_report_matches_the_labeling_rendering(corpus, tmp_path):
     path = _odd_document(tmp_path)
     doc = cli._document(Path(path).read_text(encoding="utf-8"))
     _generators_agree(doc.name, doc.poset, path)
+    # one element: its rows have one column, the degree
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"name": "point", "elements": ["x0"], "covers": [], "bottom": "x0"}))
+    doc = cli._document(point.read_text(encoding="utf-8"))
+    _generators_agree(doc.name, doc.poset, str(point))
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ from conftest import brute_new_count, polytope_points, residue_new_elements, sma
 from hibi import (
     Budget,
     BudgetExceeded,
+    ConeSection,
     Polytope,
     build_C,
     c_e_ehrhart,
@@ -32,7 +33,7 @@ from hibi import (
 from hibi.cli import run_command
 from hibi.cones import _section_reach
 from hibi.corpus import antichain, chain, filters1, filters2, p1, p2, p3
-from hibi.poset import build_poset
+from hibi.poset import Poset, build_poset
 
 TRIANGLE = Polytope(dim=2, inequalities=(((1, 1), 1),), lower=(0, 0), upper=(1, 1))
 POINT = Polytope(dim=2, inequalities=(), lower=(0, 0), upper=(0, 0))
@@ -587,7 +588,7 @@ def test_pieces_at_the_largest_coordinates_the_default_budget_admits():
     assert h_e_polytope(corner, 5, 1) == ((-4 * 10**6, 4 * 10**6),)
     assert c_e_polytope(corner, 5, 3) == 0
     for e in (1, 2, 3):
-        _, width, unit, _ = frobenius._resolve(corner)
+        _, width, unit, _, _ = frobenius._resolve(corner)
         packing = frobenius._Packing(width, unit, 5, e)
         top = (5**e - 1) * 10**6
         for v in ((-top, top), (top, -top), (-top, -top), (top, top)):
@@ -607,3 +608,70 @@ def test_section_reach_is_exact_and_scales_with_the_dilation(corpus):
                 points = lattice_points(c, n)
                 assert _section_reach(c, n) == n * unit
                 assert max(abs(v) for nu in points for v in nu.values) == n * unit
+
+
+# --- kept rows against fresh counts ---------------------------------------------
+
+# Caps on both sides of the rows a roomy budget keeps: a smaller piece cap,
+# a prime cap below prime 3 and an exponent cap below e = 3.
+KEPT_CAPS = (
+    Budget(max_prime=3, max_e=3, max_piece=5000),
+    Budget(max_prime=3, max_e=3, max_piece=12),
+    Budget(max_prime=2, max_e=3, max_piece=5000),
+    Budget(max_prime=3, max_e=2, max_piece=5000),
+    Budget(max_prime=3, max_e=3, max_piece=2),
+)
+
+
+def _copy(target):
+    """The same target on a new poset object, which keeps nothing yet."""
+    if isinstance(target, ConeSection):
+        return target._replace(poset=_copy(target.poset))
+    return build_poset(target.elements, target.covers, target.bottom)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BudgetExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_kept_rows_agree(target, count):
+    """tcx_report and count on one target equal a fresh copy's, in every cap order."""
+    calls = [(tcx_report, (2, 3), 3)] + [(count, prime, e) for prime in (2, 3) for e in (1, 2, 3)]
+    for caps in (KEPT_CAPS, KEPT_CAPS[::-1]):
+        kept = _copy(target)
+        for budget in caps:
+            for fn, *args in calls:
+                want = _outcome(fn, _copy(target), *args, budget)
+                assert _outcome(fn, kept, *args, budget) == want, (fn.__name__, args, budget)
+        owner = kept if isinstance(kept, Poset) else kept.poset
+        assert any(owner._rows.values())
+
+
+def test_kept_rows_agree_with_fresh_counts_on_corpus(corpus):
+    for _, p in corpus:
+        _assert_kept_rows_agree(p, c_e_fiber)
+    _assert_kept_rows_agree(build_C(p1(), -1, ("y", "x")), c_e_ehrhart)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_posets())
+def test_kept_rows_agree_with_fresh_counts_on_random_posets(p):
+    _assert_kept_rows_agree(p, c_e_fiber)
+
+
+def test_a_kept_row_is_refused_past_the_64_bit_range():
+    # no count keeps such a row, so one is put in by hand: the refusal must
+    # still come before the row is read
+    p = _copy(chain(3))
+    frobenius._resolve(p)[4][2, 62] = ((1,) * 62, 0)
+    with pytest.raises(BudgetExceeded) as info:
+        c_e_fiber(p, 2, 62, Budget(max_prime=2, max_e=62))
+    assert str(info.value) == "exponent 62 takes the dilation past the 64-bit range"
+
+
+def test_a_polytope_keeps_nothing():
+    assert frobenius._resolve(TRIANGLE)[4] is None
+    assert c_e_polytope(TRIANGLE, 2, 2) == c_e_polytope(TRIANGLE, 2, 2) == 1
