@@ -18,8 +18,9 @@ size, instead of testing the distributive law on every triple.
 
 A lattice keeps only the bitmask rows of its order; joins, meets and the
 join-irreducibles are read off them, with no table over pairs.  Each
-product is kept by the object it derives from: a poset keeps its lattice
-and its signatures, a lattice its poset of join-irreducibles.
+product is kept by the object it derives from, by the one rule of
+poset._kept: a poset keeps its lattice and its signatures, a lattice its
+poset of join-irreducibles.
 """
 
 from collections import namedtuple
@@ -28,7 +29,7 @@ from itertools import islice
 
 from .errors import NotALattice, NotDistributive
 from .labelings import indicator
-from .poset import TOP, _down_sets, bit_positions, build_poset, down_set_masks, poset_ideals
+from .poset import TOP, _down_sets, _kept, bit_positions, build_poset, down_set_masks, poset_ideals
 
 
 class DistLattice(namedtuple("DistLattice", "elements up down")):
@@ -190,6 +191,7 @@ def is_distributive(h):
     return found == n + 1
 
 
+@_kept
 def lattice_from_poset(p):
     """Lattice of nonempty down-sets of P ordered by inclusion; P keeps it.
 
@@ -197,13 +199,10 @@ def lattice_from_poset(p):
     members in canonical order, so the output is deterministic.  The order
     is passed as its covers I < I + {z}, each from a smaller down-set to a
     larger one, found among the poset's down-set bitmasks, which
-    build_dist_lattice closes in one sweep.  P keeps the lattice in its
-    instance dict, so every later call returns the same object, with what
-    that keeps in turn (join_irreducibles).
+    build_dist_lattice closes in one sweep.  P keeps the lattice, so
+    every later call returns the same object, with what that keeps in turn
+    (join_irreducibles).
     """
-    h = p.__dict__.get("_lattice")
-    if h is not None:
-        return h
     masks = _down_sets(p)
     names = [str(z) for z in p.elements]
     labels = tuple("{" + ",".join(names[i] for i in bit_positions(m)) + "}" for m in masks)
@@ -215,22 +214,19 @@ def lattice_from_poset(p):
         for z in bit_positions(full & ~m)
         if m | 1 << z in where
     ]
-    h = p.__dict__["_lattice"] = build_dist_lattice(labels, covers)
-    return h
+    return build_dist_lattice(labels, covers)
 
 
+@_kept
 def join_irreducibles(h):
     """Induced subposet of join-irreducible elements of a distributive lattice.
 
     An element is join-irreducible when it is not the join of two strictly
     smaller elements; the bottom qualifies vacuously and becomes the bottom
-    of the returned poset.  H keeps that poset in its instance dict, so a
-    later call returns the same object; a lattice that is not distributive
-    keeps nothing and raises on every call.
+    of the returned poset.  H keeps that poset, so a later call returns
+    the same object; a lattice that is not distributive keeps nothing and
+    raises on every call.
     """
-    kept = h.__dict__.get("_join_irreducibles")
-    if kept is not None:
-        return kept
     if not is_distributive(h):
         raise NotDistributive("lattice violates the distributive law")
     ext, below = h._irreducibles
@@ -243,8 +239,7 @@ def join_irreducibles(h):
             inner |= below[s]
         covers += [(names[s], names[t]) for s in bit_positions(mask & ~inner)]
     ji = [h.elements[k] for k in sorted(ext)]
-    kept = h.__dict__["_join_irreducibles"] = build_poset(ji, covers, h.bottom)
-    return kept
+    return build_poset(ji, covers, h.bottom)
 
 
 def hibi_generators(p):
@@ -252,6 +247,7 @@ def hibi_generators(p):
     return tuple(indicator(p, ideal) for ideal in poset_ideals(p))
 
 
+@_kept
 def _signatures(p):
     """Isomorphism-invariant element signatures by iterated neighbor refinement; P keeps them.
 
@@ -259,12 +255,8 @@ def _signatures(p):
     covers and its longest chains down to the bottom and up to a maximal
     element, all isomorphism invariants.  The two chain lengths take one
     pass over the canonical order each, and on a chain they already tell
-    every element apart.  P keeps the signatures in its instance dict;
-    callers only read them.
+    every element apart.  P keeps the signatures; callers only read them.
     """
-    kept = p.__dict__.get("_signature")
-    if kept is not None:
-        return kept
     ups = {z: tuple(b for b in p.up_covers[z] if b != TOP) for z in p.elements}
     downs = {z: tuple(b for b in p.down_covers[z] if b != TOP) for z in p.elements}
     depth, height = {}, {}
@@ -288,8 +280,7 @@ def _signatures(p):
             break
         sig = new
     canon = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-    kept = p.__dict__["_signature"] = {z: canon[sig[z]] for z in p.elements}
-    return kept
+    return {z: canon[sig[z]] for z in p.elements}
 
 
 def poset_isomorphic(p, q):

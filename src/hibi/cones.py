@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import BudgetExceeded
 from .labelings import INT64_MAX, INT64_MIN, _kernel_labelings
-from .poset import TOP, qdist
+from .poset import TOP, _kept, qdist
 from .sequences import as_seq, enumerate_N, is_q_reduced
 
 
@@ -55,13 +55,10 @@ def build_C(p, eps, seq):
     return _section(p, eps, seq)
 
 
+@_kept
 def _sections(p, eps):
     """The sections of enumerate_N(p, eps), in that order; the poset keeps them."""
-    sections = p._sections.get(eps)
-    if sections is None:
-        sections = tuple(_section(p, eps, seq) for seq in enumerate_N(p, eps))
-        p._sections[eps] = sections
-    return sections
+    return tuple(_section(p, eps, seq) for seq in enumerate_N(p, eps))
 
 
 def _section(p, eps, seq):
@@ -106,8 +103,13 @@ def lattice_points(c, n, limit=None):
     enumeration stops with BudgetExceeded as soon as it has found more
     points than that.
     """
-    text = f"dilation {n} has more than {limit} lattice points"
-    return _kernel_labelings(c.poset, _run_values(_capped(_section_runs(c, n), limit, text)))
+    runs = _capped(_section_runs(c, n), limit, _too_many(n, limit))
+    return _kernel_labelings(c.poset, _run_values(runs))
+
+
+def _too_many(n, limit):
+    """The text of a point cap passed at the n-fold dilation."""
+    return f"dilation {n} has more than {limit} lattice points"
 
 
 _INF = float("inf")
@@ -138,7 +140,7 @@ def _close(size, covers):
     return d
 
 
-def _contraction(c):
+def _contraction(p, eps, equalities, g_parts):
     """The first dilation's cover bounds between tied classes, or None if a tie fails.
 
     The pins of the G parts tie coordinates together at fixed offsets, so
@@ -150,12 +152,10 @@ def _contraction(c):
     (a, b) to the tightest cover gap (at least eps) as an upper bound on
     x_b - x_a, for a != b, before any closure.
     """
-    p = c.poset
-    eps = c.epsilon
     idx = p.index
     m = len(p.elements)
     ties = [[] for _ in range(m + 1)]  # (j, w): nu(j) = nu(i) + w; m is the top
-    for (_, y, _), part in zip(c.equalities, c.g_parts):
+    for (_, y, _), part in zip(equalities, g_parts):
         a = m if y == TOP else idx[y]
         for z in part:
             if z != TOP and z != y:
@@ -206,11 +206,12 @@ def _dilation(c, n, earlier=()):
     cover gaps, the pin offsets qdist(p, n eps, z, y) = n qdist(p, eps, z,
     y) and the earlier sections' pairs.  Min-plus closure commutes with
     that scaling, and which classes are fixed, which levels read which and
-    which pairs can hold do not change with it.  So the poset keeps one
-    plan per section and earlier sections, built at n = 1 (_unit_plan),
-    and the n-fold plan is that plan with its values scaled by n.  The
-    64-bit check is made on the scaled bounds, so a failed n leaves the
-    kept plan as it was.
+    which pairs can hold do not change with it.  So one plan per section
+    and earlier sections is built at n = 1 (_unit_plan) and kept by the
+    poset under the section's sign, pairs and G parts and the earlier
+    sections, and the n-fold plan is that plan with its values scaled by
+    n.  The 64-bit check is made on the scaled bounds, so a failed n
+    leaves the kept plan as it was.
 
     x[t] is the value of level t, and x[-1] = 0.
 
@@ -237,12 +238,7 @@ def _dilation(c, n, earlier=()):
     """
     if n < 1:
         raise ValueError("dilation must be positive")
-    key = _plan_key(c, earlier)
-    plans = c.poset._plans
-    try:
-        plan = plans[key]
-    except KeyError:
-        plan = plans[key] = _unit_plan(c, key[-1])
+    plan = _unit_plan(c.poset, c.epsilon, c.equalities, c.g_parts, tuple(earlier))
     if plan is None:
         return None
     bounds = plan.bounds if n == 1 else tuple((n * lo, n * hi) for lo, hi in plan.bounds)
@@ -264,27 +260,25 @@ def _dilation(c, n, earlier=()):
     )
 
 
-def _plan_key(c, earlier=()):
-    """The key under which the poset keeps the section's plan (_dilation) and rows (frobenius)."""
-    return c.epsilon, c.equalities, c.g_parts, tuple(earlier)
-
-
 def _scaled(pairs, n):
     """(u, n w) for each (u, w) of pairs."""
     return tuple([(u, n * w) for u, w in pairs])
 
 
-def _unit_plan(c, earlier):
+@_kept
+def _unit_plan(p, eps, equalities, g_parts, earlier):
     """The plan of the first dilation (_dilation), before its 64-bit check; None if empty.
 
-    The cover bounds are contracted on the pins (_contraction) and closed
-    (_close).  No degree box is needed: cover paths to the top bound each
-    coordinate below, and the pins with the cover gaps bound the bottom,
-    hence every coordinate, above by the sequence's q-value.  A class the
-    closure fixes to the top is a constant; each other class is a level,
-    in canonical order of first coordinates.
+    The section is given by its sign, pairs and G parts, so that the
+    poset keeps the plan under them and the earlier sections.  The cover
+    bounds are contracted on the pins (_contraction) and closed (_close).
+    No degree box is needed: cover paths to the top bound each coordinate
+    below, and the pins with the cover gaps bound the bottom, hence every
+    coordinate, above by the sequence's q-value.  A class the closure
+    fixes to the top is a constant; each other class is a level, in
+    canonical order of first coordinates.
     """
-    contracted = _contraction(c)
+    contracted = _contraction(p, eps, equalities, g_parts)
     d = None if contracted is None else _close(*contracted[1:])
     if d is None:
         return None

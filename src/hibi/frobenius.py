@@ -37,8 +37,10 @@ d-dimensional target grow like prime**(d*e), so a table walks at most
 about prime**d / (prime**d - 1) times the points of its pieces.
 
 Rows are kept.  tcx_report and the c_e counts take each row (e, dim_e,
-c_e) from _row, and the poset that owns the target keeps it per prime
-and e, with the sizes of the pieces it built (_resolve says where).  A
+c_e) from _row, and the poset that owns the target keeps it per target,
+prime and e, with the sizes of the pieces it built (_resolve says
+where).  Like the down-sets, a row is kept by hand in the layout of
+poset._kept, because what is given out also depends on the cap.  A
 kept row is given out only after the checks its fresh count makes, in
 the same order: the caps, the 64-bit range, then the piece cap on pieces
 e, e - 1, .. 1.  So a report, its rejection text and its exit code are
@@ -58,7 +60,7 @@ from itertools import chain, product
 from math import log
 from operator import mul
 
-from .cones import ConeSection, _capped, _plan_key, _section_reach, _section_runs, _sections
+from .cones import ConeSection, _capped, _section_reach, _section_runs, _sections, _too_many
 from .errors import BudgetExceeded
 from .fiber import _generator_runs, _generator_values
 from .labelings import INT64_MAX, _kernel_labelings
@@ -193,27 +195,27 @@ class _Packing:
 
 
 def _resolve(target):
-    """(tag, width, unit, runs, rows) of a target: the one place its type is read.
+    """(tag, width, unit, runs, where) of a target: the one place its type is read.
 
     runs(n, cap) streams the n-th dilation's points as runs (row, moving,
     length, covered); a polytope rejects a dilation box over the cap
     before it lists, and _piece caps the points of every target.  They
     stay within n * unit, as a polytope's dilation box and a section's
     closed bounds scale with n.  A fiber cone closes its sections here.
-    rows is the dict in which the target's rows are kept (_row): a fiber
-    cone's in its poset under None, a section's in its poset under its
-    plan key (cones._plan_key); a polytope has no owner, so it is None.
+    where is (poset, key): the target's rows are kept (_row) by that
+    poset under (key, prime, e), where key is None for a fiber cone and a
+    section's sign, pairs and G parts for a section.  A polytope has no
+    owner, so it is None.
     """
     if isinstance(target, Poset):
         unit = max((_section_reach(c, 1) for c in _sections(target, -1)), default=0)
-        rows = target._rows.setdefault(None, {})
         # the n-th dilation is T^(-n)
         runs = lambda n, cap: _generator_runs(target, -n)
-        return "fiber cone", len(target.elements), unit, runs, rows
+        return "fiber cone", len(target.elements), unit, runs, (target, None)
     if isinstance(target, ConeSection):
         width, unit = len(target.poset.elements), _section_reach(target, 1)
-        rows = target.poset._rows.setdefault(_plan_key(target), {})
-        return "ehrhart of sequence", width, unit, lambda n, cap: _section_runs(target, n), rows
+        where = target.poset, (target.epsilon, target.equalities, target.g_parts)
+        return "ehrhart of sequence", width, unit, lambda n, cap: _section_runs(target, n), where
     if isinstance(target, Polytope):
         unit = max(map(abs, target.lower + target.upper), default=0)
         return "raw polytope", target.dim, unit, partial(_polytope_runs, target), None
@@ -240,11 +242,6 @@ def _piece(runs, n, cap, packing):
     It stops with BudgetExceeded before the run that takes them past cap.
     """
     return chain.from_iterable(_run_ints(_capped(runs(n, cap), cap, _too_many(n, cap)), packing))
-
-
-def _too_many(n, cap):
-    """The text of a piece cap passed at the n-th dilation."""
-    return f"dilation {n} has more than {cap} lattice points"
 
 
 def _run_ints(runs, packing):
@@ -283,7 +280,7 @@ def _drop_splits(fresh, pieces, prime, e):
 
 
 def _admitted(target, prime, e, budget):
-    """(width, unit, runs, rows, cap) of the count at e, once the checks before any piece pass.
+    """(width, unit, runs, where, cap) of the count at e, once the checks before any piece pass.
 
     They come in this order: e itself, the caps (_check_caps), the
     target (_resolve) and the 64-bit range of the top dilation.
@@ -291,16 +288,19 @@ def _admitted(target, prime, e, budget):
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = _check_caps(prime, e, budget)
-    _, width, unit, runs, rows = _resolve(target)
+    _, width, unit, runs, where = _resolve(target)
     # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
     if (prime**e - 1) * unit > INT64_MAX:
         raise BudgetExceeded(f"exponent {e} takes the dilation past the 64-bit range")
-    return width, unit, runs, rows, budget.max_piece
+    return width, unit, runs, where, budget.max_piece
 
 
-def _fresh(target, prime, e, budget):
-    """The e-th piece's packed fresh vectors as a set, the sizes of pieces e .. 1, the packing."""
-    width, unit, runs, _, cap = _admitted(target, prime, e, budget)
+def _fresh(admitted, prime, e):
+    """The e-th piece's packed fresh vectors as a set, the sizes of pieces e .. 1, the packing.
+
+    admitted is what _admitted returned for the count at e.
+    """
+    width, unit, runs, _, cap = admitted
     packing = _Packing(width, unit, prime, e)
     # top piece first: its caps bound the lower pieces
     fresh = set(_piece(runs, prime**e - 1, cap, packing))
@@ -313,18 +313,23 @@ def _fresh(target, prime, e, budget):
 def _row(target, prime, e, budget):
     """The row (e, dim_e, c_e) of the e-th piece, kept where _resolve says.
 
-    A kept row holds the sizes of pieces e .. 1 its count built, and is
-    given out only once they pass the piece cap in that order, after the
-    checks of _admitted: the same checks, with the same texts, that a
-    fresh count would make before it could return the row.
+    The poset keeps it by hand, in the layout of poset._kept, with the
+    sizes of pieces e .. 1 its count built, because a kept row is given
+    out only once those pass the piece cap of the call in that order,
+    after the checks of _admitted: the same checks, with the same texts,
+    that a fresh count would make before it could return the row.
     """
-    _, _, _, rows, cap = _admitted(target, prime, e, budget)
-    kept = None if rows is None else rows.get((prime, e))
+    admitted = _admitted(target, prime, e, budget)
+    where, cap = admitted[3:]
+    kept = None
+    if where is not None:
+        poset, key = where[0], (where[1], prime, e)
+        kept = poset.__dict__.get("_row", {}).get(key)
     if kept is None:
-        fresh, sizes, _ = _fresh(target, prime, e, budget)
+        fresh, sizes, _ = _fresh(admitted, prime, e)
         kept = sizes, len(fresh)
-        if rows is not None:
-            rows[prime, e] = kept
+        if where is not None:
+            poset.__dict__.setdefault("_row", {})[key] = kept
     else:
         for k, size in zip(range(e, 0, -1), kept[0]):
             if size > cap:
@@ -334,7 +339,7 @@ def _row(target, prime, e, budget):
 
 def _fresh_values(target, prime, e, budget):
     """Value tuples of the fresh vectors, in lexicographic order like their piece."""
-    fresh, _, packing = _fresh(target, prime, e, budget)
+    fresh, _, packing = _fresh(_admitted(target, prime, e, budget), prime, e)
     return sorted(map(packing.unpack, fresh))
 
 

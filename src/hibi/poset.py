@@ -13,33 +13,54 @@ Comparability, the distances and the chain strata all read that table.
 
 The poset is the one owner of the data derived from it.  Each item is
 built on first use, lives in the instance dict, and goes away with the
-poset; no module keeps a cache keyed by a poset.  It owns:
-
-- index, up_covers, down_covers, plus_elements: the canonical layout;
-- _chains: per source x, the shortest and longest saturated chain to every
-  y >= x in P+ (its keys are the up-set of x);
-- _cover_pairs: the covers of P+ as index pairs (for the T^(n) tests);
-- _down_sets: the nonempty down-sets as bitmasks of canonical positions
-  (poset_ideals reads them as frozensets of ids);
-- _reduced: the reduced sequences per sign eps (sequences.enumerate_N);
-- _sections: the sections of those sequences per sign (cones._sections);
-- _plans: the dilation plan of each section, given the sections before it,
-  at unit scale (cones._dilation scales it by n);
-- _lattice: the lattice of its nonempty down-sets (birkhoff.lattice_from_poset);
-- _signature: the isomorphism-invariant signature of each element
-  (birkhoff._signatures);
-- _rows: the twisted-piece rows of the fiber cone and of each section, per
-  prime and exponent (frobenius._row).
+poset; no module keeps a cache keyed by a poset.  The canonical layout
+(index, up_covers, down_covers, plus_elements), the chain table (_chains:
+per source x, the shortest and longest saturated chain to every y >= x
+in P+, its keys the up-set of x) and the covers of P+ as index pairs
+(_cover_pairs) are cached properties.  Everything a module derives from
+a poset or a lattice is kept by one rule (_kept): under the name of the
+function that builds it, in a dict keyed by the function's other
+arguments, and only once the build returns.  So kept are the reduced
+sequences per sign (sequences.enumerate_N), their sections
+(cones._sections), the unit dilation plan of each section given the
+sections before it (cones._unit_plan), the lattice of down-sets and the
+element signatures (birkhoff.lattice_from_poset, birkhoff._signatures),
+and a lattice's poset of join-irreducibles (birkhoff.join_irreducibles).
+Two products keep in the same layout by hand, as what they hand out
+also depends on a cap: the down-sets as bitmasks of canonical positions
+(_down_sets, under ()), and the twisted-piece rows of the fiber cone
+and of each section (frobenius._row, per target, prime and exponent).
 """
 
 import heapq
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import islice
 
 from .errors import InvalidPoset
 
 TOP = "∞"
+
+
+def _kept(build):
+    """build(owner, *args), kept by the owner in owner.__dict__[build's name][args].
+
+    A build that raises keeps nothing, and no empty dict is left behind.
+    Unhashable arguments are left to the build's own checks.
+    """
+    name = build.__name__
+
+    @wraps(build)
+    def kept(owner, *args):
+        try:
+            return owner.__dict__[name][args]
+        except (KeyError, TypeError):
+            pass
+        value = build(owner, *args)
+        owner.__dict__.setdefault(name, {})[args] = value
+        return value
+
+    return kept
 
 
 class Poset(namedtuple("Poset", "elements covers bottom")):
@@ -109,26 +130,6 @@ class Poset(namedtuple("Poset", "elements covers bottom")):
         return tuple(
             (idx[a], -1 if b == TOP else idx[b]) for a in self.elements for b in self.up_covers[a]
         )
-
-    @cached_property
-    def _reduced(self):
-        """eps -> reduced sequences; filled by sequences.enumerate_N."""
-        return {}
-
-    @cached_property
-    def _sections(self):
-        """eps -> the sections of the reduced sequences; filled by cones._sections."""
-        return {}
-
-    @cached_property
-    def _plans(self):
-        """(eps, equalities, g_parts, earlier) -> unit plan; filled by cones._dilation."""
-        return {}
-
-    @cached_property
-    def _rows(self):
-        """Target key -> {(prime, e): (sizes of pieces e .. 1, c_e)}; filled by frobenius._row."""
-        return {}
 
     def leq(self, x, y):
         """x <= y in P+."""
@@ -279,8 +280,10 @@ def _down_sets(p, limit=None):
 
     With a limit, a poset with more than limit of them gives None: the
     search stops at the first mask past the limit and nothing is kept.
+    They are kept by hand, in the layout of _kept (under ()), since a
+    kept answer still depends on the limit.
     """
-    masks = p.__dict__.get("_down_sets")
+    masks = p.__dict__.get("_down_sets", {}).get(())
     if masks is None:
         required = [sum(1 << p.index[a] for a in p.down_covers[z]) for z in p.elements]
         stop = None if limit is None else limit + 1
@@ -289,7 +292,8 @@ def _down_sets(p, limit=None):
             return None
         # by size, then by positions: the set holding the lowest differing one first
         found.sort(key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
-        masks = p.__dict__["_down_sets"] = tuple(found)
+        masks = tuple(found)
+        p.__dict__["_down_sets"] = {(): masks}
     return masks if limit is None or len(masks) <= limit else None
 
 

@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .errors import InvalidPoset
 from .labelings import Labeling
-from .poset import TOP, qdist
+from .poset import TOP, _kept, qdist
 
 
 class CondNSeq(namedtuple("CondNSeq", "poset items")):
@@ -129,6 +129,7 @@ def is_q_reduced(p, m, seq):
     return not any(_pair_fails(p, m, zig, i, j) for j in range(1, t + 1) for i in range(j))
 
 
+@_kept
 def enumerate_N(p, eps):
     """All q^(eps)-reduced zig-zag sequences, by length then lexicographically.
 
@@ -149,8 +150,6 @@ def enumerate_N(p, eps):
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    if eps in p._reduced:
-        return p._reduced[eps]
     idx = p.index
     # q[a][b] = qdist(p, eps, a, b) for every b >= a in P+
     col = 0 if eps < 0 else 1
@@ -188,8 +187,7 @@ def enumerate_N(p, eps):
                     heads_x = tuple(h + shift for h in heads) + (shift,)
                     stack.append((items + (y, x), x, xs, heads_x))
     reduced.sort(key=lambda s: (s.t, tuple(idx[z] for z in s.items)))
-    p._reduced[eps] = reduced = tuple(reduced)
-    return reduced
+    return tuple(reduced)
 
 
 def mu(p, n, seq):

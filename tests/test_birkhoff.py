@@ -42,6 +42,13 @@ WEDGE = (("a", "b", "1"), (("a", "1"), ("b", "1")))
 DUPLICATE_IDS = (("0", "a", "0"), (("0", "a"),))
 NO_ELEMENTS = ((), ())
 UNKNOWN_ID = (("0", "a"), (("0", "a"), ("a", "b")))
+# 0 < a, b < c, d < 1: a and b have upper bounds but no least one, c and d
+# lower bounds but no greatest one; the listing decides which pair fails first
+BOUNDED_PAIRS = (
+    ("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")
+)
+BOUNDED_BOWTIE = (("0", "a", "b", "c", "d", "1"), BOUNDED_PAIRS)
+BOUNDED_BOWTIE_TOP_FIRST = (("c", "d", "a", "b", "0", "1"), BOUNDED_PAIRS)
 
 
 def _outcome(build, elements, pairs):
@@ -85,7 +92,11 @@ def test_m3_is_not_distributive():
     for _ in range(2):
         with pytest.raises(NotDistributive):
             join_irreducibles(h)
-    assert "_join_irreducibles" not in vars(h)
+    assert "join_irreducibles" not in vars(h)
+    # a distributive lattice keeps its poset under the function's name
+    d = build_dist_lattice(("0", "a", "b", "1"), DIAMOND)
+    ji = join_irreducibles(d)
+    assert vars(d)["join_irreducibles"] == {(): ji}
 
 
 def test_n5_is_not_distributive():
@@ -104,14 +115,33 @@ def test_antisymmetry_violation():
 
 
 @pytest.mark.parametrize(
-    "elements, pairs",
-    [BOWTIE, TWO_CYCLE, VEE, WEDGE, DUPLICATE_IDS, NO_ELEMENTS, UNKNOWN_ID],
-    ids=["bowtie", "2-cycle", "vee", "wedge", "duplicate ids", "no elements", "unknown id"],
+    "elements, pairs, text",
+    [
+        (*BOWTIE, "'a' and 'b' have no meet"),
+        (*TWO_CYCLE, "order is not antisymmetric: 'a' and 'b'"),
+        (*VEE, "'a' and 'b' have no join"),
+        (*WEDGE, "'a' and 'b' have no meet"),
+        (*DUPLICATE_IDS, "duplicate element ids"),
+        (*NO_ELEMENTS, "empty element list"),
+        (*UNKNOWN_ID, "unknown id in order pair ('a', 'b')"),
+        (*BOUNDED_BOWTIE, "'a' and 'b' have no join"),
+        (*BOUNDED_BOWTIE_TOP_FIRST, "'c' and 'd' have no meet"),
+    ],
+    ids=[
+        "bowtie",
+        "2-cycle",
+        "vee",
+        "wedge",
+        "duplicate ids",
+        "no elements",
+        "unknown id",
+        "bounded bowtie",
+        "bounded bowtie, upper pair first",
+    ],
 )
-def test_non_lattice_text_matches_scan_oracle(elements, pairs):
-    text = _outcome(build_dist_lattice, elements, pairs)
-    assert isinstance(text, str)
-    assert text == _outcome(lattice_tables_scan, elements, pairs)
+def test_non_lattice_text_matches_scan_oracle(elements, pairs, text):
+    assert _outcome(build_dist_lattice, elements, pairs) == text
+    assert _outcome(lattice_tables_scan, elements, pairs) == text
 
 
 @pytest.mark.parametrize(

@@ -641,6 +641,7 @@ PINNED_LINES = (
         2,
         "invalid input: --intersect needs --seq for the first section",
     ),
+    (["polytope", "P2", "--seq", "y1,x2,y0,x1"], 2, "invalid input: sequence violates condition N"),
 )
 
 

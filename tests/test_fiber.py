@@ -295,10 +295,11 @@ def test_the_poset_keeps_its_plans_whatever_the_dilation():
     sweep(1)
     # per sign, each section after the sections before it, and each
     # section but the first alone: (2 + 1) + (4 + 3)
-    assert len(p._plans) == 10
+    plans = dict(vars(p)["_unit_plan"])
+    assert len(plans) == 10
     for n in range(2, 41):
         sweep(n)
-    assert len(p._plans) == 10
+    assert vars(p)["_unit_plan"] == plans
 
 
 def test_first_section_rule_matches_the_run_checks_at_piece_dilations():

@@ -1,6 +1,8 @@
 """Poset construction, chain distances, down-sets, purity, owned data."""
 
 import gc
+import json
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -13,22 +15,32 @@ from conftest import (
     small_posets,
 )
 from hibi import (
+    Budget,
+    BudgetExceeded,
+    DistLattice,
     InvalidPoset,
+    NotDistributive,
     TOP,
     analytic_spread,
     build_C,
+    build_dist_lattice,
     build_poset,
+    c_e_ehrhart,
     c_e_fiber,
     dist,
     enumerate_N,
     generators,
     is_minimal,
     is_pure,
+    join_irreducibles,
+    lattice_from_poset,
     p_nonmax,
     p_nonmin,
     poset_ideals,
     qdist,
+    tcx_report,
 )
+from hibi.cli import _load, run_command
 from hibi.cones import ConeSection, _sections
 from hibi.corpus import antichain, chain, p1
 import hibi.poset
@@ -220,7 +232,8 @@ def assert_capped_down_sets(p, monkeypatch):
             assert got is None and len(pulled) <= limit + 2
             assert "_down_sets" not in vars(fresh)
         else:
-            assert vars(fresh)["_down_sets"] is got
+            assert vars(fresh)["_down_sets"] == {(): got}
+            assert vars(fresh)["_down_sets"][()] is got
             assert got == _down_sets(p)
         assert (_down_sets(p, limit) is None) == (limit < count)
 
@@ -276,8 +289,8 @@ def test_dropped_poset_is_collected_with_its_data():
     assert c_e_fiber(p, 2, 2) > 0
     assert analytic_spread(p, 1) > 0
     # the sections of both signs are kept by the poset, and point back to it
-    assert set(p._sections) == {1, -1}
-    assert all(c.poset is p for eps in (1, -1) for c in p._sections[eps])
+    assert set(vars(p)["_sections"]) == {(1,), (-1,)}
+    assert all(c.poset is p for eps in (1, -1) for c in vars(p)["_sections"][eps,])
     ids = frozenset(p.elements)
     del p
     gc.collect()
@@ -285,6 +298,97 @@ def test_dropped_poset_is_collected_with_its_data():
     assert not [
         o for o in gc.get_objects() if isinstance(o, ConeSection) and set(o.poset.elements) == ids
     ]
+
+
+# What a poset keeps beside its cached properties: the products of poset._kept
+# under their builders' names, and the two kept by hand in the same layout.
+KEPT_NAMES = {
+    "enumerate_N",
+    "_sections",
+    "_unit_plan",
+    "lattice_from_poset",
+    "_signatures",
+    "_down_sets",
+    "_row",
+}
+
+
+def _cached_properties(cls):
+    return {name for name, value in vars(cls).items() if isinstance(value, cached_property)}
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_everything_kept_is_a_cached_property_or_a_kept_product(tmp_path):
+    # P1 under ids of its own, read from a document as the command line reads it
+    rename = {z: f"keeper-{z}" for z in p1().elements}
+    doc = tmp_path / "keeper.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "name": "keeper",
+                "elements": list(rename.values()),
+                "covers": [[rename[a], rename[b]] for a, b in sorted(p1().covers)],
+                "bottom": rename["x0"],
+            }
+        )
+    )
+    ref = str(doc)
+    for argv in (
+        ["analyze", ref],
+        ["generators", ref, "--n", "-2"],
+        ["sequences", ref, "--eps", "1"],
+        ["polytope", ref, "--n", "2"],
+        ["spread", ref],
+        ["level", ref],
+        ["frobenius", ref, "--prime", "2,3"],
+        ["lattice", ref],
+        ["selftest"],
+    ):
+        assert run_command(argv)[0] == 0, argv
+    p = _load(ref)[1]
+    c = _sections(p, -1)[-1]
+    tcx_report(c, (2,), 2)
+    c_e_ehrhart(c, 3, 1)
+    h = lattice_from_poset(p)
+    join_irreducibles(h)
+    assert set(vars(p)) - _cached_properties(Poset) == KEPT_NAMES
+    assert set(vars(h)) - _cached_properties(DistLattice) == {"join_irreducibles"}
+    # each product is one dict keyed by argument tuples
+    for owner, names in ((p, KEPT_NAMES), (h, {"join_irreducibles"})):
+        for name in names:
+            kept = vars(owner)[name]
+            assert kept and all(isinstance(key, tuple) for key in kept), name
+
+    # a failed build keeps nothing: on a fresh copy no key appears, ...
+    eps_text = (ValueError, "eps must be +1 or -1")
+    refused = (BudgetExceeded, "dilation 3 has more than 1 lattice points")
+    q = Poset(*p)
+    assert _raised(enumerate_N, q, 2) == eps_text
+    assert "enumerate_N" not in vars(q)
+    assert _down_sets(q, 1) is None
+    assert "_down_sets" not in vars(q)
+    assert _raised(c_e_fiber, q, 2, 2, Budget(max_piece=1)) == refused
+    assert "_row" not in vars(q)
+    # ... and the warm poset gives the same errors and keeps nothing more
+    kept = {name: dict(vars(p)[name]) for name in KEPT_NAMES}
+    assert _raised(enumerate_N, p, 2) == eps_text
+    assert _raised(enumerate_N, p, [1]) == eps_text
+    assert _raised(_sections, p, 0) == eps_text
+    assert _down_sets(p, 1) is None
+    assert _raised(c_e_fiber, p, 2, 2, Budget(max_piece=1)) == refused
+    assert {name: vars(p)[name] for name in KEPT_NAMES} == kept
+    m3 = build_dist_lattice(
+        ("0", "a", "b", "c", "1"),
+        (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")),
+    )
+    not_distributive = (NotDistributive, "lattice violates the distributive law")
+    assert _raised(join_irreducibles, m3) == not_distributive
+    assert "join_irreducibles" not in vars(m3)
 
 
 def test_poset_keeps_the_sections_of_its_reduced_sequences(corpus):
