@@ -74,10 +74,26 @@ def _document(text):
 
 
 def _load(ref):
-    """Resolve a poset reference: built-in name, then file, then bare file stem."""
+    """Resolve a poset reference: built-in name, then file, then bare file stem.
+
+    A file is read with one open; a reference that open cannot read (no
+    file, a directory, a path with a NUL byte, bytes that are not UTF-8)
+    takes the pathlib route (_load_path), which names every such error.
+    """
     if ref in BUILTIN_NAMES:
         return ref, builtin(ref)
-    from pathlib import Path  # a built-in name never needs it
+    try:
+        with open(ref, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError):
+        return _load_path(ref)
+    doc = _document(text)
+    return doc.name, doc.poset
+
+
+def _load_path(ref):
+    """The file behind a reference that is not a built-in name, else its bare stem."""
+    from pathlib import Path  # only a reference open cannot read needs it
 
     path = Path(ref)
     if path.exists():
@@ -157,17 +173,22 @@ def _cmd_generators(args):
         }
         return 0, _json_text(payload)
     # sorted rows share their leading values, so the first half of the
-    # columns, the degree with them, is formatted once per distinct prefix
+    # columns, the degree with them, is formatted once per distinct prefix;
+    # second halves recur across prefixes, so each is formatted once
     half = (len(p.elements) + 1) // 2
     head = "  degree %4d  " + _row_template(p.elements[:half])
     tail = " " + _row_template(p.elements[half:]) if half < len(p.elements) else ""
     lines = [f"poset {name}: {len(rows)} generators for n = {args.n}"]
-    prefix = None
+    prefix, tails = None, {}
     for v in rows:
         if v[:half] != prefix:
             prefix = v[:half]
             text = head % (v[0], *prefix)
-        lines.append(text + tail % v[half:])
+        rest = v[half:]
+        tail_text = tails.get(rest)
+        if tail_text is None:
+            tail_text = tails[rest] = tail % rest
+        lines.append(text + tail_text)
     return 0, "\n".join(lines)
 
 

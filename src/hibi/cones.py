@@ -19,9 +19,17 @@ a listing counts its runs (_capped), one memoized sweep (_point_count)
 counts the points without listing, and both step through a level's
 values by one rule (_value_tasks, inline in the walk's run loop).
 Reaches and degree ranges are read off the plan's bounds.
+
+The one packer of points lives here, beside the runs it packs: _Packing
+maps a vector to one int, exactly for a given reach, and _run_ints packs
+the points of runs as ranges of ints.  Set algebra on packed points is
+C-level; the standardness test (is_standard) and the twisted-piece
+counts (frobenius) use it.
 """
 
 from collections import namedtuple
+from itertools import chain
+from operator import mul
 
 from .errors import BudgetExceeded
 from .labelings import INT64_MAX, INT64_MIN, _kernel_labelings
@@ -507,6 +515,63 @@ def _run_values(runs):
     return out
 
 
+class _Packing:
+    """Integer vectors of one width packed as single ints: v -> sum v_i * 2**(bits*i).
+
+    bits is the least that reads back every vector within reach, the
+    largest coordinate magnitude its user will pack; a dilation's is
+    exact, n times the first dilation's (_section_reach).  The map is
+    linear.  A vector w with every |w_i| < 2**bits packs to 0 only when
+    w is 0 (its digits vanish mod 2**bits from the lowest up), and a
+    vector with every |v_i| < 2**(bits-1) is read back by unpack.  So a
+    difference of packed vectors whose coordinates stay within 2 * reach
+    is 0 only when the vectors are equal: a packed sum of points matches
+    a packed point exactly when the vectors match.
+    A plain class: a namedtuple would cost every cold start its creation.
+    """
+
+    __slots__ = ("bits", "weights")
+
+    def __init__(self, width, reach):
+        self.bits = bits = reach.bit_length() + 1
+        self.weights = tuple(1 << bits * i for i in range(width))
+
+    def pack(self, v):
+        return sum(map(mul, v, self.weights))
+
+    def unpack(self, x):
+        """The vector of a packed int, read as balanced base-2**bits digits."""
+        bits = self.bits
+        half = 1 << bits - 1
+        mask = (1 << bits) - 1
+        out = []
+        for _ in self.weights:
+            digit = ((x + half) & mask) - half
+            out.append(digit)
+            x = (x - digit) >> bits
+        return tuple(out)
+
+
+def _run_ints(runs, packing):
+    """Per run (row, moving, length, covered): its packed points off the covered steps."""
+    pack, weights = packing.pack, packing.weights
+    for row, moving, length, covered in runs:
+        start = pack(row)
+        if length == 1:
+            yield (start,)
+            continue
+        step = sum(map(weights.__getitem__, moving))
+        points = range(start, start + length * step, step)
+        if not covered:
+            yield points
+            continue
+        j = 0
+        for skip in sorted(covered):
+            yield points[j:skip]
+            j = skip + 1
+        yield points[j:]
+
+
 def _point_count(c, n, earlier=()):
     """Number of points of the n-fold dilation, less those an earlier section has.
 
@@ -647,15 +712,30 @@ def _rank(rows):
 
 
 def is_standard(c, n_max):
-    """Every dilation point up to n_max splits off a dilation-1 point."""
+    """Every dilation point up to n_max splits off a dilation-1 point.
+
+    That is, T_n lies in T_1 + T_(n-1) for n = 2 .. n_max, where T_n is
+    the set of points of the n-fold dilation.  Every tier is listed first,
+    then each test runs on packed ints (_Packing, whose reach is the
+    n_max-th dilation's): the sums of T_1 and T_(n-1) are struck from T_n
+    by C-level set updates.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    tiers = {n: _run_values(_section_runs(c, n)) for n in range(1, n_max + 1)}
-    for n in range(2, n_max + 1):
-        lower = set(tiers[n - 1])
-        for point in tiers[n]:
-            if not any(tuple(a - b for a, b in zip(point, one)) in lower for one in tiers[1]):
-                return False
+    packing = _Packing(len(c.poset.elements), n_max * _section_reach(c, 1))
+    tiers = [
+        set(chain.from_iterable(_run_ints(_section_runs(c, n), packing)))
+        for n in range(1, n_max + 1)
+    ]
+    ones = tiers[0]
+    for lower, top in zip(tiers, tiers[1:]):
+        left = set(top)
+        for one in ones:
+            left.difference_update(map(one.__add__, lower))
+            if not left:
+                break
+        if left:
+            return False
     return True
 
 

@@ -22,7 +22,7 @@ from .cones import (
     lattice_points,
 )
 from .labelings import _kernel_labelings
-from .poset import is_pure
+from .poset import _kept, is_pure
 from .sequences import enumerate_N, q0, q_max
 
 
@@ -99,8 +99,9 @@ def _generator_values(p, n, limit=None):
     return sorted(_run_values(_capped(_generator_runs(p, n), limit, text)))
 
 
+@_kept
 def _generator_count(p, n):
-    """Number of minimal elements of T^(n), without listing them.
+    """Number of minimal elements of T^(n), without listing them; the poset keeps it.
 
     Each section counts the points it keeps (_first_sections) by
     cones._point_count.

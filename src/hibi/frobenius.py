@@ -12,15 +12,18 @@ path once _resolve has told them apart: the e-th piece is the set of
 points of the (p^e - 1)-th dilation, streamed as runs of the closed walk
 (cones._section_runs), and each point becomes one integer as it streams.
 
-The packing is v -> sum_i v_i * 2**(bits*i).  It is linear, so the
-fresh vectors of the top piece P_e are the packed set difference
-P_e minus the sums a + p^k * b over a in P_k and b in P_{e-k}: a packed
-sumset, built by C-level int addition and set updates, running over the
-smaller of the two sides.  The packing is exact, not hashed: bits comes
-from the reach of the first dilation, and the reach of the n-th is
-exactly n times that, as a polytope's box and a section's plan scale
-with n (cones._dilation); _Packing gives the bound under which a packed
-sum matches a packed top vector only when the vectors match.
+The packing is the one packer of cones (cones._Packing, with
+cones._run_ints to pack runs), v -> sum_i v_i * 2**(bits*i).  It is
+linear, so the fresh vectors of the top piece P_e are the packed set
+difference P_e minus the sums a + p^k * b over a in P_k and b in
+P_{e-k}: a packed sumset, built by C-level int addition and set
+updates, running over the smaller of the two sides.  The packing is
+exact, not hashed: its reach is that of the top piece, (p^e - 1) times
+the reach of the first dilation, exactly, as a polytope's box and a
+section's plan scale with n (cones._dilation).  A difference v - a -
+p^k * b then stays within r_e + r_k + p^k * r_{e-k} = 2 * r_e, where r_k
+= (p^k - 1) * unit is the reach of piece k, so a packed sum matches a
+packed top vector only when the vectors match.
 
 Budgets guard every enumeration: primes and exponents are capped, an
 exponent whose dilation reaches past the 64-bit range is refused before
@@ -39,14 +42,15 @@ about prime**d / (prime**d - 1) times the points of its pieces.
 Rows are kept.  tcx_report and the c_e counts take each row (e, dim_e,
 c_e) from _row, and the poset that owns the target keeps it per target,
 prime and e, with the sizes of the pieces it built (_resolve says
-where).  Like the down-sets, a row is kept by hand in the layout of
-poset._kept, because what is given out also depends on the cap.  A
-kept row is given out only after the checks its fresh count makes, in
-the same order: the caps, the 64-bit range, then the piece cap on pieces
-e, e - 1, .. 1.  So a report, its rejection text and its exit code are
-the same whatever was counted before and under what caps.  A polytope
-has no owner and keeps nothing; the h_e listings need the vectors and
-always count afresh.
+where); a count refused at a piece keeps the sizes of the pieces that
+passed and a lower bound on the refused one.  Like the down-sets, a row
+is kept by hand in the layout of poset._kept, because what is given out
+also depends on the cap.  A kept row or refusal is given out only after
+the checks its fresh count makes, in the same order: the caps, the
+64-bit range, then the piece cap on pieces e, e - 1, .. 1.  So a report,
+its rejection text and its exit code are the same whatever was counted
+before and under what caps.  A polytope has no owner and keeps nothing;
+the h_e listings need the vectors and always count afresh.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -58,9 +62,17 @@ from collections import namedtuple
 from functools import partial
 from itertools import chain, product
 from math import log
-from operator import mul
 
-from .cones import ConeSection, _capped, _section_reach, _section_runs, _sections, _too_many
+from .cones import (
+    ConeSection,
+    _capped,
+    _Packing,
+    _run_ints,
+    _section_reach,
+    _section_runs,
+    _sections,
+    _too_many,
+)
 from .errors import BudgetExceeded
 from .fiber import _generator_runs, _generator_values
 from .labelings import INT64_MAX, _kernel_labelings
@@ -153,47 +165,6 @@ def _check_caps(prime, e, budget):
     return budget
 
 
-class _Packing:
-    """Integer vectors of one width packed as single ints: v -> sum v_i * 2**(bits*i).
-
-    It serves the pieces 1 .. e of a target at one prime, for the one
-    count of the e-th fresh vectors: piece k has coordinates within
-    r_k = (prime**k - 1) * unit, where unit is the largest coordinate
-    magnitude of the first dilation (exact, as the (prime**k - 1)-th
-    dilation is the first scaled), and bits is the least that reads back
-    every vector within r_e.  The map is linear.
-    A vector w with every |w_i| < 2**bits packs to 0 only when w is 0
-    (its digits vanish mod 2**bits from the lowest up), and a vector with
-    every |v_i| < 2**(bits-1) is read back by unpack.  So a difference
-    v - a - prime**k * b of vectors of pieces e, k and e - k, within
-    r_e + r_k + prime**k * r_{e-k} = 2 * r_e < 2**bits, packs to 0 only
-    when it is 0: a packed sum matches a packed top vector exactly when
-    the vectors match.
-    A plain class: a namedtuple would cost every cold start its creation.
-    """
-
-    __slots__ = ("bits", "weights")
-
-    def __init__(self, width, unit, prime, e):
-        self.bits = bits = ((prime**e - 1) * unit).bit_length() + 1
-        self.weights = tuple(1 << bits * i for i in range(width))
-
-    def pack(self, v):
-        return sum(map(mul, v, self.weights))
-
-    def unpack(self, x):
-        """The vector of a packed int, read as balanced base-2**bits digits."""
-        bits = self.bits
-        half = 1 << bits - 1
-        mask = (1 << bits) - 1
-        out = []
-        for _ in self.weights:
-            digit = ((x + half) & mask) - half
-            out.append(digit)
-            x = (x - digit) >> bits
-        return tuple(out)
-
-
 def _resolve(target):
     """(tag, width, unit, runs, where) of a target: the one place its type is read.
 
@@ -244,26 +215,6 @@ def _piece(runs, n, cap, packing):
     return chain.from_iterable(_run_ints(_capped(runs(n, cap), cap, _too_many(n, cap)), packing))
 
 
-def _run_ints(runs, packing):
-    """Per run (row, moving, length, covered): its packed points off the covered steps."""
-    pack, weights = packing.pack, packing.weights
-    for row, moving, length, covered in runs:
-        start = pack(row)
-        if length == 1:
-            yield (start,)
-            continue
-        step = sum(map(weights.__getitem__, moving))
-        points = range(start, start + length * step, step)
-        if not covered:
-            yield points
-            continue
-        j = 0
-        for skip in sorted(covered):
-            yield points[j:skip]
-            j = skip + 1
-        yield points[j:]
-
-
 def _drop_splits(fresh, pieces, prime, e):
     """Remove from the set fresh every a + prime**k * b, a in pieces[k], b in pieces[e-k].
 
@@ -295,51 +246,68 @@ def _admitted(target, prime, e, budget):
     return width, unit, runs, where, budget.max_piece
 
 
-def _fresh(admitted, prime, e):
-    """The e-th piece's packed fresh vectors as a set, the sizes of pieces e .. 1, the packing.
+def _fresh(admitted, prime, e, sizes):
+    """The e-th piece's packed fresh vectors as a set, and the packing.
 
-    admitted is what _admitted returned for the count at e.
+    admitted is what _admitted returned for the count at e.  The size of
+    each piece, e first, is appended to the list sizes once the piece has
+    passed the cap, so a refusal leaves the sizes of the pieces before it.
     """
     width, unit, runs, _, cap = admitted
-    packing = _Packing(width, unit, prime, e)
+    # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
+    packing = _Packing(width, (prime**e - 1) * unit)
     # top piece first: its caps bound the lower pieces
     fresh = set(_piece(runs, prime**e - 1, cap, packing))
-    pieces = {k: list(_piece(runs, prime**k - 1, cap, packing)) for k in range(e - 1, 0, -1)}
-    sizes = (len(fresh), *map(len, pieces.values()))
+    sizes.append(len(fresh))
+    pieces = {}
+    for k in range(e - 1, 0, -1):
+        pieces[k] = list(_piece(runs, prime**k - 1, cap, packing))
+        sizes.append(len(pieces[k]))
     _drop_splits(fresh, pieces, prime, e)
-    return fresh, sizes, packing
+    return fresh, packing
 
 
 def _row(target, prime, e, budget):
     """The row (e, dim_e, c_e) of the e-th piece, kept where _resolve says.
 
-    The poset keeps it by hand, in the layout of poset._kept, with the
-    sizes of pieces e .. 1 its count built, because a kept row is given
-    out only once those pass the piece cap of the call in that order,
-    after the checks of _admitted: the same checks, with the same texts,
-    that a fresh count would make before it could return the row.
+    The poset keeps it by hand, in the layout of poset._kept, as (sizes,
+    c_e): the sizes of pieces e .. 1 its count built.  A count refused at
+    a piece is kept too, as (sizes, None), with cap + 1 in place of the
+    size of the refused piece: a lower bound on it.  A kept row is given
+    out only once those sizes pass the piece cap of the call in that
+    order, after the checks of _admitted: the same checks, with the same
+    texts, that a fresh count would make before it could return the row.
+    So a repeat of a refusal refuses at once when its cap is at most the
+    cap that refused, and counts afresh when its cap is larger.
     """
     admitted = _admitted(target, prime, e, budget)
     where, cap = admitted[3:]
-    kept = None
     if where is not None:
-        poset, key = where[0], (where[1], prime, e)
-        kept = poset.__dict__.get("_row", {}).get(key)
-    if kept is None:
-        fresh, sizes, _ = _fresh(admitted, prime, e)
-        kept = sizes, len(fresh)
-        if where is not None:
-            poset.__dict__.setdefault("_row", {})[key] = kept
-    else:
-        for k, size in zip(range(e, 0, -1), kept[0]):
-            if size > cap:
-                raise BudgetExceeded(_too_many(prime**k - 1, cap))
+        key = where[1], prime, e
+        kept = where[0].__dict__.get("_row", {}).get(key)
+        if kept is not None:
+            for k, size in zip(range(e, 0, -1), kept[0]):
+                if size > cap:
+                    raise BudgetExceeded(_too_many(prime**k - 1, cap))
+            if kept[1] is not None:
+                return e, kept[0][0], kept[1]
+    sizes, kept = [], None
+    try:
+        fresh, _ = _fresh(admitted, prime, e, sizes)
+        kept = tuple(sizes), len(fresh)
+    except BudgetExceeded:
+        # the piece after those that passed has more than cap points
+        kept = (*sizes, cap + 1), None
+        raise
+    finally:
+        if where is not None and kept is not None:
+            where[0].__dict__.setdefault("_row", {})[key] = kept
     return e, kept[0][0], kept[1]
 
 
 def _fresh_values(target, prime, e, budget):
     """Value tuples of the fresh vectors, in lexicographic order like their piece."""
-    fresh, _, packing = _fresh(_admitted(target, prime, e, budget), prime, e)
+    fresh, packing = _fresh(_admitted(target, prime, e, budget), prime, e, [])
     return sorted(map(packing.unpack, fresh))
 
 

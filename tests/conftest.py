@@ -8,8 +8,9 @@ sweeps of T^(n) and of one section, the sums of degree-one generators,
 the walk over every run of the sections, the walk's hand-rolled state
 machine, the first-section check made run by run, the dilation plan
 built afresh at each n, the witness staircase of affinely independent
-section points, the degrees of every listed generator, the residue search for fresh
-Frobenius vectors, the bound scans of lattice joins and meets, the
+section points, the degrees of every listed generator, the standardness
+test on value tuples, the residue search for fresh Frobenius vectors,
+the bound scans of lattice joins and meets, the
 lattice of down-sets built from frozensets, the distributive law on
 every triple, the generators report rendered from Labelings) so the
 library code is never checked against itself.
@@ -637,6 +638,24 @@ def degree_range_listing(p, n):
     lo, hi = q0(p, n), q_max(p, n)
     degrees = {v[0] for v in _run_values(_generator_runs(p, n))}
     return lo, hi, degrees == set(range(lo, hi + 1))
+
+
+def standard_by_tuples(c, n_max):
+    """is_standard by value tuples: each point of every tier looks up a split, one by one.
+
+    Every dilation 1 .. n_max is listed as value tuples first, and a point
+    of the n-th splits when taking some point of the first leaves a point
+    of the (n-1)-th.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    tiers = {n: _run_values(_section_runs(c, n)) for n in range(1, n_max + 1)}
+    for n in range(2, n_max + 1):
+        lower = set(tiers[n - 1])
+        for point in tiers[n]:
+            if not any(tuple(a - b for a, b in zip(point, one)) in lower for one in tiers[1]):
+                return False
+    return True
 
 
 def lattice_points_sweep(c, n):

@@ -564,6 +564,67 @@ def test_poset_references_resolve_like_paths(tmp_path, monkeypatch):
         )
 
 
+def _load_by_path(ref):
+    """Poset reference resolution by pathlib alone: the oracle of cli._load."""
+    if ref in cli.BUILTIN_NAMES:
+        return ref, hibi.corpus.builtin(ref)
+    path = Path(ref)
+    if path.exists():
+        doc = cli._document(path.read_text(encoding="utf-8"))
+        return doc.name, doc.poset
+    stem = ref.removesuffix(".json")
+    if not os.path.dirname(ref) and stem in cli.BUILTIN_NAMES:
+        return stem, hibi.corpus.builtin(stem)
+    raise ValueError(f"no file or built-in poset named {ref!r}")
+
+
+def test_load_reads_every_reference_like_the_pathlib_route(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file.json").write_text(P1_TEXT)
+    (tmp_path / "latin.json").write_bytes(P1_TEXT.replace("mine", "m\xe9").encode("latin-1"))
+    # a syntax error on line 3, in a document with CRLF line ends
+    (tmp_path / "crlf.json").write_bytes(b'{\r\n  "name": "crlf",\r\n  "elements": [,]\r\n}\r\n')
+    refs = {
+        "": 2,
+        ".": 2,
+        "dir": 2,
+        "dir/": 2,
+        str(tmp_path / "dir") + "/": 2,
+        "missing.json": 2,
+        "file.json/x": 2,
+        "file.json/": 0,
+        "file.json": 0,
+        str(tmp_path / "file.json"): 0,
+        "file\0.json": 2,
+        "latin.json": 2,
+        "crlf.json": 2,
+        "P1.json": 0,
+        "P1/": 2,
+    }
+    got = {ref: run_command(["level", ref]) for ref in refs}
+    monkeypatch.setattr(cli, "_load", _load_by_path)
+    want = {ref: run_command(["level", ref]) for ref in refs}
+    assert got == want
+    assert {ref: code for ref, (code, _) in got.items()} == refs
+    assert got["crlf.json"][1].startswith("invalid input: ") and "line 3" in got["crlf.json"][1]
+    assert "codec can't decode" in got["latin.json"][1]
+    assert got["file\0.json"][1] == "invalid input: no file or built-in poset named 'file\\x00.json'"
+
+
+def test_a_document_rewritten_in_place_is_read_again(tmp_path):
+    doc = tmp_path / "rewritten.json"
+    doc.write_text(P1_TEXT.replace('"mine"', '"before"'))
+    stat = doc.stat()
+    first = run_command(["sequences", str(doc)])
+    assert first[0] == 0 and first[1].startswith("poset before: ")
+    # the same size and modification time: only the bytes tell the texts apart
+    doc.write_text(P1_TEXT.replace('"mine"', '"after!"'))
+    os.utime(doc, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (doc.stat().st_size, doc.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    assert run_command(["sequences", str(doc)]) == (0, first[1].replace("before", "after!", 1))
+
+
 def test_validation_errors_exit_two(tmp_path):
     code, text = run_command(["analyze", "NoSuchPoset"])
     assert code == 2
@@ -1089,6 +1150,33 @@ def _odd_document(tmp_path):
 def _values_text(p, nu):
     """The per-value rendering the reports are checked against."""
     return " ".join(f"{z}={v}" for z, v in zip(p.elements, nu.values))
+
+
+def test_generators_table_with_percent_ids_matches_per_row_formatting(tmp_path):
+    # P3 with a % in ids of both halves of the columns
+    p = hibi.corpus.p3()
+    rename = {z: z + ("%d" if i % 2 else "%%") for i, z in enumerate(p.elements)}
+    path = tmp_path / "percent.json"
+    payload = {
+        "name": "per%cent",
+        "elements": [rename[z] for z in p.elements],
+        "covers": [[rename[a], rename[b]] for a, b in sorted(p.covers)],
+        "bottom": rename[p.bottom],
+    }
+    path.write_text(json.dumps(payload))
+    _, q = cli._load(str(path))
+    half = (len(q.elements) + 1) // 2
+    shared = 0
+    for n in range(-3, 4):
+        rows = cli._generator_values(q, n)
+        shared += len(rows) - len({v[half:] for v in rows})
+        lines = [f"poset per%cent: {len(rows)} generators for n = {n}"]
+        lines += [
+            "  degree %4d  %s" % (v[0], " ".join("%s=%d" % zv for zv in zip(q.elements, v)))
+            for v in rows
+        ]
+        assert run_command(["generators", str(path), "--n", str(n)]) == (0, "\n".join(lines))
+    assert shared > 0  # second halves recur, so the kept tail texts are read
 
 
 def test_reports_render_odd_ids_like_per_value_text(tmp_path):

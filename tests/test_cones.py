@@ -12,6 +12,7 @@ from conftest import (
     lattice_points_sweep,
     run_count,
     small_posets,
+    standard_by_tuples,
     t_box,
     witness_partition,
 )
@@ -40,6 +41,8 @@ from hibi.cones import (
     _sections,
     _tight_pairs,
 )
+import conftest
+import hibi.cones
 from hibi.corpus import chain
 from hibi.labelings import INT64_MAX, INT64_MIN
 from test_labelings import V1, V2, V3
@@ -499,6 +502,47 @@ def test_standardness_p1_deep(poset1):
 def test_standardness_needs_depth(poset1):
     with pytest.raises(ValueError):
         is_standard(build_C(poset1, -1, ()), 1)
+
+
+def _assert_standard_agrees(p):
+    for eps in (1, -1):
+        sections = _sections(p, eps)
+        cases = list(sections) + [_meet(a, b) for a in sections for b in sections if a != b]
+        for c in cases:
+            for n_max in (2, 3, 4):
+                assert is_standard(c, n_max) == standard_by_tuples(c, n_max), (c.seq, n_max)
+
+
+def test_standardness_agrees_with_the_tuple_route_on_corpus(corpus):
+    for _, p in corpus:
+        _assert_standard_agrees(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets())
+def test_standardness_agrees_with_the_tuple_route_random(p):
+    _assert_standard_agrees(p)
+
+
+def test_standardness_routes_agree_when_a_point_is_missing(corpus, monkeypatch):
+    # with the last point of the first dilation gone, twice that point (a
+    # vertex: the lexicographic maximum) splits no more, so both routes
+    # must say no on every section
+    real = hibi.cones._section_runs
+
+    def short(c, n, earlier=()):
+        runs = real(c, n, earlier)
+        if n != 1:
+            return runs
+        return [(v, (), 1, ()) for v in _run_values(runs)][:-1]
+
+    monkeypatch.setattr(hibi.cones, "_section_runs", short)
+    monkeypatch.setattr(conftest, "_section_runs", short)
+    for _, p in corpus:
+        for eps in (1, -1):
+            for c in _sections(p, eps):
+                for n_max in (2, 3):
+                    assert is_standard(c, n_max) is standard_by_tuples(c, n_max) is False
 
 
 def test_ehrhart_counts_p1(poset1):

@@ -211,6 +211,32 @@ def test_generator_count_matches_listing_random(p):
             assert fiber_hilbert(p, 1 if n > 0 else -1, abs(n)) == count
 
 
+def _assert_kept_count_is_a_cold_count(p):
+    """Counts kept by p equal the counts of a fresh copy, which keeps nothing yet."""
+    warm = Poset(*p)
+    for n in range(-3, 4):
+        kept = _generator_count(warm, n)
+        assert vars(warm)["_generator_count"][(n,)] == kept
+        assert _generator_count(warm, n) == kept
+        cold = Poset(*p)
+        assert "_generator_count" not in vars(cold)
+        assert _generator_count(cold, n) == kept
+        if n:
+            assert fiber_hilbert(warm, 1 if n > 0 else -1, abs(n)) == kept
+    assert set(vars(warm)["_generator_count"]) == {(n,) for n in range(-3, 4)}
+
+
+def test_kept_generator_count_is_a_cold_count_on_corpus(corpus):
+    for _, p in corpus:
+        _assert_kept_count_is_a_cold_count(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(max_extra=5))
+def test_kept_generator_count_is_a_cold_count_random(p):
+    _assert_kept_count_is_a_cold_count(p)
+
+
 def test_degree_range_matches_box_route(corpus):
     for _, p in corpus:
         for n in (1, -1, 2, -2):
@@ -511,6 +537,7 @@ def test_generator_count_of_many_disjoint_chains_is_exact_and_fast():
         names += [f"u{i}", f"v{i}"]
         covers += [("x0", f"u{i}"), (f"u{i}", f"v{i}")]
     p = build_poset(names, covers, "x0")
+    assert "_generator_count" not in vars(p)  # the count below is cold
     start = time.process_time()
     assert fiber_hilbert(p, 1, 1) == 3**600
     assert time.process_time() - start < 1.0

@@ -31,7 +31,7 @@ from hibi import (
     zero_labeling,
 )
 from hibi.cli import run_command
-from hibi.cones import _section_reach
+from hibi.cones import _Packing, _section_reach
 from hibi.corpus import antichain, chain, filters1, filters2, p1, p2, p3
 from hibi.poset import Poset, build_poset
 
@@ -553,7 +553,7 @@ def test_report_rows_at_e_5_and_6_are_pinned_for_three_targets(poset1):
 
 def test_packing_round_trips_at_both_ends_of_the_digit_range():
     for bound in (0, 1, 2, 3, 7, 8, 255, 256, 2**31 - 1, 2**31, 10**18):
-        packing = frobenius._Packing(3, bound, 2, 1)
+        packing = _Packing(3, bound)
         ends = {-bound, -bound + 1, -1, 0, 1, bound - 1, bound}
         digits = sorted(d for d in ends if abs(d) <= bound)
         seen = {}
@@ -569,14 +569,14 @@ def test_packing_round_trips_at_both_ends_of_the_digit_range():
 def test_packing_tells_every_split_difference_from_zero():
     # the differences v - a - p^k * b of vectors within bound lie within 2 * bound
     for bound in (1, 2, 3, 7, 8, 100, 255, 256):
-        packing = frobenius._Packing(2, bound, 2, 1)
+        packing = _Packing(2, bound)
         for w0 in range(-2 * bound, 2 * bound + 1):
             for w1 in (-2 * bound, -1, 0, 1, 2 * bound):
                 assert (packing.pack((w0, w1)) == 0) == (w0 == w1 == 0)
 
 
 def test_packing_is_linear():
-    packing = frobenius._Packing(3, 40, 2, 1)
+    packing = _Packing(3, 40)
     v, a, b = (7, -8, 0), (3, -2, -1), (1, -2, 0)
     assert packing.pack(v) - packing.pack(a) - 4 * packing.pack(b) == packing.pack((0, 2, 1))
     assert packing.pack((0, 2, 1)) != 0
@@ -589,7 +589,7 @@ def test_pieces_at_the_largest_coordinates_the_default_budget_admits():
     assert c_e_polytope(corner, 5, 3) == 0
     for e in (1, 2, 3):
         _, width, unit, _, _ = frobenius._resolve(corner)
-        packing = frobenius._Packing(width, unit, 5, e)
+        packing = _Packing(width, (5**e - 1) * unit)
         top = (5**e - 1) * 10**6
         for v in ((-top, top), (top, -top), (-top, -top), (top, top)):
             assert packing.unpack(packing.pack(v)) == v
@@ -660,6 +660,59 @@ def test_kept_rows_agree_with_fresh_counts_on_corpus(corpus):
 @given(small_posets())
 def test_kept_rows_agree_with_fresh_counts_on_random_posets(p):
     _assert_kept_rows_agree(p, c_e_fiber)
+
+
+def test_a_repeated_refusal_walks_no_point(monkeypatch):
+    import hibi.cones as cones
+    import hibi.fiber as fiber
+
+    walked = []
+    real = cones._section_runs
+
+    def counted(*args):
+        for run in real(*args):
+            walked.append(run[2] - len(run[3]))
+            yield run
+
+    for module in (cones, fiber, frobenius):
+        monkeypatch.setattr(module, "_section_runs", counted)
+
+    def budget(cap):
+        return Budget(max_prime=3, max_e=3, max_piece=cap)
+
+    p = _copy(p1())
+    section = build_C(p, -1, ("y", "x"))
+    for target, count in ((p, c_e_fiber), (section, c_e_ehrhart)):
+        key = frobenius._resolve(target)[4][1]
+        # piece 3 of prime 2, the 7-th dilation, has 36 points
+        refused = (BudgetExceeded, "dilation 7 has more than 20 lattice points")
+        assert _outcome(count, target, 2, 3, budget(20)) == refused
+        assert vars(p)["_row"][key, 2, 3] == ((21,), None)
+        assert sum(walked) > 20
+        walked.clear()
+        # a repeat under a cap at most the one refused refuses at once
+        for cap in (20, 3):
+            want = (BudgetExceeded, f"dilation 7 has more than {cap} lattice points")
+            assert _outcome(count, target, 2, 3, budget(cap)) == want
+        assert walked == []
+        # so does a table, once its rows below e = 3 are kept
+        assert _outcome(tcx_report, target, (2,), 3, budget(20)) == refused
+        walked.clear()
+        for cap in (20, 10):
+            want = (BudgetExceeded, f"dilation 7 has more than {cap} lattice points")
+            assert _outcome(tcx_report, target, (2,), 3, budget(cap)) == want
+        assert walked == []
+        # a larger cap counts afresh, and the row replaces the refusal
+        assert _outcome(count, target, 2, 3, budget(35)) == (
+            BudgetExceeded,
+            "dilation 7 has more than 35 lattice points",
+        )
+        assert vars(p)["_row"][key, 2, 3] == ((36,), None)
+        assert count(target, 2, 3, budget(36)) == 3
+        assert vars(p)["_row"][key, 2, 3] == ((36, 10, 3), 3)
+        walked.clear()
+        assert _outcome(count, target, 2, 3, budget(20)) == refused
+        assert walked == []
 
 
 def test_a_kept_row_is_refused_past_the_64_bit_range():

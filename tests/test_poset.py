@@ -310,6 +310,7 @@ KEPT_NAMES = {
     "_signatures",
     "_down_sets",
     "_row",
+    "_generator_count",
 }
 
 
@@ -373,7 +374,9 @@ def test_everything_kept_is_a_cached_property_or_a_kept_product(tmp_path):
     assert _down_sets(q, 1) is None
     assert "_down_sets" not in vars(q)
     assert _raised(c_e_fiber, q, 2, 2, Budget(max_piece=1)) == refused
-    assert "_row" not in vars(q)
+    # ... but a refused row is kept, on purpose: no piece passed, and the
+    # top piece (dilation 3) has more than the cap of 1 point
+    assert vars(q)["_row"] == {(None, 2, 2): ((2,), None)}
     # ... and the warm poset gives the same errors and keeps nothing more
     kept = {name: dict(vars(p)[name]) for name in KEPT_NAMES}
     assert _raised(enumerate_N, p, 2) == eps_text
