@@ -716,9 +716,10 @@ def is_standard(c, n_max):
 
     That is, T_n lies in T_1 + T_(n-1) for n = 2 .. n_max, where T_n is
     the set of points of the n-fold dilation.  Every tier is listed first,
-    then each test runs on packed ints (_Packing, whose reach is the
-    n_max-th dilation's): the sums of T_1 and T_(n-1) are struck from T_n
-    by C-level set updates.
+    so a dilation past the 64-bit range raises whatever the answer, then
+    each test runs on packed ints (_Packing, whose reach is the n_max-th
+    dilation's): the sums of T_1 and T_(n-1) are struck from T_n by
+    C-level set updates.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
