@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
+import hibi.cones
 from conftest import (
     affine_witnesses,
     dilation_fresh,
@@ -41,8 +43,6 @@ from hibi.cones import (
     _sections,
     _tight_pairs,
 )
-import conftest
-import hibi.cones
 from hibi.corpus import chain
 from hibi.labelings import INT64_MAX, INT64_MIN
 from test_labelings import V1, V2, V3
