@@ -53,14 +53,11 @@ _HOMES = {
     ),
     "frobenius": (
         "Budget",
-        "Polytope",
         "TComplexityTable",
         "c_e_ehrhart",
         "c_e_fiber",
-        "c_e_polytope",
         "h_e_ehrhart",
         "h_e_fiber",
-        "h_e_polytope",
         "t_piece",
         "tcx_report",
     ),

@@ -96,7 +96,8 @@ def _load_path(ref):
     from pathlib import Path  # only a reference open cannot read needs it
 
     path = Path(ref)
-    if path.exists():
+    # pathlib drops a trailing slash, which only a directory may carry
+    if path.is_dir() if ref.endswith(("/", os.sep)) else path.exists():
         doc = _document(path.read_text(encoding="utf-8"))
         return doc.name, doc.poset
     stem = ref.removesuffix(".json")

@@ -108,24 +108,30 @@ def _generator_count(p, n):
     """
     if n == 0:
         return 1
-    return sum(_point_count(c, abs(n), earlier) for c, earlier in _first_sections(p, n))
+    pairs = _first_sections(p, 1 if n > 0 else -1)
+    return sum(_point_count(c, abs(n), earlier) for c, earlier in pairs)
 
 
 def _generator_runs(p, n):
-    """The runs (cones._section_runs) of the points each section keeps (_first_sections).
+    """The runs (_pair_runs) of the points each section keeps (_first_sections).
 
     So the runs list every minimal element once.  n = 0 gives one run,
     the origin: the one minimal element of T^(0).
     """
     if n == 0:
-        yield (0,) * len(p.elements), (), 1, ()
-        return
-    for c, earlier in _first_sections(p, n):
-        yield from _section_runs(c, abs(n), earlier)
+        return iter((((0,) * len(p.elements), (), 1, ()),))
+    return _pair_runs(_first_sections(p, 1 if n > 0 else -1), abs(n))
 
 
-def _first_sections(p, n):
-    """(section, earlier) per section of sign n, in enumerate_N order.
+def _pair_runs(pairs, n):
+    """The n-fold runs (cones._section_runs) of each (section, earlier) pair (_first_sections)."""
+    for c, earlier in pairs:
+        yield from _section_runs(c, n, earlier)
+
+
+@_kept
+def _first_sections(p, eps):
+    """(section, earlier) per section of sign eps, in enumerate_N order; the poset keeps them.
 
     Sections overlap, so each point is kept only by its first section in
     enumerate_N order whose equalities it is tight on: a point of T^(n)
@@ -134,7 +140,8 @@ def _first_sections(p, n):
     tight pairs (cones._tight_pairs) of the sections before the section,
     against which its walk and its count make that test.
     """
-    earlier = ()
-    for c in _sections(p, 1 if n > 0 else -1):
-        yield c, earlier
+    pairs, earlier = [], ()
+    for c in _sections(p, eps):
+        pairs.append((c, earlier))
         earlier += (_tight_pairs(c),)
+    return tuple(pairs)

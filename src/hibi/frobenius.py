@@ -6,11 +6,12 @@ as v1 + p^k * v2 with the parts drawn from the pieces of degrees k and
 e - k.  The count c_e of new elements bounds the complexity growth; the
 reports expose log_p(c_e)/e as a labeled estimate, never as a limit.
 
-The three targets -- a fiber cone (Poset), the Ehrhart ring of one
-sequence (ConeSection) and an inequality-given Polytope -- share one
-path once _resolve has told them apart: the e-th piece is the set of
-points of the (p^e - 1)-th dilation, streamed as runs of the closed walk
-(cones._section_runs), and each point becomes one integer as it streams.
+The two targets, a fiber cone (Poset) and the Ehrhart ring of one
+sequence (ConeSection), are one shape once _resolve has read them: a
+tuple of (section, earlier) pairs.  The e-th piece is the set of points
+of the (p^e - 1)-th dilation, streamed as the runs of those pairs
+(fiber._pair_runs, over the closed walk cones._section_runs), and each
+point becomes one integer as it streams.
 
 The packing is the one packer of cones (cones._Packing, with
 cones._run_ints to pack runs), v -> sum_i v_i * 2**(bits*i).  It is
@@ -19,8 +20,8 @@ difference P_e minus the sums a + p^k * b over a in P_k and b in
 P_{e-k}: a packed sumset, built by C-level int addition and set
 updates, running over the smaller of the two sides.  The packing is
 exact, not hashed: its reach is that of the top piece, (p^e - 1) times
-the reach of the first dilation, exactly, as a polytope's box and a
-section's plan scale with n (cones._dilation).  A difference v - a -
+the reach of the first dilation, exactly, as a section's plan scales
+with n (cones._dilation).  A difference v - a -
 p^k * b then stays within r_e + r_k + p^k * r_{e-k} = 2 * r_e, where r_k
 = (p^k - 1) * unit is the reach of piece k, so a packed sum matches a
 packed top vector only when the vectors match.
@@ -30,14 +31,14 @@ exponent whose dilation reaches past the 64-bit range is refused before
 any piece is built, and a piece enumeration aborts with an explicit
 error as soon as it passes the cap, rather than truncating: _piece
 counts the points of the runs as they stream (cones._capped) and stops
-before the run that would take them past the cap, and a polytope first
-checks its box.  Every count takes one route, _fresh: the top piece
-first, so its cap rejects before any lower piece is walked, then the
-lower pieces, all under a packing sized from that exponent.  No piece is
-kept: a piece lives only as long as the count that builds it, so a
-table's fresh row at e walks the lower pieces again.  The pieces of a
-d-dimensional target grow like prime**(d*e), so a table walks at most
-about prime**d / (prime**d - 1) times the points of its pieces.
+before the run that would take them past the cap.  Every count takes
+one route, _fresh: the top piece first, so its cap rejects before any
+lower piece is walked, then the lower pieces, all under a packing sized
+from that exponent.  No piece is kept: a piece lives only as long as the
+count that builds it, so a table's fresh row at e walks the lower pieces
+again.  The pieces of a d-dimensional target grow like prime**(d*e), so
+a table walks at most about prime**d / (prime**d - 1) times the points
+of its pieces.
 
 Rows are kept.  tcx_report and the c_e counts take each row (e, dim_e,
 c_e) from _row, and the poset that owns the target keeps it per target,
@@ -47,10 +48,11 @@ passed and a lower bound on the refused one.  Like the down-sets, a row
 is kept by hand in the layout of poset._kept, because what is given out
 also depends on the cap.  A kept row or refusal is given out only after
 the checks its fresh count makes, in the same order: the caps, the
-64-bit range, then the piece cap on pieces e, e - 1, .. 1.  So a report,
-its rejection text and its exit code are the same whatever was counted
-before and under what caps.  A polytope has no owner and keeps nothing;
-the h_e listings need the vectors and always count afresh.
+target, the 64-bit range, then the piece cap on pieces e, e - 1, .. 1.
+So a report, its rejection text and its exit code are the same whatever
+was counted before and under what caps; a table reads its target once,
+after the caps of its first row.  The h_e listings need the vectors and
+always count afresh.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -59,22 +61,12 @@ itself; the reports carry estimates either way and never assert limits.
 """
 
 from collections import namedtuple
-from functools import partial
-from itertools import chain, product
+from itertools import chain
 from math import log
 
-from .cones import (
-    ConeSection,
-    _capped,
-    _Packing,
-    _run_ints,
-    _section_reach,
-    _section_runs,
-    _sections,
-    _too_many,
-)
+from .cones import ConeSection, _capped, _Packing, _run_ints, _section_reach, _too_many
 from .errors import BudgetExceeded
-from .fiber import _generator_runs, _generator_values
+from .fiber import _first_sections, _generator_values, _pair_runs
 from .labelings import INT64_MAX, _kernel_labelings
 from .poset import Poset
 
@@ -85,23 +77,6 @@ class Budget(
     """Caps for the piece enumerations; exceeding any cap is an error."""
 
     __slots__ = ()
-
-
-class Polytope(namedtuple("Polytope", "dim inequalities lower upper")):
-    """Integral polytope cut out by (coeffs . x <= rhs) rows inside a box."""
-
-    __slots__ = ()
-
-    def __new__(cls, dim, inequalities, lower, upper):
-        # fields given as lists are stored as tuples, so every polytope hashes
-        rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in inequalities)
-        lower, upper = tuple(lower), tuple(upper)
-        if len(lower) != dim or len(upper) != dim:
-            raise ValueError("bounds must match the coordinate count")
-        for coeffs, _ in rows:
-            if len(coeffs) != dim:
-                raise ValueError("inequality width must match the coordinate count")
-        return super().__new__(cls, dim, rows, lower, upper)
 
 
 class TComplexityTable(namedtuple("TComplexityTable", "prime target rows estimate last_ratio")):
@@ -150,7 +125,7 @@ def _is_prime(p):
 
 
 def _check_caps(prime, e, budget):
-    """The budget (the default one for None), once it admits prime and e."""
+    """The piece cap of the budget (the default one for None), once it admits prime and e."""
     budget = budget or Budget()
     if prime >= _MR_EXACT_BELOW:
         raise ValueError(f"{prime} is out of the 64-bit range")
@@ -162,57 +137,47 @@ def _check_caps(prime, e, budget):
         raise BudgetExceeded(f"prime {prime} exceeds the cap {budget.max_prime}")
     if e > budget.max_e:
         raise BudgetExceeded(f"exponent {e} exceeds the cap {budget.max_e}")
-    return budget
+    return budget.max_piece
 
 
 def _resolve(target):
-    """(tag, width, unit, runs, where) of a target: the one place its type is read.
+    """(tag, pairs, unit, owner, key) of a target: the one place its type is read.
 
-    runs(n, cap) streams the n-th dilation's points as runs (row, moving,
-    length, covered); a polytope rejects a dilation box over the cap
-    before it lists, and _piece caps the points of every target.  They
-    stay within n * unit, as a polytope's dilation box and a section's
-    closed bounds scale with n.  A fiber cone closes its sections here.
-    where is (poset, key): the target's rows are kept (_row) by that
-    poset under (key, prime, e), where key is None for a fiber cone and a
-    section's sign, pairs and G parts for a section.  A polytope has no
-    owner, so it is None.
+    The n-th dilation's points are the runs at n (fiber._pair_runs) of
+    the (section, earlier) pairs: a fiber cone's sections of sign -1 (its
+    n-th dilation is T^(-n)) with those before them, or a section alone.
+    They stay within n * unit, as each section's closed bounds scale with
+    n.  The owner, a poset, keeps the rows (_row) under (key, prime, e):
+    key is None for a fiber cone and a section's sign, pairs and G parts
+    for a section.
     """
     if isinstance(target, Poset):
-        unit = max((_section_reach(c, 1) for c in _sections(target, -1)), default=0)
-        # the n-th dilation is T^(-n)
-        runs = lambda n, cap: _generator_runs(target, -n)
-        return "fiber cone", len(target.elements), unit, runs, (target, None)
-    if isinstance(target, ConeSection):
-        width, unit = len(target.poset.elements), _section_reach(target, 1)
-        where = target.poset, (target.epsilon, target.equalities, target.g_parts)
-        return "ehrhart of sequence", width, unit, lambda n, cap: _section_runs(target, n), where
-    if isinstance(target, Polytope):
-        unit = max(map(abs, target.lower + target.upper), default=0)
-        return "raw polytope", target.dim, unit, partial(_polytope_runs, target), None
-    raise TypeError("target must be a Poset, a ConeSection, or a Polytope")
+        tag, pairs, owner, key = "fiber cone", _first_sections(target, -1), target, None
+    elif isinstance(target, ConeSection):
+        tag, pairs, owner = "ehrhart of sequence", ((target, ()),), target.poset
+        key = target.epsilon, target.equalities, target.g_parts
+    else:
+        raise TypeError("target must be a Poset or a ConeSection")
+    unit = max((_section_reach(c, 1) for c, _ in pairs), default=0)
+    return tag, pairs, unit, owner, key
 
 
-def _polytope_runs(target, n, cap):
-    """The n-th dilation's points as runs of length 1, once its box is within cap."""
-    volume = 1
-    for lo, hi in zip(target.lower, target.upper):
-        volume *= n * hi - n * lo + 1
-        if volume > cap:
-            raise BudgetExceeded(f"dilation box of size {volume} exceeds the cap {cap}")
-    ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(target.lower, target.upper)]
-    rows = target.inequalities
-    for pt in product(*ranges):
-        if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in rows):
-            yield pt, (), 1, ()
+def _reach(target, prime, e):
+    """The reach of a resolved target's e-th piece, once it is within the 64-bit range."""
+    # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
+    reach = (prime**e - 1) * target[2]
+    if reach > INT64_MAX:
+        raise BudgetExceeded(f"exponent {e} takes the dilation past the 64-bit range")
+    return reach
 
 
-def _piece(runs, n, cap, packing):
+def _piece(pairs, n, cap, packing):
     """The packed points of the n-th dilation, streamed by runs, a piece the packing serves.
 
     It stops with BudgetExceeded before the run that takes them past cap.
     """
-    return chain.from_iterable(_run_ints(_capped(runs(n, cap), cap, _too_many(n, cap)), packing))
+    runs = _capped(_pair_runs(pairs, n), cap, _too_many(n, cap))
+    return chain.from_iterable(_run_ints(runs, packing))
 
 
 def _drop_splits(fresh, pieces, prime, e):
@@ -231,83 +196,72 @@ def _drop_splits(fresh, pieces, prime, e):
 
 
 def _admitted(target, prime, e, budget):
-    """(width, unit, runs, where, cap) of the count at e, once the checks before any piece pass.
+    """The arguments (target resolved, prime, e, cap) of _row and _fresh for the count at e.
 
-    They come in this order: e itself, the caps (_check_caps), the
-    target (_resolve) and the 64-bit range of the top dilation.
+    The checks before them come in this order: e itself, the caps
+    (_check_caps), the target (_resolve); _row and _fresh check _reach next.
     """
     if e < 1:
         raise ValueError("e must be at least 1")
-    budget = _check_caps(prime, e, budget)
-    _, width, unit, runs, where = _resolve(target)
-    # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
-    if (prime**e - 1) * unit > INT64_MAX:
-        raise BudgetExceeded(f"exponent {e} takes the dilation past the 64-bit range")
-    return width, unit, runs, where, budget.max_piece
+    cap = _check_caps(prime, e, budget)
+    return _resolve(target), prime, e, cap
 
 
-def _fresh(admitted, prime, e, sizes):
+def _fresh(target, prime, e, cap, sizes):
     """The e-th piece's packed fresh vectors as a set, and the packing.
 
-    admitted is what _admitted returned for the count at e.  The size of
-    each piece, e first, is appended to the list sizes once the piece has
-    passed the cap, so a refusal leaves the sizes of the pieces before it.
+    target is resolved (_resolve).  The size of each piece, e first, is
+    appended to the list sizes once the piece has passed the cap, so a
+    refusal leaves the sizes of the pieces before it.
     """
-    width, unit, runs, _, cap = admitted
-    # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
-    packing = _Packing(width, (prime**e - 1) * unit)
+    _, pairs, _, owner, _ = target
+    packing = _Packing(len(owner.elements), _reach(target, prime, e))
     # top piece first: its caps bound the lower pieces
-    fresh = set(_piece(runs, prime**e - 1, cap, packing))
+    fresh = set(_piece(pairs, prime**e - 1, cap, packing))
     sizes.append(len(fresh))
     pieces = {}
     for k in range(e - 1, 0, -1):
-        pieces[k] = list(_piece(runs, prime**k - 1, cap, packing))
+        pieces[k] = list(_piece(pairs, prime**k - 1, cap, packing))
         sizes.append(len(pieces[k]))
     _drop_splits(fresh, pieces, prime, e)
     return fresh, packing
 
 
-def _row(target, prime, e, budget):
-    """The row (e, dim_e, c_e) of the e-th piece, kept where _resolve says.
+def _row(target, prime, e, cap):
+    """The row (e, dim_e, c_e) of the e-th piece of a resolved target, kept by its owner.
 
-    The poset keeps it by hand, in the layout of poset._kept, as (sizes,
+    The owner keeps it by hand, in the layout of poset._kept, as (sizes,
     c_e): the sizes of pieces e .. 1 its count built.  A count refused at
-    a piece is kept too, as (sizes, None), with cap + 1 in place of the
-    size of the refused piece: a lower bound on it.  A kept row is given
-    out only once those sizes pass the piece cap of the call in that
-    order, after the checks of _admitted: the same checks, with the same
-    texts, that a fresh count would make before it could return the row.
-    So a repeat of a refusal refuses at once when its cap is at most the
-    cap that refused, and counts afresh when its cap is larger.
+    a piece is kept as (sizes, None), with cap + 1, a lower bound, as the
+    size of the refused piece.  A kept row is given out only after the
+    64-bit check and once those sizes pass the piece cap in that order,
+    the checks a fresh count would make first, with the same texts.  So
+    a repeated refusal refuses at once under a cap at most the one that
+    refused, and counts afresh under a larger one.
     """
-    admitted = _admitted(target, prime, e, budget)
-    where, cap = admitted[3:]
-    if where is not None:
-        key = where[1], prime, e
-        kept = where[0].__dict__.get("_row", {}).get(key)
-        if kept is not None:
-            for k, size in zip(range(e, 0, -1), kept[0]):
-                if size > cap:
-                    raise BudgetExceeded(_too_many(prime**k - 1, cap))
-            if kept[1] is not None:
-                return e, kept[0][0], kept[1]
-    sizes, kept = [], None
+    _reach(target, prime, e)
+    rows, key = target[3].__dict__, (target[4], prime, e)
+    kept = rows.get("_row", {}).get(key)
+    if kept is not None:
+        for k, size in zip(range(e, 0, -1), kept[0]):
+            if size > cap:
+                raise BudgetExceeded(_too_many(prime**k - 1, cap))
+        if kept[1] is not None:
+            return e, kept[0][0], kept[1]
+    sizes = []
     try:
-        fresh, _ = _fresh(admitted, prime, e, sizes)
-        kept = tuple(sizes), len(fresh)
+        fresh, _ = _fresh(target, prime, e, cap, sizes)
     except BudgetExceeded:
         # the piece after those that passed has more than cap points
-        kept = (*sizes, cap + 1), None
+        rows.setdefault("_row", {})[key] = (*sizes, cap + 1), None
         raise
-    finally:
-        if where is not None and kept is not None:
-            where[0].__dict__.setdefault("_row", {})[key] = kept
-    return e, kept[0][0], kept[1]
+    rows.setdefault("_row", {})[key] = tuple(sizes), len(fresh)
+    return e, sizes[0], len(fresh)
 
 
 def _fresh_values(target, prime, e, budget):
     """Value tuples of the fresh vectors, in lexicographic order like their piece."""
-    fresh, packing = _fresh(_admitted(target, prime, e, budget), prime, e, [])
+    fresh, packing = _fresh(*_admitted(target, prime, e, budget), [])
     return sorted(map(packing.unpack, fresh))
 
 
@@ -317,8 +271,8 @@ def t_piece(p, prime, e, budget=None):
     Assembled from the pinned sections, the same route as generators().
     e = 0 gives the origin alone.
     """
-    budget = _check_caps(prime, e, budget)
-    return _kernel_labelings(p, _generator_values(p, 1 - prime**e, budget.max_piece))
+    cap = _check_caps(prime, e, budget)
+    return _kernel_labelings(p, _generator_values(p, 1 - prime**e, cap))
 
 
 def h_e_fiber(p, prime, e, budget=None):
@@ -328,7 +282,7 @@ def h_e_fiber(p, prime, e, budget=None):
 
 def c_e_fiber(p, prime, e, budget=None):
     """New-generator count of the e-th twisted piece of the fiber cone."""
-    return _row(p, prime, e, budget)[2]
+    return _row(*_admitted(p, prime, e, budget))[2]
 
 
 def h_e_ehrhart(c, prime, e, budget=None):
@@ -338,17 +292,7 @@ def h_e_ehrhart(c, prime, e, budget=None):
 
 def c_e_ehrhart(c, prime, e, budget=None):
     """New-generator count over the dilation lattice points of a section."""
-    return _row(c, prime, e, budget)[2]
-
-
-def h_e_polytope(delta, prime, e, budget=None):
-    """The new integer points at level e for an inequality-given polytope."""
-    return tuple(_fresh_values(delta, prime, e, budget))
-
-
-def c_e_polytope(delta, prime, e, budget=None):
-    """New-generator count for the Ehrhart ring of an inequality-given polytope."""
-    return _row(delta, prime, e, budget)[2]
+    return _row(*_admitted(c, prime, e, budget))[2]
 
 
 def tcx_report(target, primes, e_max, budget=None):
@@ -357,17 +301,22 @@ def tcx_report(target, primes, e_max, budget=None):
     estimate is log_prime(c_{e_max}) / e_max, or -inf when the last count
     vanishes (finitely generated); last_ratio is log_prime of the final
     consecutive quotient when both counts are positive.  Both are desk
-    readings of an asymptotic quantity, never asserted values.
+    readings of an asymptotic quantity, never asserted values.  The
+    target is resolved once, after the caps of the first row.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    tables = []
+    tables, resolved = [], None
     for prime in primes:
-        rows = tuple(_row(target, prime, e, budget) for e in range(1, e_max + 1))
+        rows = []
+        for e in range(1, e_max + 1):
+            cap = _check_caps(prime, e, budget)
+            resolved = resolved or _resolve(target)
+            rows.append(_row(resolved, prime, e, cap))
         last_c = rows[-1][2]
         estimate = log(last_c, prime) / e_max if last_c > 0 else float("-inf")
         ratio = None
         if len(rows) >= 2 and last_c > 0 and rows[-2][2] > 0:
             ratio = log(last_c / rows[-2][2], prime)
-        tables.append(TComplexityTable(prime, _resolve(target)[0], rows, estimate, ratio))
+        tables.append(TComplexityTable(prime, resolved[0], tuple(rows), estimate, ratio))
     return tuple(tables)

@@ -22,16 +22,17 @@ a poset or a lattice is kept by one rule (_kept): under the name of the
 function that builds it, in a dict keyed by the function's other
 arguments, and only once the build returns.  So kept are the reduced
 sequences per sign (sequences.enumerate_N), their sections
-(cones._sections), the unit dilation plan of each section given the
-sections before it (cones._unit_plan), the number of minimal elements
+(cones._sections), each with the tight pairs of those before it
+(fiber._first_sections), the unit dilation plan of each section given
+the sections before it (cones._unit_plan), the number of minimal elements
 of each T^(n) (fiber._generator_count), the lattice of down-sets and the
 element signatures (birkhoff.lattice_from_poset, birkhoff._signatures),
 and a lattice's poset of join-irreducibles (birkhoff.join_irreducibles).
 Two products keep in the same layout by hand, as what they hand out
 also depends on a cap: the down-sets as bitmasks of canonical positions
-(_down_sets, under ()), and the twisted-piece rows of the fiber cone
-and of each section (frobenius._row, per target, prime and exponent),
-refused counts included.
+(_down_sets, under ()), and the twisted-piece rows of every target the
+poset owns, its fiber cone and each section (frobenius._row, per
+target, prime and exponent), refused counts included.
 """
 
 import heapq

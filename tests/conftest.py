@@ -10,6 +10,7 @@ machine, the first-section check made run by run, the dilation plan
 built afresh at each n, the witness staircase of affinely independent
 section points, the degrees of every listed generator, the standardness
 test on value tuples, the residue search for fresh Frobenius vectors,
+the fresh points of a polytope given by inequalities, listed by its box,
 the bound scans of lattice joins and meets, the
 lattice of down-sets built from frozensets, the distributive law on
 every triple, the generators report rendered from Labelings) so the
@@ -17,6 +18,7 @@ library code is never checked against itself.
 """
 
 import json
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 from operator import add, sub
@@ -29,6 +31,7 @@ from hibi.cones import (
     _dilation,
     _holding,
     _level_range,
+    _Packing,
     _Plan,
     _run_values,
     _section_runs,
@@ -39,6 +42,7 @@ from hibi.birkhoff import build_dist_lattice
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
 from hibi.fiber import _generator_runs
+from hibi.frobenius import _drop_splits
 from hibi.labelings import INT64_MAX, INT64_MIN, Labeling, generators, indicator, label_max
 from hibi.poset import TOP, build_poset, poset_ideals, qdist
 from hibi.sequences import CondNSeq, is_q_reduced, q0, q_max, q_value, shifted_family
@@ -771,6 +775,11 @@ def residue_new_elements(pieces, prime, e):
     return [v for v in pieces[e] if not splits(v)]
 
 
+# An integral polytope cut out by (coeffs . x <= rhs) rows inside the box
+# lower .. upper: a piece-count input with no plan, listed by its box.
+Polytope = namedtuple("Polytope", "dim inequalities lower upper")
+
+
 def polytope_points(delta, n):
     """Value tuples of the n-th dilation of a Polytope, by filtering its box, value-lex."""
     ranges = [range(n * lo, n * hi + 1) for lo, hi in zip(delta.lower, delta.upper)]
@@ -780,6 +789,29 @@ def polytope_points(delta, n):
         for pt in product(*ranges)
         if all(sum(c * x for c, x in zip(coeffs, pt)) <= n * rhs for coeffs, rhs in rows)
     ]
+
+
+def h_e_polytope(delta, prime, e):
+    """The fresh points at level e of a Polytope's Ehrhart ring, value-lex.
+
+    Each piece is its box filtered (polytope_points) and packed for the
+    top piece's box (cones._Packing); the library's split step
+    (frobenius._drop_splits) strikes the sums a + prime**k * b.  So the
+    packing and the split step meet inputs that are not sections.
+    """
+    unit = max(map(abs, delta.lower + delta.upper), default=0)
+    packing = _Packing(delta.dim, (prime**e - 1) * unit)
+    pieces = {
+        k: list(map(packing.pack, polytope_points(delta, prime**k - 1))) for k in range(1, e + 1)
+    }
+    fresh = set(pieces.pop(e))
+    _drop_splits(fresh, pieces, prime, e)
+    return sorted(map(packing.unpack, fresh))
+
+
+def c_e_polytope(delta, prime, e):
+    """The number of fresh points at level e of a Polytope's Ehrhart ring (h_e_polytope)."""
+    return len(h_e_polytope(delta, prime, e))
 
 
 def lattice_tables_scan(elements, pairs):

@@ -8,19 +8,25 @@ larger sweeps compare two independent computation routes.
 
 import time
 
-from conftest import generators_box, generators_sumset, ideal_subtraction_minimal, t_box
+from conftest import (
+    Polytope,
+    c_e_polytope,
+    generators_box,
+    generators_sumset,
+    h_e_polytope,
+    ideal_subtraction_minimal,
+    t_box,
+)
 from hibi import (
     analytic_spread,
     build_C,
     c_e_ehrhart,
     c_e_fiber,
-    c_e_polytope,
     dim_bruteforce,
     dim_formula,
     enumerate_N,
     from_dict,
     generators,
-    h_e_polytope,
     hibi_generators,
     in_T,
     is_anticanonical_level,
@@ -43,7 +49,7 @@ from hibi import (
     witness_sequence,
 )
 from hibi.corpus import UPWARD_PURE_NAMES, all_builtins, builtin, p1, p2, p3, upward_pure
-from hibi.frobenius import Budget, Polytope
+from hibi.frobenius import Budget
 
 V1 = {"x0": -2, "w": -1, "x": -2, "z": -1, "y": 0, "v": -1}
 V2 = {"x0": -3, "w": -2, "x": -2, "z": -1, "y": -1, "v": -1}
@@ -248,15 +254,15 @@ def test_criterion_10_desk_scale_growth():
 
     triangle = Polytope(dim=2, inequalities=(((1, 1), 1),), lower=(0, 0), upper=(1, 1))
     for e in (2, 3):
-        ok &= c_e_polytope(triangle, 5, e, budget=big) >= (5 // 2) ** (2 * (e - 1))
+        ok &= c_e_polytope(triangle, 5, e) >= (5 // 2) ** (2 * (e - 1))
 
     prism = Polytope(
         dim=3, inequalities=(((1, 1, 0), 1),), lower=(0, 0, 0), upper=(1, 1, 1)
     )
     for prime, e in ((2, 2), (2, 3), (3, 2)):
         m = prime**e - 1
-        flat = set(h_e_polytope(triangle, prime, e, budget=big))
-        tall = set(h_e_polytope(prism, prime, e, budget=big))
+        flat = set(h_e_polytope(triangle, prime, e))
+        tall = set(h_e_polytope(prism, prime, e))
         ok &= all((a, b, k) in tall for a, b in flat for k in range(m + 1))
 
     elapsed = time.monotonic() - start

@@ -483,7 +483,7 @@ def test_no_run_is_wholly_covered_and_sections_keep_their_counts_random(p):
 def assert_walk_matches_the_state_machine(p, n):
     # every section, after every prefix of the sections before it
     m = abs(n)
-    for c, earlier in hibi.fiber._first_sections(p, n):
+    for c, earlier in hibi.fiber._first_sections(p, 1 if n > 0 else -1):
         for k in range(len(earlier) + 1):
             want = list(section_runs_reference(c, m, earlier[:k]))
             assert list(_section_runs(c, m, earlier[:k])) == want

@@ -7,23 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hibi.frobenius as frobenius
-from conftest import brute_new_count, polytope_points, residue_new_elements, small_posets
+from conftest import (
+    Polytope,
+    brute_new_count,
+    c_e_polytope,
+    h_e_polytope,
+    polytope_points,
+    residue_new_elements,
+    small_posets,
+)
 from hibi import (
     Budget,
     BudgetExceeded,
     ConeSection,
-    Polytope,
     build_C,
     c_e_ehrhart,
     c_e_fiber,
-    c_e_polytope,
     dist,
     enumerate_N,
     from_dict,
     generators,
     h_e_ehrhart,
     h_e_fiber,
-    h_e_polytope,
     in_T,
     lattice_points,
     t_piece,
@@ -31,8 +36,9 @@ from hibi import (
     zero_labeling,
 )
 from hibi.cli import run_command
-from hibi.cones import _Packing, _section_reach
+from hibi.cones import _Packing, _section_reach, _section_runs, _sections
 from hibi.corpus import antichain, chain, filters1, filters2, p1, p2, p3
+from hibi.fiber import _first_sections, _generator_runs, _pair_runs
 from hibi.poset import Poset, build_poset
 
 TRIANGLE = Polytope(dim=2, inequalities=(((1, 1), 1),), lower=(0, 0), upper=(1, 1))
@@ -154,13 +160,6 @@ def test_single_point_section_has_trivial_growth():
     assert c_e_ehrhart(c, 3, 2) == 0
 
 
-def test_polytope_validation():
-    with pytest.raises(ValueError):
-        Polytope(dim=2, inequalities=(), lower=(0,), upper=(0, 0))
-    with pytest.raises(ValueError):
-        Polytope(dim=2, inequalities=(((1,), 1),), lower=(0, 0), upper=(1, 1))
-
-
 def test_point_polytope_counts():
     assert c_e_polytope(POINT, 2, 1) == 1
     assert c_e_polytope(POINT, 2, 2) == 0
@@ -251,8 +250,9 @@ def test_growth_table_rows_bounded(poset1):
 def test_growth_table_validation(poset1):
     with pytest.raises(ValueError):
         tcx_report(poset1, (2,), 0)
-    with pytest.raises(TypeError):
-        tcx_report("nope", (2,), 1)
+    for target in ("nope", TRIANGLE):
+        with pytest.raises(TypeError, match="^target must be a Poset or a ConeSection$"):
+            tcx_report(target, (2,), 1)
 
 
 def test_growth_table_section_frozen(poset1):
@@ -263,28 +263,23 @@ def test_growth_table_section_frozen(poset1):
     assert tables[1].rows == ((1, 6, 6), (2, 45, 9), (3, 378, 54))
 
 
+def _polytope_rows(delta, prime, e_max):
+    """The rows (e, dim_e, c_e) of a polytope's table, by the oracle of conftest."""
+    return tuple(
+        (e, len(polytope_points(delta, prime**e - 1)), c_e_polytope(delta, prime, e))
+        for e in range(1, e_max + 1)
+    )
+
+
 def test_growth_table_polytope_frozen():
-    tables = tcx_report(TRIANGLE, (2, 5), 2)
-    assert [t.target for t in tables] == ["raw polytope"] * 2
-    assert tables[0].rows == ((1, 3, 3), (2, 10, 1))
-    assert tables[1].rows == ((1, 15, 15), (2, 325, 100))
-
-
-def test_list_built_polytope_matches_tuple_built():
-    listed = Polytope(dim=2, inequalities=[([1, 1], 1)], lower=[0, 0], upper=[1, 1])
-    assert listed == TRIANGLE
-    want = tcx_report(TRIANGLE, (2, 5), 2)
-    want_fresh = h_e_polytope(TRIANGLE, 2, 3)
-    assert tcx_report(listed, (2, 5), 2) == want
-    assert c_e_polytope(listed, 5, 2) == 100
-    assert h_e_polytope(listed, 2, 3) == want_fresh
+    assert _polytope_rows(TRIANGLE, 2, 2) == ((1, 3, 3), (2, 10, 1))
+    assert _polytope_rows(TRIANGLE, 5, 2) == ((1, 15, 15), (2, 325, 100))
 
 
 def test_validation_order_is_shared_by_every_target(poset1):
     targets = (
         (c_e_fiber, h_e_fiber, poset1),
         (c_e_ehrhart, h_e_ehrhart, build_C(poset1, -1, ("y", "x"))),
-        (c_e_polytope, h_e_polytope, TRIANGLE),
     )
     for count, fresh, target in targets:
         for fn in (count, fresh):
@@ -313,12 +308,6 @@ def test_primality_matches_trial_division():
         assert not frobenius._is_prime(k)
     for k in (2**31 - 1, 1000000007, 2**61 - 1, 10**18 + 3):
         assert frobenius._is_prime(k)
-
-
-def test_polytope_box_is_capped_before_the_sweep():
-    square = Polytope(dim=2, inequalities=(), lower=(0, 0), upper=(2, 2))
-    with pytest.raises(BudgetExceeded, match="dilation box"):
-        c_e_polytope(square, 5, 2, budget=Budget(max_piece=100))
 
 
 def test_capped_piece_is_rejected_exactly_when_larger(corpus):
@@ -385,6 +374,13 @@ def _assert_agreement(target, prime, points, count, fresh, e_max=3):
         assert [getattr(v, "values", v) for v in got] == want[e]
 
 
+def _assert_polytope_agreement(delta, prime, e_max=3):
+    """The polytope oracle's fresh points equal the residue search's, values and order."""
+    pieces = _value_pieces(_polytope_piece_values(delta, prime), e_max)
+    for e in pieces:
+        assert h_e_polytope(delta, prime, e) == residue_new_elements(pieces, prime, e)
+
+
 def _sections_of(p):
     return [build_C(p, eps, seq) for eps in (1, -1) for seq in enumerate_N(p, eps)]
 
@@ -413,8 +409,7 @@ def test_section_fresh_agrees_with_residue_oracle_on_corpus(corpus):
 def test_polytope_fresh_agrees_with_residue_oracle():
     for delta in (TRIANGLE, POINT, NEGATIVE_BOX, SEGMENT, SLAB):
         for prime in (2, 3, 5):
-            points = _polytope_piece_values(delta, prime)
-            _assert_agreement(delta, prime, points, c_e_polytope, h_e_polytope)
+            _assert_polytope_agreement(delta, prime)
 
 
 def test_rows_up_to_e_6_at_prime_2_agree_with_residue_oracle():
@@ -428,8 +423,7 @@ def test_rows_up_to_e_6_at_prime_2_agree_with_residue_oracle():
             points = _section_piece_values(c, 2)
             _assert_agreement(c, 2, points, c_e_ehrhart, h_e_ehrhart, 6)
     for delta in (TRIANGLE, SEGMENT):
-        points = _polytope_piece_values(delta, 2)
-        _assert_agreement(delta, 2, points, c_e_polytope, h_e_polytope, 6)
+        _assert_polytope_agreement(delta, 2, 6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,8 +447,7 @@ def small_polytopes(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_polytopes(), st.sampled_from((2, 3, 5)))
 def test_fresh_agrees_with_residue_oracle_on_random_polytopes(delta, prime):
-    points = _polytope_piece_values(delta, prime)
-    _assert_agreement(delta, prime, points, c_e_polytope, h_e_polytope)
+    _assert_polytope_agreement(delta, prime)
 
 
 # Exit-4 texts, and so the piece at which each rejection comes, as the
@@ -481,7 +474,6 @@ def test_cli_rejections_keep_their_texts():
 
 
 def test_library_rejections_keep_their_texts_and_order(poset1):
-    square = Polytope(dim=2, inequalities=(), lower=(-1, 0), upper=(1, 2))
     section = build_C(p3(), -1, ())
     deep = Budget(max_e=8, max_piece=500)
     cases = (
@@ -500,7 +492,6 @@ def test_library_rejections_keep_their_texts_and_order(poset1):
         # P1's pieces at prime 2 have 3, 10, 36, 136 and 528 points: e = 5 is the first over
         (tcx_report, (poset1, (2,), 8), deep, "dilation 31 has more than 500 lattice points"),
         (c_e_ehrhart, (section, 3, 2), 30, "dilation 8 has more than 30 lattice points"),
-        (h_e_polytope, (square, 3, 2), 30, "dilation box of size 289 exceeds the cap 30"),
     )
     for fn, args, cap, text in cases:
         with pytest.raises(BudgetExceeded) as info:
@@ -542,10 +533,12 @@ def test_report_rows_at_e_5_and_6_are_pinned_for_three_targets(poset1):
     roomy = Budget(max_prime=5, max_e=6, max_piece=100_000)
     want = ((1, 3, 3), (2, 10, 1), (3, 36, 3), (4, 136, 9), (5, 528, 27), (6, 2080, 81))
     section = build_C(poset1, -1, ("y", "x"))
-    for target, count in ((poset1, c_e_fiber), (section, c_e_ehrhart), (TRIANGLE, c_e_polytope)):
+    for target, count in ((poset1, c_e_fiber), (section, c_e_ehrhart)):
         (table,) = tcx_report(target, (2,), 6, roomy)
         assert table.rows == want
         assert [count(target, 2, e, roomy) for e in (5, 6)] == [27, 81]
+    assert _polytope_rows(TRIANGLE, 2, 6) == want
+    assert [c_e_polytope(TRIANGLE, 2, e) for e in (5, 6)] == [27, 81]
 
 
 # --- the packing --------------------------------------------------------------
@@ -585,11 +578,10 @@ def test_packing_is_linear():
 def test_pieces_at_the_largest_coordinates_the_default_budget_admits():
     # prime 5 and e = 3 are the default caps: dilation 124
     corner = Polytope(dim=2, inequalities=(), lower=(-(10**6), 10**6), upper=(-(10**6), 10**6))
-    assert h_e_polytope(corner, 5, 1) == ((-4 * 10**6, 4 * 10**6),)
+    assert h_e_polytope(corner, 5, 1) == [(-4 * 10**6, 4 * 10**6)]
     assert c_e_polytope(corner, 5, 3) == 0
     for e in (1, 2, 3):
-        _, width, unit, _, _ = frobenius._resolve(corner)
-        packing = _Packing(width, (5**e - 1) * unit)
+        packing = _Packing(2, (5**e - 1) * 10**6)
         top = (5**e - 1) * 10**6
         for v in ((-top, top), (top, -top), (-top, -top), (top, top)):
             assert packing.unpack(packing.pack(v)) == v
@@ -674,7 +666,7 @@ def test_a_repeated_refusal_walks_no_point(monkeypatch):
             walked.append(run[2] - len(run[3]))
             yield run
 
-    for module in (cones, fiber, frobenius):
+    for module in (cones, fiber):
         monkeypatch.setattr(module, "_section_runs", counted)
 
     def budget(cap):
@@ -683,7 +675,7 @@ def test_a_repeated_refusal_walks_no_point(monkeypatch):
     p = _copy(p1())
     section = build_C(p, -1, ("y", "x"))
     for target, count in ((p, c_e_fiber), (section, c_e_ehrhart)):
-        key = frobenius._resolve(target)[4][1]
+        key = frobenius._resolve(target)[4]
         # piece 3 of prime 2, the 7-th dilation, has 36 points
         refused = (BudgetExceeded, "dilation 7 has more than 20 lattice points")
         assert _outcome(count, target, 2, 3, budget(20)) == refused
@@ -719,7 +711,7 @@ def test_a_kept_row_is_refused_past_the_64_bit_range():
     # no count keeps such a row, so one is put in by hand: the refusal must
     # still come before the row is read
     p = _copy(chain(3))
-    owner, key = frobenius._resolve(p)[4]
+    owner, key = frobenius._resolve(p)[3:]
     assert owner is p
     vars(p)["_row"] = {(key, 2, 62): ((1,) * 62, 0)}
     with pytest.raises(BudgetExceeded) as info:
@@ -727,6 +719,33 @@ def test_a_kept_row_is_refused_past_the_64_bit_range():
     assert str(info.value) == "exponent 62 takes the dilation past the 64-bit range"
 
 
-def test_a_polytope_keeps_nothing():
-    assert frobenius._resolve(TRIANGLE)[4] is None
-    assert c_e_polytope(TRIANGLE, 2, 2) == c_e_polytope(TRIANGLE, 2, 2) == 1
+# --- one target shape against the routes it replaced ---------------------------
+
+
+def _assert_target_is_its_pairs(p, ns=(1, 2, 3, 4)):
+    """_resolve's pairs stream the runs, unit and owner the per-type routes gave."""
+    _, pairs, unit, owner, key = frobenius._resolve(p)
+    assert owner is p and key is None
+    assert unit == max((_section_reach(c, 1) for c in _sections(p, -1)), default=0)
+    for n in ns:
+        # the loop the fiber cone's runs took before they were pairs
+        sections = _first_sections(p, -1)
+        looped = [run for c, earlier in sections for run in _section_runs(c, n, earlier)]
+        assert list(_pair_runs(pairs, n)) == list(_generator_runs(p, -n)) == looped
+    for c in _sections_of(p):
+        _, pairs, unit, owner, key = frobenius._resolve(c)
+        assert owner is p and key == (c.epsilon, c.equalities, c.g_parts)
+        assert unit == _section_reach(c, 1)
+        for n in ns:
+            assert list(_pair_runs(pairs, n)) == list(_section_runs(c, n))
+
+
+def test_a_target_is_its_pairs_on_corpus(corpus):
+    for _, p in corpus:
+        _assert_target_is_its_pairs(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_posets())
+def test_a_target_is_its_pairs_on_random_posets(p):
+    _assert_target_is_its_pairs(p, (1, 2, 3, 4, 7))

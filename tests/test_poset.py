@@ -311,6 +311,7 @@ KEPT_NAMES = {
     "_down_sets",
     "_row",
     "_generator_count",
+    "_first_sections",
 }
 
 

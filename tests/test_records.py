@@ -14,7 +14,7 @@ from hibi.cones import ConeSection, build_C
 from hibi.corpus import p1
 from hibi.documents import PosetDocument, parse_poset_document
 from hibi.errors import InvalidPoset
-from hibi.frobenius import Budget, Polytope, TComplexityTable, tcx_report
+from hibi.frobenius import Budget, TComplexityTable, tcx_report
 from hibi.labelings import Labeling, zero_labeling
 from hibi.poset import TOP, Poset
 from hibi.sequences import CondNSeq
@@ -38,11 +38,8 @@ FIELDS = {
     DistLattice: ("elements", "up", "down"),
     PosetDocument: ("name", "poset", "lattice"),
     Budget: ("max_prime", "max_e", "max_piece"),
-    Polytope: ("dim", "inequalities", "lower", "upper"),
     TComplexityTable: ("prime", "target", "rows", "estimate", "last_ratio"),
 }
-
-TRIANGLE = ((((1, 1), 2), ((-1, 0), 0), ((0, -1), 0)), (0, 0), (2, 2))
 
 
 def _records():
@@ -58,7 +55,6 @@ def _records():
         lattice,
         PosetDocument("P1", p, lattice),
         Budget(max_prime=3),
-        Polytope(2, *TRIANGLE),
         tcx_report(p, (2,), 2)[0],
     ]
 
@@ -109,30 +105,6 @@ def test_sequence_validation():
         "the bottom element cannot appear in a sequence",
         lambda: CondNSeq(p, ("y", "x0")),
     )
-
-
-def test_polytope_validation_and_list_fields():
-    rows, lower, upper = TRIANGLE
-    _raises(
-        ValueError,
-        "bounds must match the coordinate count",
-        lambda: Polytope(2, rows, (0,), upper),
-    )
-    _raises(
-        ValueError,
-        "bounds must match the coordinate count",
-        lambda: Polytope(2, rows, lower, (2, 2, 2)),
-    )
-    _raises(
-        ValueError,
-        "inequality width must match the coordinate count",
-        lambda: Polytope(2, rows + (((1,), 1),), lower, upper),
-    )
-    listed = Polytope(2, [[list(c), r] for c, r in rows], list(lower), list(upper))
-    built = Polytope(2, rows, lower, upper)
-    assert listed == built
-    assert hash(listed) == hash(built)
-    assert listed.inequalities == rows and listed.lower == lower and listed.upper == upper
 
 
 def test_defaults():
