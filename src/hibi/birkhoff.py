@@ -196,25 +196,22 @@ def lattice_from_poset(p):
     """Lattice of nonempty down-sets of P ordered by inclusion; P keeps it.
 
     Join is union and meet is intersection; element ids spell out the
-    members in canonical order, so the output is deterministic.  The order
-    is passed as its covers I < I + {z}, each from a smaller down-set to a
-    larger one, found among the poset's down-set bitmasks, which
-    build_dist_lattice closes in one sweep.  P keeps the lattice, so
-    every later call returns the same object, with what that keeps in turn
-    (join_irreducibles).
+    members in canonical order, so the output is deterministic.  Bit j of
+    up[i] (of down[i]) is set when mask i lies in mask j (mask j in mask
+    i), and as the masks run by size only a later (earlier) one can.  By
+    Birkhoff's theorem the order is a distributive lattice, so nothing is
+    closed or checked.  P keeps the lattice, so every later call returns
+    the same object, with what that keeps in turn (join_irreducibles).
     """
     masks = _down_sets(p)
     names = [str(z) for z in p.elements]
     labels = tuple("{" + ",".join(names[i] for i in bit_positions(m)) + "}" for m in masks)
-    where = {m: i for i, m in enumerate(masks)}
-    full = (1 << len(names)) - 1
-    covers = [
-        (labels[i], labels[where[m | 1 << z]])
-        for i, m in enumerate(masks)
-        for z in bit_positions(full & ~m)
-        if m | 1 << z in where
-    ]
-    return build_dist_lattice(labels, covers)
+    n = len(masks)
+    up = tuple(sum(1 << j for j in range(i, n) if m & masks[j] == m) for i, m in enumerate(masks))
+    down = tuple(
+        sum(1 << j for j in range(i + 1) if masks[j] & m == masks[j]) for i, m in enumerate(masks)
+    )
+    return DistLattice(labels, up, down)
 
 
 @_kept

@@ -76,34 +76,23 @@ def _document(text):
 def _load(ref):
     """Resolve a poset reference: built-in name, then file, then bare file stem.
 
-    A file is read with one open; a reference that open cannot read (no
-    file, a directory, a path with a NUL byte, bytes that are not UTF-8)
-    takes the pathlib route (_load_path), which names every such error.
+    A file is read with one open.  A reference that names no file (open
+    finds nothing there, a file stands where a directory must, or the
+    path has a NUL byte) is a bare built-in stem, as P1.json is, or is
+    refused.  Any other error of the open or the read is raised as it is.
     """
     if ref in BUILTIN_NAMES:
         return ref, builtin(ref)
     try:
-        with open(ref, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError):
-        return _load_path(ref)
-    doc = _document(text)
+        fh = open(ref, encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        stem = ref.removesuffix(".json")
+        if not os.path.dirname(ref) and stem in BUILTIN_NAMES:
+            return stem, builtin(stem)
+        raise ValueError(f"no file or built-in poset named {ref!r}") from None
+    with fh:
+        doc = _document(fh.read())
     return doc.name, doc.poset
-
-
-def _load_path(ref):
-    """The file behind a reference that is not a built-in name, else its bare stem."""
-    from pathlib import Path  # only a reference open cannot read needs it
-
-    path = Path(ref)
-    # pathlib drops a trailing slash, which only a directory may carry
-    if path.is_dir() if ref.endswith(("/", os.sep)) else path.exists():
-        doc = _document(path.read_text(encoding="utf-8"))
-        return doc.name, doc.poset
-    stem = ref.removesuffix(".json")
-    if not os.path.dirname(ref) and stem in BUILTIN_NAMES:
-        return stem, builtin(stem)
-    raise ValueError(f"no file or built-in poset named {ref!r}")
 
 
 def _row_template(ids):
@@ -132,8 +121,7 @@ def _parse_primes(text):
     return primes
 
 
-def _cmd_analyze(args):
-    name, p = _load(args.poset)
+def _cmd_analyze(args, name, p):
     ranges = {n: (q0(p, n), q_max(p, n)) for n in (1, -1)}
     counts = {n: fiber_hilbert(p, n, 1) for n in (1, -1)}
     flags = _flags(p)
@@ -159,8 +147,7 @@ def _cmd_analyze(args):
     return 0, "\n".join(lines)
 
 
-def _cmd_generators(args):
-    name, p = _load(args.poset)
+def _cmd_generators(args, name, p):
     rows = _generator_values(p, args.n)
     if args.format == "json":
         payload = {
@@ -193,8 +180,7 @@ def _cmd_generators(args):
     return 0, "\n".join(lines)
 
 
-def _cmd_sequences(args):
-    name, p = _load(args.poset)
+def _cmd_sequences(args, name, p):
     seqs = enumerate_N(p, args.eps)
     if args.format == "json":
         payload = {
@@ -210,8 +196,7 @@ def _cmd_sequences(args):
     return 0, "\n".join(lines)
 
 
-def _cmd_polytope(args):
-    name, p = _load(args.poset)
+def _cmd_polytope(args, name, p):
     if args.n < 1:
         raise ValueError("--n must be a positive dilation factor")
     if args.intersect is not None:
@@ -275,8 +260,7 @@ def _polytope_intersection(name, p, args):
     return 0, "\n".join(lines)
 
 
-def _cmd_spread(args):
-    name, p = _load(args.poset)
+def _cmd_spread(args, name, p):
     value = analytic_spread(p, args.eps)
     if args.format == "json":
         return 0, _json_text({"name": name, "eps": args.eps, "spread": value})
@@ -293,8 +277,7 @@ def _flags(p):
     }
 
 
-def _cmd_level(args):
-    name, p = _load(args.poset)
+def _cmd_level(args, name, p):
     flags = _flags(p)
     if args.format == "json":
         return 0, _json_text({"name": name, **flags})
@@ -303,10 +286,9 @@ def _cmd_level(args):
     return 0, "\n".join(lines)
 
 
-def _cmd_frobenius(args):
+def _cmd_frobenius(args, name, p):
     from .frobenius import Budget, tcx_report
 
-    name, p = _load(args.poset)
     primes = _parse_primes(args.prime)
     if args.emax < 1:
         raise ValueError("--emax must be at least 1")
@@ -342,10 +324,9 @@ def _cmd_frobenius(args):
     return 0, "\n".join(lines)
 
 
-def _cmd_lattice(args):
+def _cmd_lattice(args, name, p):
     from .birkhoff import join_irreducibles, lattice_from_poset, poset_isomorphic
 
-    name, p = _load(args.poset)
     if _down_sets(p, MAX_DOWN_SETS) is None:
         raise BudgetExceeded(f"poset {name} has more than {MAX_DOWN_SETS} down-sets")
     h = lattice_from_poset(p)
@@ -436,9 +417,10 @@ _FORMAT = {"--format": {"choices": ("table", "json"), "default": "table"}}
 _EPS = {"--eps": {"type": int, "choices": (1, -1), "default": -1}}
 
 # The command-line grammar, in the order of hibi -h: name -> (help, handler,
-# whether it takes the poset positional, options).  Options map each flag
-# to its add_argument keywords; one left out has argparse's default: no
-# type (the text itself), no choices, default None, not required.
+# whether it takes the poset positional, options); run_command passes a handler
+# the fields, and the name and poset it resolves where the command takes one.
+# Options map each flag to its add_argument keywords; one left out has argparse's
+# default: no type (the text itself), no choices, default None, not required.
 COMMANDS = {
     "analyze": ("one-page summary of a poset", _cmd_analyze, True, _FORMAT),
     "generators": (
@@ -568,7 +550,8 @@ def run_command(argv):
         except SystemExit as exc:
             return (exc.code or 0), ""
     try:
-        return args.handler(args)
+        loaded = _load(args.poset) if COMMANDS[args.command][2] else ()
+        return args.handler(args, *loaded)
     except (BudgetExceeded, RecursionError) as exc:
         return 4, f"budget exceeded: {exc}"
     except MemoryError:

@@ -259,25 +259,27 @@ def _row(target, prime, e, cap):
     return e, sizes[0], len(fresh)
 
 
-def _fresh_values(target, prime, e, budget):
-    """Value tuples of the fresh vectors, in lexicographic order like their piece."""
-    fresh, packing = _fresh(*_admitted(target, prime, e, budget), [])
-    return sorted(map(packing.unpack, fresh))
+def _fresh_labelings(target, prime, e, budget):
+    """The labelings of the fresh vectors on the target's owner, in lexicographic order."""
+    resolved, prime, e, cap = _admitted(target, prime, e, budget)
+    fresh, packing = _fresh(resolved, prime, e, cap, [])
+    return _kernel_labelings(resolved[3], sorted(map(packing.unpack, fresh)))
 
 
 def t_piece(p, prime, e, budget=None):
     """Basis of the e-th twisted piece: minimal elements of degree 1 - prime**e.
 
     Assembled from the pinned sections, the same route as generators().
-    e = 0 gives the origin alone.
+    e = 0 gives the origin alone; the 64-bit range is checked as for c_e_fiber.
     """
     cap = _check_caps(prime, e, budget)
+    _reach(_resolve(p), prime, e)
     return _kernel_labelings(p, _generator_values(p, 1 - prime**e, cap))
 
 
 def h_e_fiber(p, prime, e, budget=None):
-    """The new labelings of the e-th twisted fiber piece (witnesses of c_e)."""
-    return _kernel_labelings(p, _fresh_values(p, prime, e, budget))
+    """The new labelings of the e-th twisted fiber piece: the vectors c_e_fiber counts."""
+    return _fresh_labelings(p, prime, e, budget)
 
 
 def c_e_fiber(p, prime, e, budget=None):
@@ -286,8 +288,8 @@ def c_e_fiber(p, prime, e, budget=None):
 
 
 def h_e_ehrhart(c, prime, e, budget=None):
-    """The new labelings among the section's dilation points at level e."""
-    return _kernel_labelings(c.poset, _fresh_values(c, prime, e, budget))
+    """The new labelings at level e, those c_e_ehrhart counts: a Poset's are its fiber cone's."""
+    return _fresh_labelings(c, prime, e, budget)
 
 
 def c_e_ehrhart(c, prime, e, budget=None):

@@ -28,6 +28,7 @@ from hibi import (
     poset_ideals,
     poset_isomorphic,
 )
+from hibi import birkhoff
 from hibi.birkhoff import _signatures
 from hibi.corpus import antichain, chain
 
@@ -220,6 +221,22 @@ def test_mask_lattice_matches_the_frozenset_oracle_on_corpus(corpus):
 @given(small_posets(max_extra=7))
 def test_mask_lattice_matches_the_frozenset_oracle_random(p):
     assert lattice_from_poset(p) == lattice_from_ideals(p)
+
+
+def test_mask_lattice_is_neither_closed_nor_validated(corpus, monkeypatch):
+    calls = []
+    for name in ("build_dist_lattice", "_closure"):
+        real = getattr(birkhoff, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(birkhoff, name, counted)
+    for name, p in corpus:
+        h = lattice_from_poset(build_poset(p.elements, p.covers, p.bottom))
+        assert len(h.elements) == len(poset_ideals(p)), name
+    assert calls == []
 
 
 def test_ideal_lattice_size_matches_ideal_count(corpus):

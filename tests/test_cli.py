@@ -367,7 +367,7 @@ PARSER_BATTERY_DIGESTS = (
     "2fd7945bc0e913f1e5afc1557a518ef5fd2c34301ded0894c0ba9d81e319400a",
     "2fd7945bc0e913f1e5afc1557a518ef5fd2c34301ded0894c0ba9d81e319400a",
     "979b115e1b989d49fcf07bfbfa7cf5bde03c3204e28f071730f4c98620e10cb4",
-    "20cdafe0ac76c5aa76daed1c6e7bf8f89ad551e913f5df08cfefbb7b392a7a28",
+    "fbc53eab40b545899ec1030212488c101285bea018acd860a29afe171d82da47",
     "8c9ec918c588a7d44464ec2d3200b2c35d8efeeb85fd5e73b8e3250da6fb484a",
     "a90bb8e9114c21cda0fc7275b6a52ecda10cc09b4e6695e056c14d67cc5ab702",
     "82130916f6249260a2167642a1bf05e5a4f1221979f0a1439354d1586bbb6dbf",
@@ -546,12 +546,11 @@ def test_valid_command_lines_never_import_argparse(tmp_path):
 def test_poset_references_resolve_like_paths(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
-    folder = (2, "cannot read input: [Errno 21] Is a directory: '.'")
-    assert run_command(["level", ""]) == folder
-    assert run_command(["level", "."]) == folder
+    assert run_command(["level", ""]) == (2, "invalid input: no file or built-in poset named ''")
+    assert run_command(["level", "."]) == (2, "cannot read input: [Errno 21] Is a directory: '.'")
     assert run_command(["level", "dir/"]) == (
         2,
-        "cannot read input: [Errno 21] Is a directory: 'dir'",
+        "cannot read input: [Errno 21] Is a directory: 'dir/'",
     )
     p1 = run_command(["level", "P1"])
     assert p1[0] == 0
@@ -564,53 +563,64 @@ def test_poset_references_resolve_like_paths(tmp_path, monkeypatch):
         )
 
 
-def _load_by_path(ref):
-    """Poset reference resolution by pathlib alone: the oracle of cli._load."""
-    if ref in cli.BUILTIN_NAMES:
-        return ref, hibi.corpus.builtin(ref)
-    path = Path(ref)
-    if path.is_dir() if ref.endswith(("/", os.sep)) else path.exists():
-        doc = cli._document(path.read_text(encoding="utf-8"))
-        return doc.name, doc.poset
-    stem = ref.removesuffix(".json")
-    if not os.path.dirname(ref) and stem in cli.BUILTIN_NAMES:
-        return stem, hibi.corpus.builtin(stem)
-    raise ValueError(f"no file or built-in poset named {ref!r}")
+LEVEL_FLAGS = "\n  pure: false\n  gorenstein: false\n  level: true\n  anticanonical level: false"
 
 
-def test_load_reads_every_reference_like_the_pathlib_route(tmp_path, monkeypatch):
+def test_load_reads_every_reference_as_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
     (tmp_path / "file.json").write_text(P1_TEXT)
     (tmp_path / "latin.json").write_bytes(P1_TEXT.replace("mine", "m\xe9").encode("latin-1"))
     # a syntax error on line 3, in a document with CRLF line ends
     (tmp_path / "crlf.json").write_bytes(b'{\r\n  "name": "crlf",\r\n  "elements": [,]\r\n}\r\n')
+    folder = "cannot read input: [Errno 21] Is a directory: {!r}".format
+    no_file = "invalid input: no file or built-in poset named {!r}".format
+    # a directory is named as typed
     refs = {
-        "": 2,
-        ".": 2,
-        "dir": 2,
-        "dir/": 2,
-        str(tmp_path / "dir") + "/": 2,
-        "missing.json": 2,
-        "file.json/x": 2,
-        "file.json/": 2,
-        "file.json": 0,
-        str(tmp_path / "file.json"): 0,
-        "file\0.json": 2,
-        "latin.json": 2,
-        "crlf.json": 2,
-        "P1.json": 0,
-        "P1/": 2,
+        "": (2, no_file("")),
+        ".": (2, folder(".")),
+        "dir": (2, folder("dir")),
+        "dir/": (2, folder("dir/")),
+        "./dir": (2, folder("./dir")),
+        "dir//": (2, folder("dir//")),
+        f"{tmp_path}/dir/": (2, folder(f"{tmp_path}/dir/")),
+        "missing.json": (2, no_file("missing.json")),
+        "file.json/x": (2, no_file("file.json/x")),
+        "file.json/": (2, no_file("file.json/")),
+        "file.json": (0, "poset mine:" + LEVEL_FLAGS),
+        "./file.json": (0, "poset mine:" + LEVEL_FLAGS),
+        str(tmp_path / "file.json"): (0, "poset mine:" + LEVEL_FLAGS),
+        "file\0.json": (2, no_file("file\0.json")),
+        "latin.json": (
+            2,
+            "invalid input: 'utf-8' codec can't decode byte 0xe9 in position 14: "
+            "invalid continuation byte",
+        ),
+        "crlf.json": (2, "invalid input: Expecting value (line 3, column 16)"),
+        "P1.json": (0, "poset P1:" + LEVEL_FLAGS),
+        "P1/": (2, no_file("P1/")),
+        "sub/P1.json": (2, no_file("sub/P1.json")),
+        "P1.json/": (2, no_file("P1.json/")),
     }
-    got = {ref: run_command(["level", ref]) for ref in refs}
-    monkeypatch.setattr(cli, "_load", _load_by_path)
-    want = {ref: run_command(["level", ref]) for ref in refs}
-    assert got == want
-    assert {ref: code for ref, (code, _) in got.items()} == refs
-    assert got["crlf.json"][1].startswith("invalid input: ") and "line 3" in got["crlf.json"][1]
-    assert "codec can't decode" in got["latin.json"][1]
-    assert got["file\0.json"][1] == "invalid input: no file or built-in poset named 'file\\x00.json'"
-    assert got["file.json/"][1] == "invalid input: no file or built-in poset named 'file.json/'"
+    assert {ref: run_command(["level", ref]) for ref in refs} == refs
+
+
+def test_each_command_resolves_its_poset_once(monkeypatch):
+    calls = []
+    real = cli._load
+
+    def counted(ref):
+        calls.append(ref)
+        return real(ref)
+
+    monkeypatch.setattr(cli, "_load", counted)
+    for name, (_, _, takes_poset, _) in cli.COMMANDS.items():
+        argv = [name, "P1"] if takes_poset else [name]
+        if name == "generators":
+            argv += ["--n", "1"]
+        calls.clear()
+        assert run_command(argv)[0] == 0, argv
+        assert calls == (["P1"] if takes_poset else []), argv
 
 
 def test_a_document_rewritten_in_place_is_read_again(tmp_path):

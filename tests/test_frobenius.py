@@ -94,6 +94,14 @@ def test_caps_and_validation(poset1):
         t_piece(poset1, 2, 3, budget=Budget(max_piece=10))
 
 
+def test_t_piece_refuses_past_the_64_bit_range_like_c_e_fiber(poset1):
+    roomy = Budget(max_prime=2, max_e=62)
+    for fn in (t_piece, c_e_fiber):
+        with pytest.raises(BudgetExceeded) as info:
+            fn(poset1, 2, 62, roomy)
+        assert str(info.value) == "exponent 62 takes the dilation past the 64-bit range"
+
+
 def test_fresh_counts_p1(poset1):
     assert [c_e_fiber(poset1, 2, e) for e in (1, 2, 3)] == [3, 1, 3]
 
@@ -253,6 +261,20 @@ def test_growth_table_validation(poset1):
     for target in ("nope", TRIANGLE):
         with pytest.raises(TypeError, match="^target must be a Poset or a ConeSection$"):
             tcx_report(target, (2,), 1)
+
+
+def test_every_count_and_listing_refuses_a_non_target():
+    for fn in (c_e_fiber, h_e_fiber, c_e_ehrhart, h_e_ehrhart):
+        with pytest.raises(TypeError, match="^target must be a Poset or a ConeSection$"):
+            fn("nope", 2, 1)
+
+
+def test_every_listing_lists_what_the_counts_count_on_either_target(poset1):
+    for target in (poset1, build_C(poset1, -1, ("y", "x"))):
+        for e in (1, 2, 3):
+            fresh = h_e_fiber(target, 2, e)
+            assert h_e_ehrhart(target, 2, e) == fresh
+            assert len(fresh) == c_e_ehrhart(target, 2, e) == c_e_fiber(target, 2, e)
 
 
 def test_growth_table_section_frozen(poset1):
