@@ -290,23 +290,23 @@ def poset_isomorphic(p, q):
         return False
     cands = {z: tuple(w for w in q.elements if sq[w] == sp[z]) for z in p.elements}
     order = sorted(p.elements, key=lambda z: len(cands[z]))
-    p_cov, q_cov = p.covers, q.covers
+    p_up, p_down, q_up, q_down = p.up_covers, p.down_covers, q.up_covers, q.down_covers
     mapping = {}
     used = set()
     # tries[i] yields the candidates still untried for order[i]; the stack
-    # of them replaces one recursion level per element
+    # of them replaces one recursion level per element.  The covers among
+    # the elements mapped so far match, so a candidate w for z need only
+    # match z's covers among them with w's.
     tries = [iter(cands[order[0]])]
     while tries:
         i = len(tries) - 1
         z = order[i]
+        ups = {mapping[a] for a in p_up[z] if a in mapping}
+        downs = {mapping[a] for a in p_down[z] if a in mapping}
         for w in tries[-1]:
             if w in used:
                 continue
-            if all(
-                ((z, z2) in p_cov) == ((w, w2) in q_cov)
-                and ((z2, z) in p_cov) == ((w2, w) in q_cov)
-                for z2, w2 in mapping.items()
-            ):
+            if ups == used.intersection(q_up[w]) and downs == used.intersection(q_down[w]):
                 mapping[z] = w
                 used.add(w)
                 if i + 1 == len(order):

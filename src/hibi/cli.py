@@ -405,10 +405,10 @@ def _cmd_selftest(args):
             ],
         }
         return code, _json_text(payload)
-    lines = [
-        f"ok   {name}: {check}" if ok else f"FAIL {name}: {check} ({detail})"
-        for name, check, ok, detail in checks
-    ]
+    lines = []
+    for name, check, ok, detail in checks:
+        note = f" ({detail})" if detail else ""
+        lines.append(f"ok   {name}: {check}" if ok else f"FAIL {name}: {check}{note}")
     lines.append(f"selftest failed: {failures} violation(s)" if failures else "selftest passed")
     return code, "\n".join(lines)
 

@@ -393,19 +393,19 @@ def _section_runs(c, n, earlier=()):
     Meiri and Pearl, "Temporal constraint networks", 1991): every value
     inside the bounds set by the classes already fixed extends to a point.
     So the levels of the plan (_dilation) are walked in order, which makes
-    the output lexicographic, and the last level's whole range is one run.
-    Each run is (row, moving, length, covered): the point where the last
-    level takes its lowest value, the coordinates of that level, the
-    number of steps, and the steps an earlier section (as in _dilation)
-    already has, as a set, or () when none has any; along the run the
-    moving coordinates rise by one per step.  Every level before the last
-    steps through its values by the rule of _value_tasks, as _point_count
-    does, so the walk goes past a value where an earlier section has every
-    point below it, yields no run that is covered at every step, and only
+    the output lexicographic.  Each run is (row, moving, length): its
+    first point, the coordinates of the last level, and the number of
+    points; along the run the moving coordinates rise by one per step.
+    The last level's range is cut at the values where an earlier section
+    (as in _dilation) holds (_holding), and each stretch left between them
+    is one run, so every point a run lists is the section's to keep.
+    Every level before the last steps through its values by the rule of
+    _value_tasks, as _point_count does, so the walk goes past a value
+    where an earlier section has every point below it.  The walk only
     lists: a caller that caps the points counts them (_capped).  The
     levels before the last but one are walked by _entries; the last but
-    one and the last, one run per value of the former, in a loop of their
-    own.
+    one and the last, one value of the former at a time, in a loop of
+    their own.
     """
     plan = _dilation(c, n, earlier)
     if plan is None or plan.live is None:
@@ -413,7 +413,7 @@ def _section_runs(c, n, earlier=()):
     pins = plan.pins
     last = len(plan.boxes) - 1
     if last < 0:
-        yield tuple([off for _, off in pins]), (), 1, ()
+        yield tuple([off for _, off in pins]), (), 1
         return
     moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
     (box_lo, box_hi), ups, lows = plan.boxes[last], plan.ups[last], plan.lows[last]
@@ -436,13 +436,16 @@ def _section_runs(c, n, earlier=()):
             for u, w in lows:
                 if x[u] - w > low:
                     low = x[u] - w
-            covered = ()
             if mask:
-                covered = {v - low for v in _holding(mask, checks, x, low, high)}
-                if len(covered) > high - low:
+                for v in sorted(_holding(mask, checks, x, low, high)):
+                    if v > low:
+                        x[last] = low
+                        yield tuple([x[u] + off for u, off in pins]), moving, v - low
+                    low = v + 1
+                if low > high:
                     continue
             x[last] = low
-            yield tuple([x[u] + off for u, off in pins]), moving, high - low + 1, covered
+            yield tuple([x[u] + off for u, off in pins]), moving, high - low + 1
 
 
 def _entries(plan, x, s):
@@ -473,12 +476,11 @@ def _entries(plan, x, s):
 def _capped(runs, limit, text):
     """runs, stopped by BudgetExceeded(text) before the run that takes their points past limit.
 
-    A run's points are its steps less the covered ones.  With no limit,
-    every run passes.
+    With no limit, every run passes.
     """
     size = 0
     for run in runs:
-        size += run[2] - len(run[3])
+        size += run[2]
         if limit is not None and size > limit:
             raise BudgetExceeded(text)
         yield run
@@ -495,23 +497,20 @@ def _tight_pairs(c):
 
 
 def _run_values(runs):
-    """Value tuples of the points of runs (row, moving, length, covered), in run order.
+    """Value tuples of the points of runs (row, moving, length), in run order.
 
-    Along a run the moving coordinates rise by one per step; the covered
-    steps are left out.
+    Along a run the moving coordinates rise by one per step.
     """
     out = []
-    for row, moving, length, covered in runs:
+    for row, moving, length in runs:
+        out.append(row)
         if length == 1:
-            out.append(row)
             continue
-        rows = [row]
         step = list(row)
         for _ in range(length - 1):
             for i in moving:
                 step[i] += 1
-            rows.append(tuple(step))
-        out.extend(rows if not covered else (v for j, v in enumerate(rows) if j not in covered))
+            out.append(tuple(step))
     return out
 
 
@@ -553,23 +552,15 @@ class _Packing:
 
 
 def _run_ints(runs, packing):
-    """Per run (row, moving, length, covered): its packed points off the covered steps."""
+    """Per run (row, moving, length): its packed points, as one range."""
     pack, weights = packing.pack, packing.weights
-    for row, moving, length, covered in runs:
+    for row, moving, length in runs:
         start = pack(row)
         if length == 1:
             yield (start,)
             continue
         step = sum(map(weights.__getitem__, moving))
-        points = range(start, start + length * step, step)
-        if not covered:
-            yield points
-            continue
-        j = 0
-        for skip in sorted(covered):
-            yield points[j:skip]
-            j = skip + 1
-        yield points[j:]
+        yield range(start, start + length * step, step)
 
 
 def _point_count(c, n, earlier=()):

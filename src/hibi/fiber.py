@@ -115,11 +115,11 @@ def _generator_count(p, n):
 def _generator_runs(p, n):
     """The runs (_pair_runs) of the points each section keeps (_first_sections).
 
-    So the runs list every minimal element once.  n = 0 gives one run,
-    the origin: the one minimal element of T^(0).
+    So the runs list every minimal element once.  n = 0 gives the run
+    (origin, (), 1) of the one minimal element of T^(0).
     """
     if n == 0:
-        return iter((((0,) * len(p.elements), (), 1, ()),))
+        return iter((((0,) * len(p.elements), (), 1),))
     return _pair_runs(_first_sections(p, 1 if n > 0 else -1), abs(n))
 
 

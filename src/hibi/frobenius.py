@@ -277,24 +277,23 @@ def t_piece(p, prime, e, budget=None):
     return _kernel_labelings(p, _generator_values(p, 1 - prime**e, cap))
 
 
-def h_e_fiber(p, prime, e, budget=None):
-    """The new labelings of the e-th twisted fiber piece: the vectors c_e_fiber counts."""
-    return _fresh_labelings(p, prime, e, budget)
+def h_e_fiber(target, prime, e, budget=None):
+    """The new labelings of the e-th twisted piece: the vectors c_e_fiber counts."""
+    return _fresh_labelings(target, prime, e, budget)
 
 
-def c_e_fiber(p, prime, e, budget=None):
-    """New-generator count of the e-th twisted piece of the fiber cone."""
-    return _row(*_admitted(p, prime, e, budget))[2]
+def c_e_fiber(target, prime, e, budget=None):
+    """New-generator count of the e-th twisted piece of a target.
+
+    The target is a Poset, whose pieces are its fiber cone's, or a
+    ConeSection, whose pieces are its dilations' lattice points.  The
+    names c_e_ehrhart and h_e_ehrhart are c_e_fiber and h_e_fiber.
+    """
+    return _row(*_admitted(target, prime, e, budget))[2]
 
 
-def h_e_ehrhart(c, prime, e, budget=None):
-    """The new labelings at level e, those c_e_ehrhart counts: a Poset's are its fiber cone's."""
-    return _fresh_labelings(c, prime, e, budget)
-
-
-def c_e_ehrhart(c, prime, e, budget=None):
-    """New-generator count over the dilation lattice points of a section."""
-    return _row(*_admitted(c, prime, e, budget))[2]
+h_e_ehrhart = h_e_fiber
+c_e_ehrhart = c_e_fiber
 
 
 def tcx_report(target, primes, e_max, budget=None):

@@ -13,7 +13,8 @@ test on value tuples, the residue search for fresh Frobenius vectors,
 the fresh points of a polytope given by inequalities, listed by its box,
 the bound scans of lattice joins and meets, the
 lattice of down-sets built from frozensets, the distributive law on
-every triple, the generators report rendered from Labelings) so the
+every triple, the isomorphism search that checks every mapped pair, the
+generators report rendered from Labelings) so the
 library code is never checked against itself.
 """
 
@@ -38,7 +39,7 @@ from hibi.cones import (
     _sections,
     _tight_pairs,
 )
-from hibi.birkhoff import build_dist_lattice
+from hibi.birkhoff import _signatures, build_dist_lattice
 from hibi.corpus import all_builtins, p1, p2, p3
 from hibi.errors import NotALattice
 from hibi.fiber import _generator_runs
@@ -350,8 +351,8 @@ def generators_sumset(p, n):
 
 
 def run_count(runs):
-    """Points of runs (row, moving, length, covered), by walking every run."""
-    return sum(length - len(covered) for _, _, length, covered in runs)
+    """Points of runs (row, moving, length): the sum of their lengths."""
+    return sum(run[2] for run in runs)
 
 
 def section_runs_reference(c, n, earlier=()):
@@ -359,9 +360,10 @@ def section_runs_reference(c, n, earlier=()):
 
     ub[t] is the upper end of level t's range, masks[t] the sections live
     on entering it and holding[t] its values where some hold; the step
-    rule is written out here, not taken from cones._value_tasks.  Its
-    runs must equal the library walk's exactly: order, boundaries and
-    covered.
+    rule is written out here, not taken from cones._value_tasks.  The last
+    level's range is split at its holding values, and each nonempty
+    stretch between them is one run.  Its runs must equal the library
+    walk's exactly: order and boundaries.
     """
     plan = _dilation(c, n, earlier)
     if plan is None or plan.live is None:
@@ -369,7 +371,7 @@ def section_runs_reference(c, n, earlier=()):
     pins, checks, ends, keeps = plan.pins, plan.checks, plan.ends, plan.keeps
     r = len(plan.boxes)
     if not r:
-        yield tuple([off for _, off in pins]), (), 1, ()
+        yield tuple([off for _, off in pins]), (), 1
         return
     last = r - 1
     moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
@@ -386,10 +388,11 @@ def section_runs_reference(c, n, earlier=()):
             if mask:
                 holding[t] = _holding(mask, checks[t], x, lo, hi)
             if t == last:
-                x[t] = lo
-                covered = {v - lo for v in holding[t]} if mask else ()
-                if len(covered) <= hi - lo:
-                    yield tuple([x[u] + off for u, off in pins]), moving, hi - lo + 1, covered
+                cuts = sorted(holding[t]) if mask else []
+                for start, end in zip([lo] + [v + 1 for v in cuts], cuts + [hi + 1]):
+                    if start < end:
+                        x[t] = start
+                        yield tuple([x[u] + off for u, off in pins]), moving, end - start
                 t -= 1
                 entering = False
                 continue
@@ -456,23 +459,40 @@ def covered_steps(tests, w, length):
 def first_section_runs(p, n):
     """Per section of sign n, in enumerate_N order: (section, its runs at |n|).
 
-    Each run of the section's own walk gets the steps that an earlier
-    section's pairs all hold on, found run by run: along a run only the
-    moving coordinates rise, by one per step, so a pair holds at every
-    step, at none, or at exactly one.  covered is a set, or range(length)
-    when some earlier section holds on the whole run.
+    Each run of the section's own walk becomes (row, moving, length,
+    covered), where covered holds the steps that an earlier section's
+    pairs all hold on, found run by run: along a run only the moving
+    coordinates rise, by one per step, so a pair holds at every step, at
+    none, or at exactly one.  covered is a set, or range(length) when
+    some earlier section holds on the whole run.
     """
     m = abs(n)
     earlier = []
     out = []
     for c in _sections(p, 1 if n > 0 else -1):
         runs = []
-        for row, moving, length, _ in _section_runs(c, m):
+        for row, moving, length in _section_runs(c, m):
             covered = covered_steps(step_tests(earlier, moving), row + (0,), length)
             runs.append((row, moving, length, covered))
         out.append((c, runs))
         earlier.append(tuple((i, j, m * d) for i, j, d in _tight_pairs(c)))
     return out
+
+
+def split_run(run):
+    """The plain runs (row, moving, length) of a run (row, moving, length, covered).
+
+    One per nonempty stretch of steps between the covered ones, in order,
+    each starting at the first step of its stretch.
+    """
+    row, moving, length, covered = run
+    runs, start = [], 0
+    for end in sorted(covered) + [length]:
+        if start < end:
+            first = tuple(v + start if i in moving else v for i, v in enumerate(row))
+            runs.append((first, moving, end - start))
+        start = end + 1
+    return runs
 
 
 def dilation_fresh(c, n, earlier=()):
@@ -877,6 +897,44 @@ def lattice_tables_scan(elements, pairs):
         (elements[i], elements[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
     )
     return order, tuple(map(tuple, joins)), tuple(map(tuple, meets))
+
+
+def poset_isomorphic_pairs(p, q):
+    """birkhoff.poset_isomorphic by a search that checks every mapped pair.
+
+    The same candidates (by _signatures) and the same order, but each
+    candidate w for z is tested against every element mapped so far,
+    for a cover either way, not only against z's covers.
+    """
+    if len(p.elements) != len(q.elements) or len(p.covers) != len(q.covers):
+        return False
+    sp, sq = _signatures(p), _signatures(q)
+    if sorted(sp.values()) != sorted(sq.values()):
+        return False
+    cands = {z: tuple(w for w in q.elements if sq[w] == sp[z]) for z in p.elements}
+    order = sorted(p.elements, key=lambda z: len(cands[z]))
+    p_cov, q_cov = p.covers, q.covers
+    mapping = {}
+
+    def extend(i):
+        if i == len(order):
+            return True
+        z = order[i]
+        for w in cands[z]:
+            if w in mapping.values():
+                continue
+            if all(
+                ((z, z2) in p_cov) == ((w, w2) in q_cov)
+                and ((z2, z) in p_cov) == ((w2, w) in q_cov)
+                for z2, w2 in mapping.items()
+            ):
+                mapping[z] = w
+                if extend(i + 1):
+                    return True
+                del mapping[z]
+        return False
+
+    return extend(0)
 
 
 def generators_report(name, p, n, fmt):

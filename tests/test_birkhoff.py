@@ -12,6 +12,7 @@ from conftest import (
     lattice_from_ideals,
     lattice_tables,
     lattice_tables_scan,
+    poset_isomorphic_pairs,
     small_posets,
 )
 from hibi import (
@@ -339,6 +340,35 @@ def test_isomorphism_backtracks_past_matching_signatures():
     assert not poset_isomorphic(eight, fours)
     assert not poset_isomorphic(fours, eight)
     assert poset_isomorphic(eight, _crown(EIGHT_CYCLE_RENUMBERED))
+
+
+def _relabeled(p, names):
+    """p with its elements, in canonical order, renamed to names."""
+    rename = dict(zip(p.elements, names))
+    return build_poset(names, [(rename[a], rename[b]) for a, b in p.covers], rename[p.bottom])
+
+
+def _assert_isomorphism_agrees(pairs):
+    for p, q in pairs:
+        assert poset_isomorphic(p, q) == poset_isomorphic_pairs(p, q), (p, q)
+
+
+def test_isomorphism_agrees_with_the_all_pairs_search_on_corpus(corpus):
+    posets = [p for _, p in corpus]
+    posets += [_relabeled(p, [f"r{i}" for i in reversed(range(len(p.elements)))]) for p in posets]
+    posets += [_crown(text) for text in (EIGHT_CYCLE, EIGHT_CYCLE_RENUMBERED, TWO_FOUR_CYCLES)]
+    same_size = [(p, q) for p in posets for q in posets if len(p.elements) == len(q.elements)]
+    assert sum(poset_isomorphic_pairs(p, q) for p, q in same_size) > len(posets)
+    _assert_isomorphism_agrees(same_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_extra=6), small_posets(max_extra=6), st.data())
+def test_isomorphism_agrees_with_the_all_pairs_search_random(p, q, data):
+    names = data.draw(st.permutations([f"r{i}" for i in range(len(p.elements))]))
+    r = _relabeled(p, names)
+    assert poset_isomorphic(p, r)
+    _assert_isomorphism_agrees([(p, q), (q, p), (p, r), (r, q)])
 
 
 def _kept_lattice_agrees(p):

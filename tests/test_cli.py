@@ -791,6 +791,23 @@ def test_selftest_detects_breakage(monkeypatch):
     assert "FAIL" in text
 
 
+def test_selftest_names_the_first_failing_section(monkeypatch):
+    # P1's first section of sign 1 is the empty sequence's
+    monkeypatch.setattr(cli, "is_standard", lambda c, n_max: False)
+    code, text = run_command(["selftest"])
+    assert code == 3
+    assert "FAIL P1: standardness (seq () eps 1)" in text.splitlines()
+
+
+def test_selftest_names_failing_witnesses_and_a_check_without_detail(monkeypatch):
+    monkeypatch.setattr(cli, "is_minimal", lambda p, n, nu: False)
+    code, text = run_command(["selftest"])
+    assert code == 3
+    lines = text.splitlines()
+    assert "FAIL P1: witnesses (seq () eps 1)" in lines
+    assert "FAIL P1: decomposition" in lines
+
+
 def test_selftest_json_lists_every_check():
     code, text = run_command(["selftest", "--format", "json"])
     assert code == 0

@@ -534,7 +534,7 @@ def test_standardness_routes_agree_when_a_point_is_missing(corpus, monkeypatch):
         runs = real(c, n, earlier)
         if n != 1:
             return runs
-        return [(v, (), 1, ()) for v in _run_values(runs)][:-1]
+        return [(v, (), 1) for v in _run_values(runs)][:-1]
 
     monkeypatch.setattr(hibi.cones, "_section_runs", short)
     monkeypatch.setattr(conftest, "_section_runs", short)

@@ -17,6 +17,7 @@ from conftest import (
     run_count,
     section_runs_reference,
     small_posets,
+    split_run,
 )
 from hibi import (
     BudgetExceeded,
@@ -264,19 +265,17 @@ def test_degree_range_matches_listing_random(p):
 
 
 def assert_first_section_rule(p, n):
-    """The walk's covered steps and the count against the run-by-run oracle.
+    """The walk's runs and the count against the run-by-run oracle.
 
-    The stream of _generator_runs must be the oracle's less its wholly
-    covered runs, with covered compared as a set, and each section's
-    _point_count, given the sections before it, its uncovered steps.
+    The stream of _generator_runs must be the oracle's runs split at their
+    covered steps (split_run), exactly, and each section's _point_count,
+    given the sections before it, the points of its split runs.
     """
-
-    def as_sets(runs):
-        return [(row, moving, length, set(covered)) for row, moving, length, covered in runs]
-
-    want = first_section_runs(p, n)
-    kept = [run for _, runs in want for run in runs if len(run[3]) < run[2]]
-    assert as_sets(_generator_runs(p, n)) == as_sets(kept)
+    want = [
+        (c, [plain for run in runs for plain in split_run(run)])
+        for c, runs in first_section_runs(p, n)
+    ]
+    assert list(_generator_runs(p, n)) == [run for _, runs in want for run in runs]
     m = abs(n)
     earlier = []
     for c, runs in want:
@@ -378,7 +377,7 @@ def test_a_capped_listing_stops_within_one_run_of_its_limit(monkeypatch):
 
     def counted(*args):
         for run in _section_runs(*args):
-            walked.append(run[2] - len(run[3]))
+            walked.append(run[2])
             yield run
 
     monkeypatch.setattr(hibi.fiber, "_section_runs", counted)
@@ -426,13 +425,19 @@ OVERLAP_COVERS = (
 )
 
 
+def _partly_covered(p, n):
+    """The oracle's runs (first_section_runs) that an earlier section covers at some steps only."""
+    runs = [run for _, runs in first_section_runs(p, n) for run in runs]
+    return sum(0 < len(covered) < length for _, _, length, covered in runs)
+
+
 def test_partly_covered_runs_match_the_box_route():
     partial = moving_two = 0
     for p in map(_poset_of, OVERLAP_COVERS):
         for n in (1, -1, 2, -2):
             runs = list(_generator_runs(p, n))
-            partial += sum(0 < len(covered) < length for _, _, length, covered in runs)
-            moving_two += sum(len(moving) == 2 for _, moving, _, _ in runs)
+            partial += _partly_covered(p, n)
+            moving_two += sum(len(moving) == 2 for _, moving, _ in runs)
             box = generators_box(p, n)
             assert generators(p, n) == box
             assert _generator_count(p, n) == run_count(runs) == len(box)
@@ -453,8 +458,7 @@ def test_partly_covered_runs_give_the_residue_oracle_fresh_counts():
     partial = 0
     for p in map(_poset_of, OVERLAP_COVERS):
         for n in (1, 3, 7):
-            runs = _generator_runs(p, -n)
-            partial += sum(0 < len(covered) < length for _, _, length, covered in runs)
+            partial += _partly_covered(p, -n)
         pieces = {e: [nu.values for nu in t_piece(p, 2, e)] for e in (1, 2, 3)}
         for e in pieces:
             want = residue_new_elements(pieces, 2, e)
@@ -473,7 +477,7 @@ def test_no_run_is_wholly_covered_and_sections_keep_their_counts_random(p):
         m, earlier, stream = abs(n), [], []
         for c in _sections(p, 1 if n > 0 else -1):
             runs = list(_section_runs(c, m, earlier))
-            assert all(len(covered) < length for _, _, length, covered in runs)
+            assert all(length > 0 for _, _, length in runs)
             assert run_count(runs) == _point_count(c, m, earlier)
             stream += runs
             earlier.append(_tight_pairs(c))

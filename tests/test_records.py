@@ -11,13 +11,13 @@ import pytest
 import hibi
 from hibi.birkhoff import DistLattice, lattice_from_poset
 from hibi.cones import ConeSection, build_C
-from hibi.corpus import p1
+from hibi.corpus import antichain, builtin, chain, p1
 from hibi.documents import PosetDocument, parse_poset_document
-from hibi.errors import InvalidPoset
+from hibi.errors import InvalidPoset, NotALattice
 from hibi.frobenius import Budget, TComplexityTable, tcx_report
-from hibi.labelings import Labeling, zero_labeling
-from hibi.poset import TOP, Poset
-from hibi.sequences import CondNSeq
+from hibi.labelings import Labeling, truncate, zero_labeling
+from hibi.poset import TOP, Poset, qdist
+from hibi.sequences import CondNSeq, q_value, witness_sequence
 
 # Field names in declaration order, written out so that a record which
 # gained, lost or reordered a field fails here.
@@ -105,6 +105,48 @@ def test_sequence_validation():
         "the bottom element cannot appear in a sequence",
         lambda: CondNSeq(p, ("y", "x0")),
     )
+
+
+# Refusals of the library's own entry points, each with its exact type and text.
+REFUSALS = {
+    "leq": (InvalidPoset, "unknown element id 'nope'", lambda: p1().leq("nope", "x0")),
+    "qdist": (InvalidPoset, "unknown element id 'nope'", lambda: qdist(p1(), 1, "x0", "nope")),
+    "interval": (InvalidPoset, "'a1' is not below 'x0'", lambda: chain(2).interval("a1", "x0")),
+    "q_value": (
+        ValueError,
+        "zig-zag needs pairs (w_0, z_0, ..., w_l, z_l)",
+        lambda: q_value(p1(), 1, ("x0",)),
+    ),
+    "witness_sequence": (
+        ValueError,
+        "n must be nonzero",
+        lambda: witness_sequence(p1(), 0, zero_labeling(p1())),
+    ),
+    # the zero labeling lies in T^(-1), and so does every 0 - 1_I
+    "truncate": (
+        ValueError,
+        "labeling is not a minimal element of T^(n)",
+        lambda: truncate(p1(), zero_labeling(p1()), -1, 1),
+    ),
+    "chain": (ValueError, "chain length must be at least 1", lambda: chain(0)),
+    "antichain": (ValueError, "antichain width must be at least 1", lambda: antichain(0)),
+    "builtin": (ValueError, "unknown built-in poset 'nope'", lambda: builtin("nope")),
+    "bottom": (
+        NotALattice,
+        "no minimum element",
+        lambda: DistLattice(("a", "b"), (1, 2), (1, 2)).bottom,
+    ),
+    "top": (
+        NotALattice,
+        "no maximum element",
+        lambda: DistLattice(("a", "b"), (1, 2), (1, 2)).top,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, text, build", REFUSALS.values(), ids=REFUSALS)
+def test_library_refusals(kind, text, build):
+    _raises(kind, text, build)
 
 
 def test_defaults():
