@@ -17,6 +17,7 @@ from .cones import (
     _dilation,
     _meet,
     _point_count,
+    _run_values,
     _sections,
     build_C,
     dim_bruteforce,
@@ -27,7 +28,7 @@ from .cones import (
 from .corpus import BUILTIN_NAMES, UPWARD_PURE_NAMES, all_builtins, builtin, upward_pure
 from .errors import BudgetExceeded
 from .fiber import (
-    _generator_values,
+    _ordered_runs,
     analytic_spread,
     degree_range,
     fiber_hilbert,
@@ -148,8 +149,9 @@ def _cmd_analyze(args, name, p):
 
 
 def _cmd_generators(args, name, p):
-    rows = _generator_values(p, args.n)
+    runs = _ordered_runs(p, args.n)
     if args.format == "json":
+        rows = _run_values(runs)
         payload = {
             "name": name,
             "n": args.n,
@@ -160,24 +162,57 @@ def _cmd_generators(args, name, p):
             ],
         }
         return 0, _json_text(payload)
-    # sorted rows share their leading values, so the first half of the
-    # columns, the degree with them, is formatted once per distinct prefix;
-    # second halves recur across prefixes, so each is formatted once
+    # The table is formatted a run at a time, from runs in row order
+    # (fiber._ordered_runs), and expands no run.  A row is the degree with
+    # the first half of the columns, then the second half.  Along a run only
+    # its moving columns rise.  When they all lie in the second half, the
+    # first half is formatted once per run (once per distinct one, as runs
+    # in order share them), and the second halves of its rows, one block,
+    # once per distinct (second half, moving, length), as blocks recur
+    # across first halves.  A run of one row keeps its second half as one
+    # text.  The rare run that moves a first-half column goes row by row.
     half = (len(p.elements) + 1) // 2
     head = "  degree %4d  " + _row_template(p.elements[:half])
     tail = " " + _row_template(p.elements[half:]) if half < len(p.elements) else ""
-    lines = [f"poset {name}: {len(rows)} generators for n = {args.n}"]
-    prefix, tails = None, {}
-    for v in rows:
-        if v[:half] != prefix:
-            prefix = v[:half]
-            text = head % (v[0], *prefix)
-        rest = v[half:]
-        tail_text = tails.get(rest)
-        if tail_text is None:
-            tail_text = tails[rest] = tail % rest
-        lines.append(text + tail_text)
+    lines = [None]
+    prefix, tails, blocks = None, {}, {}
+    for row, moving, length in runs:
+        if moving and moving[0] < half:
+            prefix = None
+            v = list(row)
+            for _ in range(length):
+                lines.append(head % (v[0], *v[:half]) + tail % tuple(v[half:]))
+                for i in moving:
+                    v[i] += 1
+            continue
+        if row[:half] != prefix:
+            prefix = row[:half]
+            text = head % (row[0], *prefix)
+        if length == 1:
+            rest = row[half:]
+            tail_text = tails.get(rest)
+            if tail_text is None:
+                tail_text = tails[rest] = tail % rest
+            lines.append(text + tail_text)
+            continue
+        key = row[half:], moving, length
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _tail_block(tail, half, *key)
+        lines += map(text.__add__, block)
+    lines[0] = f"poset {name}: {len(lines) - 1} generators for n = {args.n}"
     return 0, "\n".join(lines)
+
+
+def _tail_block(tail, half, rest, moving, length):
+    """The second-half texts of the rows of a run that moves only columns from half on."""
+    step = list(rest)
+    block = [tail % rest]
+    for _ in range(length - 1):
+        for i in moving:
+            step[i - half] += 1
+        block.append(tail % tuple(step))
+    return tuple(block)
 
 
 def _cmd_sequences(args, name, p):

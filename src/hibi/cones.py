@@ -405,7 +405,8 @@ def _section_runs(c, n, earlier=()):
     lists: a caller that caps the points counts them (_capped).  The
     levels before the last but one are walked by _entries; the last but
     one and the last, one value of the former at a time, in a loop of
-    their own.
+    their own.  Each entry builds one row from every pin, and each run
+    rewrites only the coordinates pinned to those two levels.
     """
     plan = _dilation(c, n, earlier)
     if plan is None or plan.live is None:
@@ -415,13 +416,16 @@ def _section_runs(c, n, earlier=()):
     if last < 0:
         yield tuple([off for _, off in pins]), (), 1
         return
-    moving = tuple(i for i, (t, _) in enumerate(pins) if t == last)
+    s = last - 1  # the level each run loop steps through; -1 is the top
+    at_s = [(i, off) for i, (t, off) in enumerate(pins) if t == s]
+    at_last = [(i, off) for i, (t, off) in enumerate(pins) if t == last]
+    moving = tuple([i for i, _ in at_last])
     (box_lo, box_hi), ups, lows = plan.boxes[last], plan.ups[last], plan.lows[last]
     checks = plan.checks[last]
     x = [0] * (last + 2)  # x[-1], the top, is 0
-    s = last - 1  # the level each run loop steps through; -1 is the top
     entries = _entries(plan, x, s) if s >= 0 else [(0, 0, plan.live, 0, 0)]
     for lo, hi, stay, tight, done in entries:
+        row = [x[u] + off for u, off in pins]  # right on every level before s
         for x[s] in range(lo, hi + 1):
             mask = stay
             if tight:  # the step rule of _value_tasks
@@ -429,6 +433,8 @@ def _section_runs(c, n, earlier=()):
                 if bits & done:
                     continue
                 mask |= bits
+            for i, off in at_s:
+                row[i] = x[s] + off
             low, high = box_lo, box_hi
             for u, w in ups:
                 if x[u] + w < high:
@@ -439,13 +445,15 @@ def _section_runs(c, n, earlier=()):
             if mask:
                 for v in sorted(_holding(mask, checks, x, low, high)):
                     if v > low:
-                        x[last] = low
-                        yield tuple([x[u] + off for u, off in pins]), moving, v - low
+                        for i, off in at_last:
+                            row[i] = low + off
+                        yield tuple(row), moving, v - low
                     low = v + 1
                 if low > high:
                     continue
-            x[last] = low
-            yield tuple([x[u] + off for u, off in pins]), moving, high - low + 1
+            for i, off in at_last:
+                row[i] = low + off
+            yield tuple(row), moving, high - low + 1
 
 
 def _entries(plan, x, s):

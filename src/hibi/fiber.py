@@ -4,11 +4,19 @@ The generators of T^(n) are the points of the |n|-fold dilated sections,
 each kept by its first section in enumerate_N order that it is tight on.
 cones makes that check on the plan of each dilation (cones._dilation),
 given the tight pairs of the sections before it (_first_sections):
-listings expand the runs of its walk, which skips the points an earlier
+listings read the runs of its walk, which skips the points an earlier
 section has and leaves a cap to the listing (cones._capped), the Hilbert
 counts list nothing (cones._point_count), and the degree range reads its
 closed bounds.
+
+A listing reads its runs in lexicographic order of their points
+(_ordered_runs): one section's walk yields them so, and the points of
+several sections are sorted once and read as runs of one point.  So a
+listing that formats a run at a time (the generators table of the CLI)
+expands no run and sorts nothing when the sign has one section.
 """
+
+from itertools import repeat
 
 from .cones import (
     _capped,
@@ -95,8 +103,23 @@ def generators_via_sequences(p, n, limit=None):
 
 def _generator_values(p, n, limit=None):
     """Value tuples of the minimal elements of T^(n), in lexicographic order."""
+    return _run_values(_ordered_runs(p, n, limit))
+
+
+def _ordered_runs(p, n, limit=None):
+    """The runs (row, moving, length) of the minimal elements of T^(n), in lexicographic order.
+
+    One section's walk lists its points in that order, so with one section
+    (or n = 0) its runs pass as they come.  Several sections interleave,
+    so their points are sorted, and each is a run (value, (), 1).  With a
+    limit, BudgetExceeded stops the runs before the one that takes them
+    past that many points, before any sorting.
+    """
     text = f"T^({n}) has more than {limit} minimal elements"
-    return sorted(_run_values(_capped(_generator_runs(p, n), limit, text)))
+    runs = _capped(_generator_runs(p, n), limit, text)
+    if n == 0 or len(_first_sections(p, 1 if n > 0 else -1)) == 1:
+        return runs
+    return zip(sorted(_run_values(runs)), repeat(()), repeat(1))
 
 
 @_kept

@@ -18,11 +18,13 @@ generators report rendered from Labelings) so the
 library code is never checked against itself.
 """
 
+import importlib.util
 import json
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -67,6 +69,22 @@ def poset3():
 @pytest.fixture(scope="session")
 def corpus():
     return all_builtins()
+
+
+@lru_cache(maxsize=None)
+def bench_workloads():
+    """The module perfbench/workloads.py, whose poset shapes the benchmark runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_rooted(size, tag):
+    """The benchmark's random rooted poset workloads.rooted(size, tag), as a poset."""
+    doc = bench_workloads().rooted(size, tag)
+    return build_poset(doc["elements"], doc["covers"], doc["bottom"])
 
 
 def chain_lengths_dfs(p, x, y):
@@ -362,8 +380,10 @@ def section_runs_reference(c, n, earlier=()):
     on entering it and holding[t] its values where some hold; the step
     rule is written out here, not taken from cones._value_tasks.  The last
     level's range is split at its holding values, and each nonempty
-    stretch between them is one run.  Its runs must equal the library
-    walk's exactly: order and boundaries.
+    stretch between them is one run, whose row is built afresh from every
+    pin (the walk keeps one row per entry and rewrites the coordinates of
+    its last two levels).  Its runs must equal the library walk's exactly:
+    order, rows and boundaries.
     """
     plan = _dilation(c, n, earlier)
     if plan is None or plan.live is None:

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 import hibi
 import hibi.cli as cli
-from conftest import generators_report, small_posets
+from conftest import bench_workloads, generators_report, small_posets
 from hibi.cli import main, run_command
 from hibi.documents import PosetDocument, serialize_poset_document
 from hibi.errors import DocumentError
+from hibi.fiber import _first_sections, _ordered_runs
 from hibi.labelings import INT64_MAX
 
 P1_TEXT = """{
@@ -848,21 +849,26 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.returncode == 0
 
 
-def test_running_out_of_memory_is_a_budget_exit():
+def test_running_out_of_memory_is_a_budget_exit(tmp_path):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000))
 
+    # P2 has four sections at n < 0, whose rows are sorted; rooted14b has
+    # one, whose 260,856,155 rows at n = -3 are formatted run by run
+    path = tmp_path / "rooted14b.json"
+    path.write_text(json.dumps(bench_workloads().rooted(14, "b")))
     env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hibi", "generators", "P2", "--n", "-24"],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=cap_address_space,
-        timeout=120,
-    )
-    assert "Traceback" not in proc.stderr
-    assert (proc.returncode, proc.stdout) == (4, "budget exceeded: out of memory\n")
+    for ref, n in (("P2", "-24"), (str(path), "-3")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hibi", "generators", ref, "--n", n],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert "Traceback" not in proc.stderr, ref
+        assert (proc.returncode, proc.stdout) == (4, "budget exceeded: out of memory\n"), ref
 
 
 def test_deep_recursion_is_a_budget_exit(tmp_path):
@@ -1157,6 +1163,69 @@ def test_generators_report_matches_the_labeling_rendering_random(p):
         _generators_agree("drawn", p, path)
 
 
+def test_generators_table_formats_runs_like_the_labeling_rendering(corpus, tmp_path):
+    # benchmark shapes with runs that move a first-half column (rooted5g,
+    # 6f and 7d at n > 0) and with five sections (rooted12a at n < 0); the
+    # corpus, P2 with several sections among it, is checked above
+    targets = [(name, p, name) for name, p in corpus]
+    for size, tag in ((5, "g"), (6, "f"), (7, "d"), (12, "a")):
+        doc = bench_workloads().rooted(size, tag)
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        name, p = cli._load(str(path))
+        _generators_agree(name, p, str(path))
+        targets.append((name, p, str(path)))
+    # the table's three routes: unit runs of several sections' sorted rows,
+    # runs formatted a block at a time, and runs formatted row by row
+    routes = {"unit": 0, "block": 0, "row": 0}
+    for _, p, _ in targets:
+        half = (len(p.elements) + 1) // 2
+        for n in range(-3, 4):
+            if n and len(_first_sections(p, 1 if n > 0 else -1)) > 1:
+                routes["unit"] += 1
+                continue
+            for _, moving, length in _ordered_runs(p, n):
+                if moving and moving[0] < half:
+                    routes["row"] += 1
+                elif length > 1:
+                    routes["block"] += 1
+    assert min(routes.values()) > 0, routes
+
+
+def test_a_one_section_table_expands_and_sorts_no_row(monkeypatch):
+    import hibi.cones as cones
+    import hibi.fiber as fiber
+
+    calls = []
+    real = cones._run_values
+
+    def counted_values(runs):
+        calls.append("_run_values")
+        return real(runs)
+
+    def counted_sorted(*args, **kwargs):
+        calls.append("sorted")
+        return sorted(*args, **kwargs)
+
+    for module in (cones, fiber, cli):
+        monkeypatch.setattr(module, "_run_values", counted_values)
+    for module in (fiber, cli):  # the walk in cones sorts the values of one level
+        monkeypatch.setattr(module, "sorted", counted_sorted, raising=False)
+    for name, n in (("filters3", -3), ("P3", 3), ("P1", 2)):
+        p = hibi.corpus.builtin(name)
+        assert len(_first_sections(p, 1 if n > 0 else -1)) == 1
+        assert any(length > 1 for _, _, length in _ordered_runs(p, n))
+        code, text = run_command(["generators", name, "--n", str(n)])
+        assert code == 0 and text.count("\n") == fiber._generator_count(p, n)
+        assert calls == [], name
+    # a JSON report expands the runs once, and several sections sort once
+    assert run_command(["generators", "P3", "--n", "3", "--format", "json"])[0] == 0
+    assert calls == ["_run_values"]
+    calls.clear()
+    assert run_command(["generators", "P3", "--n", "-3"])[0] == 0
+    assert calls == ["_run_values", "sorted"]
+
+
 # P1 with ids that a format string or a %-template would misread
 ODD_IDS = {"x0": "b{0}", "w": "w}", "x": "%s=", "z": "{x}", "y": "q%d{", "v": "=="}
 
@@ -1195,7 +1264,7 @@ def test_generators_table_with_percent_ids_matches_per_row_formatting(tmp_path):
     half = (len(q.elements) + 1) // 2
     shared = 0
     for n in range(-3, 4):
-        rows = cli._generator_values(q, n)
+        rows = hibi.fiber._generator_values(q, n)
         shared += len(rows) - len({v[half:] for v in rows})
         lines = [f"poset per%cent: {len(rows)} generators for n = {n}"]
         lines += [

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 import hibi.fiber
 
 from conftest import (
+    bench_rooted,
     degree_range_listing,
     first_section_runs,
     generators_box,
@@ -510,6 +511,16 @@ def test_section_walk_matches_the_state_machine_on_overlapping_sections():
 def test_section_walk_matches_the_state_machine_random(p):
     for n in (1, -1, 2, -2, 3, -3):
         assert_walk_matches_the_state_machine(p, n)
+
+
+def test_section_walk_matches_the_state_machine_on_bench_shapes():
+    # runs that move a first-half coordinate (rooted5g, 6f, 7d at n > 0),
+    # five sections (rooted12a at n < 0) and the listings of session-mix
+    # (rooted9b, 10a)
+    for size, tag in ((5, "g"), (6, "f"), (7, "d"), (9, "b"), (10, "a"), (12, "a")):
+        p = bench_rooted(size, tag)
+        for n in (1, -1, 2, -2, 3, -3):
+            assert_walk_matches_the_state_machine(p, n)
 
 
 def _rooted(rng, size):

@@ -1,13 +1,11 @@
 """Zig-zag sequences, reducedness, the mu/nu constructions, degree bounds."""
 
-import importlib.util
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import enumerate_N_exhaustive, enumerate_N_pruned, small_posets
+from conftest import bench_workloads, enumerate_N_exhaustive, enumerate_N_pruned, small_posets
 from hibi import (
     TOP,
     as_seq,
@@ -233,10 +231,7 @@ def test_long_chain_has_only_the_empty_sequence():
 
 def _bench_shapes():
     """The benchmark's seq-scale shapes and their neighbours, as posets."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     docs = [workloads.chain(m) for m in range(10, 41, 5)]
     docs += [workloads.grid(rows, cols) for rows, cols in ((3, 3), (3, 4), (2, 6), (4, 4))]
     docs += [workloads.rooted(size, tag) for size in range(12, 17) for tag in "abcdefgh"]
