@@ -717,8 +717,7 @@ def is_standard(c, n_max):
     the set of points of the n-fold dilation.  Every tier is listed first,
     so a dilation past the 64-bit range raises whatever the answer, then
     each test runs on packed ints (_Packing, whose reach is the n_max-th
-    dilation's): the sums of T_1 and T_(n-1) are struck from T_n by
-    C-level set updates.
+    dilation's): the sums of T_1 and T_(n-1) are struck from T_n (_strike).
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -727,16 +726,21 @@ def is_standard(c, n_max):
         set(chain.from_iterable(_run_ints(_section_runs(c, n), packing)))
         for n in range(1, n_max + 1)
     ]
-    ones = tiers[0]
-    for lower, top in zip(tiers, tiers[1:]):
-        left = set(top)
-        for one in ones:
-            left.difference_update(map(one.__add__, lower))
-            if not left:
-                break
-        if left:
-            return False
-    return True
+    return not any(_strike(set(top), tiers[0], lower) for lower, top in zip(tiers, tiers[1:]))
+
+
+def _strike(left, firsts, seconds):
+    """The set left, with every packed sum a + b (a in firsts, b in seconds) struck out.
+
+    One C-level pass over the larger side per element of the smaller,
+    until left is empty.
+    """
+    firsts, seconds = sorted((firsts, seconds), key=len)
+    for a in firsts:
+        if not left:
+            break
+        left.difference_update(map(a.__add__, seconds))
+    return left
 
 
 def ehrhart_counts(c, n_max):

@@ -23,15 +23,15 @@ exact, not hashed: its reach is that of the top piece, (p^e - 1) times
 the reach of the first dilation, exactly, as a section's plan scales
 with n (cones._dilation).  A difference v - a -
 p^k * b then stays within r_e + r_k + p^k * r_{e-k} = 2 * r_e, where r_k
-= (p^k - 1) * unit is the reach of piece k, so a packed sum matches a
+= (p^k - 1) * r_1 is the reach of piece k, so a packed sum matches a
 packed top vector only when the vectors match.
 
 Budgets guard every enumeration: primes and exponents are capped, an
-exponent whose dilation reaches past the 64-bit range is refused before
-any piece is built, and a piece enumeration aborts with an explicit
-error as soon as it passes the cap, rather than truncating: _piece
-counts the points of the runs as they stream (cones._capped) and stops
-before the run that would take them past the cap.  Every count takes
+exponent whose dilation reaches past the 64-bit range is refused by
+_reach before any piece is packed, and a piece enumeration aborts with
+an explicit error as soon as it passes the cap, rather than truncating:
+_piece counts the points of the runs as they stream (cones._capped) and
+stops before the run that would take them past the cap.  Every count takes
 one route, _fresh: the top piece first, so its cap rejects before any
 lower piece is walked, then the lower pieces, all under a packing sized
 from that exponent.  No piece is kept: a piece lives only as long as the
@@ -46,13 +46,15 @@ prime and e, with the sizes of the pieces it built (_resolve says
 where); a count refused at a piece keeps the sizes of the pieces that
 passed and a lower bound on the refused one.  Like the down-sets, a row
 is kept by hand in the layout of poset._kept, because what is given out
-also depends on the cap.  A kept row or refusal is given out only after
-the checks its fresh count makes, in the same order: the caps, the
-target, the 64-bit range, then the piece cap on pieces e, e - 1, .. 1.
-So a report, its rejection text and its exit code are the same whatever
-was counted before and under what caps; a table reads its target once,
-after the caps of its first row.  The h_e listings need the vectors and
-always count afresh.
+also depends on the cap.  Every row is admitted one way (_admitted):
+the caps, then the target.  A row is counted, and so kept or refused,
+only once _reach has admitted its exponent, which depends on the
+target, prime and e alone; a kept row or refusal is then given out
+after the piece cap on pieces e, e - 1, .. 1, as a fresh count checks
+them.  So a report, its rejection text and its exit code are the same
+whatever was counted before and under what caps, and a warm kept row
+reads no section plan.  The h_e listings need the vectors and always
+count afresh.
 
 All counts are vector-space dimensions over the residue field.  For a
 target whose twisted product is not a strong skew algebra this counts an
@@ -64,7 +66,7 @@ from collections import namedtuple
 from itertools import chain
 from math import log
 
-from .cones import ConeSection, _capped, _Packing, _run_ints, _section_reach, _too_many
+from .cones import ConeSection, _capped, _Packing, _run_ints, _section_reach, _strike, _too_many
 from .errors import BudgetExceeded
 from .fiber import _first_sections, _generator_values, _pair_runs
 from .labelings import INT64_MAX, _kernel_labelings
@@ -141,31 +143,32 @@ def _check_caps(prime, e, budget):
 
 
 def _resolve(target):
-    """(tag, pairs, unit, owner, key) of a target: the one place its type is read.
+    """(tag, pairs, owner, key) of a target: the one place its type is read.
 
     The n-th dilation's points are the runs at n (fiber._pair_runs) of
     the (section, earlier) pairs: a fiber cone's sections of sign -1 (its
     n-th dilation is T^(-n)) with those before them, or a section alone.
-    They stay within n * unit, as each section's closed bounds scale with
-    n.  The owner, a poset, keeps the rows (_row) under (key, prime, e):
+    The owner, a poset, keeps the rows (_row) under (key, prime, e):
     key is None for a fiber cone and a section's sign, pairs and G parts
-    for a section.
+    for a section.  No section plan is read here.
     """
     if isinstance(target, Poset):
-        tag, pairs, owner, key = "fiber cone", _first_sections(target, -1), target, None
-    elif isinstance(target, ConeSection):
-        tag, pairs, owner = "ehrhart of sequence", ((target, ()),), target.poset
+        return "fiber cone", _first_sections(target, -1), target, None
+    if isinstance(target, ConeSection):
         key = target.epsilon, target.equalities, target.g_parts
-    else:
-        raise TypeError("target must be a Poset or a ConeSection")
-    unit = max((_section_reach(c, 1) for c, _ in pairs), default=0)
-    return tag, pairs, unit, owner, key
+        return "ehrhart of sequence", ((target, ()),), target.poset, key
+    raise TypeError("target must be a Poset or a ConeSection")
 
 
-def _reach(target, prime, e):
-    """The reach of a resolved target's e-th piece, once it is within the 64-bit range."""
-    # the (prime**e - 1)-th dilation reaches exactly that multiple of unit
-    reach = (prime**e - 1) * target[2]
+def _reach(pairs, prime, e):
+    """The reach of the e-th piece of pairs, once it is within the 64-bit range.
+
+    The one place an exponent's range is checked, before any piece is
+    packed.  The (prime**e - 1)-th dilation reaches exactly that multiple
+    of the first dilation's reach, as each section's closed bounds scale
+    with n.
+    """
+    reach = (prime**e - 1) * max((_section_reach(c, 1) for c, _ in pairs), default=0)
     if reach > INT64_MAX:
         raise BudgetExceeded(f"exponent {e} takes the dilation past the 64-bit range")
     return reach
@@ -181,25 +184,17 @@ def _piece(pairs, n, cap, packing):
 
 
 def _drop_splits(fresh, pieces, prime, e):
-    """Remove from the set fresh every a + prime**k * b, a in pieces[k], b in pieces[e-k].
-
-    The sums are made from the smaller side outward, one C-level pass
-    over the larger side per element.
-    """
+    """Remove from the set fresh every a + prime**k * b, a in pieces[k], b in pieces[e-k]."""
     for k in range(1, e):
-        firsts = pieces[k]
-        seconds = list(map((prime**k).__mul__, pieces[e - k]))
-        if len(firsts) > len(seconds):
-            firsts, seconds = seconds, firsts
-        for a in firsts:
-            fresh.difference_update(map(a.__add__, seconds))
+        _strike(fresh, pieces[k], list(map((prime**k).__mul__, pieces[e - k])))
 
 
 def _admitted(target, prime, e, budget):
-    """The arguments (target resolved, prime, e, cap) of _row and _fresh for the count at e.
+    """The arguments (target resolved, prime, e, cap) of _row for the count at e.
 
-    The checks before them come in this order: e itself, the caps
-    (_check_caps), the target (_resolve); _row and _fresh check _reach next.
+    The one way a count is admitted, with its checks in this order: e
+    itself, the caps (_check_caps), the target (_resolve).  Whatever
+    sizes or lists a piece checks _reach next.
     """
     if e < 1:
         raise ValueError("e must be at least 1")
@@ -207,15 +202,13 @@ def _admitted(target, prime, e, budget):
     return _resolve(target), prime, e, cap
 
 
-def _fresh(target, prime, e, cap, sizes):
-    """The e-th piece's packed fresh vectors as a set, and the packing.
+def _fresh(pairs, prime, e, cap, packing, sizes):
+    """The e-th piece's packed fresh vectors as a set, under a packing of _reach's reach.
 
-    target is resolved (_resolve).  The size of each piece, e first, is
-    appended to the list sizes once the piece has passed the cap, so a
-    refusal leaves the sizes of the pieces before it.
+    The size of each piece, e first, is appended to the list sizes once
+    the piece has passed the cap, so a refusal leaves the sizes of the
+    pieces before it.
     """
-    _, pairs, _, owner, _ = target
-    packing = _Packing(len(owner.elements), _reach(target, prime, e))
     # top piece first: its caps bound the lower pieces
     fresh = set(_piece(pairs, prime**e - 1, cap, packing))
     sizes.append(len(fresh))
@@ -224,23 +217,24 @@ def _fresh(target, prime, e, cap, sizes):
         pieces[k] = list(_piece(pairs, prime**k - 1, cap, packing))
         sizes.append(len(pieces[k]))
     _drop_splits(fresh, pieces, prime, e)
-    return fresh, packing
+    return fresh
 
 
 def _row(target, prime, e, cap):
-    """The row (e, dim_e, c_e) of the e-th piece of a resolved target, kept by its owner.
+    """The row (e, dim_e, c_e) of the e-th piece of an admitted target, kept by its owner.
 
     The owner keeps it by hand, in the layout of poset._kept, as (sizes,
     c_e): the sizes of pieces e .. 1 its count built.  A count refused at
     a piece is kept as (sizes, None), with cap + 1, a lower bound, as the
-    size of the refused piece.  A kept row is given out only after the
-    64-bit check and once those sizes pass the piece cap in that order,
-    the checks a fresh count would make first, with the same texts.  So
-    a repeated refusal refuses at once under a cap at most the one that
-    refused, and counts afresh under a larger one.
+    size of the refused piece.  A count is made only once _reach admits
+    its exponent, so a kept row or refusal has passed that check; it is
+    given out once those sizes pass the piece cap in that order, the
+    checks a fresh count would make, with the same texts.  So a repeated
+    refusal refuses at once under a cap at most the one that refused,
+    and counts afresh under a larger one.
     """
-    _reach(target, prime, e)
-    rows, key = target[3].__dict__, (target[4], prime, e)
+    _, pairs, owner, key = target
+    rows, key = owner.__dict__, (key, prime, e)
     kept = rows.get("_row", {}).get(key)
     if kept is not None:
         for k, size in zip(range(e, 0, -1), kept[0]):
@@ -248,9 +242,10 @@ def _row(target, prime, e, cap):
                 raise BudgetExceeded(_too_many(prime**k - 1, cap))
         if kept[1] is not None:
             return e, kept[0][0], kept[1]
+    packing = _Packing(len(owner.elements), _reach(pairs, prime, e))
     sizes = []
     try:
-        fresh, _ = _fresh(target, prime, e, cap, sizes)
+        fresh = _fresh(pairs, prime, e, cap, packing, sizes)
     except BudgetExceeded:
         # the piece after those that passed has more than cap points
         rows.setdefault("_row", {})[key] = (*sizes, cap + 1), None
@@ -261,19 +256,23 @@ def _row(target, prime, e, cap):
 
 def _fresh_labelings(target, prime, e, budget):
     """The labelings of the fresh vectors on the target's owner, in lexicographic order."""
-    resolved, prime, e, cap = _admitted(target, prime, e, budget)
-    fresh, packing = _fresh(resolved, prime, e, cap, [])
-    return _kernel_labelings(resolved[3], sorted(map(packing.unpack, fresh)))
+    (_, pairs, owner, _), prime, e, cap = _admitted(target, prime, e, budget)
+    packing = _Packing(len(owner.elements), _reach(pairs, prime, e))
+    fresh = _fresh(pairs, prime, e, cap, packing, [])
+    return _kernel_labelings(owner, sorted(map(packing.unpack, fresh)))
 
 
 def t_piece(p, prime, e, budget=None):
     """Basis of the e-th twisted piece: minimal elements of degree 1 - prime**e.
 
     Assembled from the pinned sections, the same route as generators().
-    e = 0 gives the origin alone; the 64-bit range is checked as for c_e_fiber.
+    e = 0 gives the origin alone.  The caps, the target (a Poset only)
+    and the 64-bit range are checked in that order, as for c_e_fiber.
     """
     cap = _check_caps(prime, e, budget)
-    _reach(_resolve(p), prime, e)
+    if not isinstance(p, Poset):
+        raise TypeError("target must be a Poset")
+    _reach(_first_sections(p, -1), prime, e)
     return _kernel_labelings(p, _generator_values(p, 1 - prime**e, cap))
 
 
@@ -302,22 +301,18 @@ def tcx_report(target, primes, e_max, budget=None):
     estimate is log_prime(c_{e_max}) / e_max, or -inf when the last count
     vanishes (finitely generated); last_ratio is log_prime of the final
     consecutive quotient when both counts are positive.  Both are desk
-    readings of an asymptotic quantity, never asserted values.  The
-    target is resolved once, after the caps of the first row.
+    readings of an asymptotic quantity, never asserted values.  Each
+    row is admitted and counted as c_e_fiber's is, in order of e.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    tables, resolved = [], None
+    tables = []
     for prime in primes:
-        rows = []
-        for e in range(1, e_max + 1):
-            cap = _check_caps(prime, e, budget)
-            resolved = resolved or _resolve(target)
-            rows.append(_row(resolved, prime, e, cap))
+        rows = [_row(*_admitted(target, prime, e, budget)) for e in range(1, e_max + 1)]
         last_c = rows[-1][2]
         estimate = log(last_c, prime) / e_max if last_c > 0 else float("-inf")
         ratio = None
         if len(rows) >= 2 and last_c > 0 and rows[-2][2] > 0:
             ratio = log(last_c / rows[-2][2], prime)
-        tables.append(TComplexityTable(prime, resolved[0], tuple(rows), estimate, ratio))
+        tables.append(TComplexityTable(prime, _resolve(target)[0], tuple(rows), estimate, ratio))
     return tuple(tables)

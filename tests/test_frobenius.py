@@ -697,7 +697,7 @@ def test_a_repeated_refusal_walks_no_point(monkeypatch):
     p = _copy(p1())
     section = build_C(p, -1, ("y", "x"))
     for target, count in ((p, c_e_fiber), (section, c_e_ehrhart)):
-        key = frobenius._resolve(target)[4]
+        key = frobenius._resolve(target)[3]
         # piece 3 of prime 2, the 7-th dilation, has 36 points
         refused = (BudgetExceeded, "dilation 7 has more than 20 lattice points")
         assert _outcome(count, target, 2, 3, budget(20)) == refused
@@ -729,35 +729,59 @@ def test_a_repeated_refusal_walks_no_point(monkeypatch):
         assert walked == []
 
 
-def test_a_kept_row_is_refused_past_the_64_bit_range():
-    # no count keeps such a row, so one is put in by hand: the refusal must
-    # still come before the row is read
+def test_an_exponent_past_the_64_bit_range_keeps_no_row():
+    # the range check comes before the try that keeps refusals, so a repeat
+    # refuses the same way and no row or refusal is kept at e = 62
     p = _copy(chain(3))
-    owner, key = frobenius._resolve(p)[3:]
+    owner, key = frobenius._resolve(p)[2:]
     assert owner is p
-    vars(p)["_row"] = {(key, 2, 62): ((1,) * 62, 0)}
-    with pytest.raises(BudgetExceeded) as info:
-        c_e_fiber(p, 2, 62, Budget(max_prime=2, max_e=62))
-    assert str(info.value) == "exponent 62 takes the dilation past the 64-bit range"
+    refused = (BudgetExceeded, "exponent 62 takes the dilation past the 64-bit range")
+    for _ in range(2):
+        assert _outcome(c_e_fiber, p, 2, 62, Budget(max_prime=2, max_e=62)) == refused
+    assert (key, 2, 62) not in vars(p).get("_row", {})
+
+
+def test_a_warm_kept_row_reads_no_section_plan(monkeypatch):
+    calls = []
+    real = frobenius._section_reach
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(frobenius, "_section_reach", counted)
+    p = _copy(p2())
+    argv = ["frobenius", "P2", "--prime", "2", "--emax", "2"]
+    for count in (
+        lambda: c_e_fiber(p, 2, 2),
+        lambda: tcx_report(p, (2, 3), 2),
+        lambda: run_command(argv),
+    ):
+        first = count()
+        calls.clear()
+        assert count() == first
+        assert calls == []
 
 
 # --- one target shape against the routes it replaced ---------------------------
 
 
 def _assert_target_is_its_pairs(p, ns=(1, 2, 3, 4)):
-    """_resolve's pairs stream the runs, unit and owner the per-type routes gave."""
-    _, pairs, unit, owner, key = frobenius._resolve(p)
+    """_resolve's pairs stream the runs, reach and owner the per-type routes gave."""
+    _, pairs, owner, key = frobenius._resolve(p)
     assert owner is p and key is None
-    assert unit == max((_section_reach(c, 1) for c in _sections(p, -1)), default=0)
+    assert frobenius._reach(pairs, 2, 1) == max(
+        (_section_reach(c, 1) for c in _sections(p, -1)), default=0
+    )
     for n in ns:
         # the loop the fiber cone's runs took before they were pairs
         sections = _first_sections(p, -1)
         looped = [run for c, earlier in sections for run in _section_runs(c, n, earlier)]
         assert list(_pair_runs(pairs, n)) == list(_generator_runs(p, -n)) == looped
     for c in _sections_of(p):
-        _, pairs, unit, owner, key = frobenius._resolve(c)
+        _, pairs, owner, key = frobenius._resolve(c)
         assert owner is p and key == (c.epsilon, c.equalities, c.g_parts)
-        assert unit == _section_reach(c, 1)
+        assert frobenius._reach(pairs, 2, 1) == _section_reach(c, 1)
         for n in ns:
             assert list(_pair_runs(pairs, n)) == list(_section_runs(c, n))
 

@@ -14,7 +14,7 @@ from hibi.cones import ConeSection, build_C
 from hibi.corpus import antichain, builtin, chain, p1
 from hibi.documents import PosetDocument, parse_poset_document
 from hibi.errors import InvalidPoset, NotALattice
-from hibi.frobenius import Budget, TComplexityTable, tcx_report
+from hibi.frobenius import Budget, TComplexityTable, t_piece, tcx_report
 from hibi.labelings import Labeling, truncate, zero_labeling
 from hibi.poset import TOP, Poset, qdist
 from hibi.sequences import CondNSeq, q_value, witness_sequence
@@ -141,6 +141,13 @@ REFUSALS = {
         "no maximum element",
         lambda: DistLattice(("a", "b"), (1, 2), (1, 2)).top,
     ),
+    # t_piece lists a fiber cone's piece only; a section is no target of it
+    "t_piece section": (
+        TypeError,
+        "target must be a Poset",
+        lambda: t_piece(build_C(p1(), -1, ()), 2, 1),
+    ),
+    "t_piece str": (TypeError, "target must be a Poset", lambda: t_piece("nope", 2, 1)),
 }
 
 
