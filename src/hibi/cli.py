@@ -8,6 +8,7 @@ deep counts as one, and so do running out of memory and a frobenius
 exponent whose dilation leaves the 64-bit range).
 """
 
+import gc
 import os
 import sys
 from functools import lru_cache
@@ -598,7 +599,16 @@ def run_command(argv):
 
 
 def main(argv=None):
-    code, text = run_command(sys.argv[1:] if argv is None else argv)
+    """Run one command line, print its report and return its exit code.
+
+    With no argv the command line is the process's own (python -m hibi,
+    the hibi script), and the process ends once main returns.  Every
+    object is then frozen (gc.freeze), so the collection the interpreter
+    runs at exit skips them; atexit handlers and the stdio flush still
+    run.  A caller that passes argv keeps a live collector.
+    """
+    own = argv is None
+    code, text = run_command(sys.argv[1:] if own else argv)
     if text:
         try:
             print(text)
@@ -607,6 +617,8 @@ def main(argv=None):
             # The reader closed the pipe (as `| head` does).  Point stdout at
             # devnull so the flush at interpreter exit cannot fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if own:
+        gc.freeze()
     return code
 
 

@@ -196,7 +196,7 @@ def _contraction(p, eps, equalities, g_parts):
             kb, ob = pins[m if b == TOP else idx[b]]
             w = oa - ob - eps  # nu(b) - nu(i) <= -eps
             if ka == kb:
-                if w < 0:
+                if w < 0:  # ties of two sections' meet can stretch a cover
                     return None
             elif w < covers.get((ka, kb), _INF):
                 covers[ka, kb] = w
@@ -204,7 +204,9 @@ def _contraction(p, eps, equalities, g_parts):
 
 
 # The plan of one dilation (_dilation); the walk and the count read it.
-_Plan = namedtuple("_Plan", "pins bounds boxes ups lows fronts last_read checks ends keeps live")
+_Plan = namedtuple(
+    "_Plan", "pins bounds boxes ups lows fronts last_read checks ends keeps live reach"
+)
 
 
 def _dilation(c, n, earlier=()):
@@ -224,7 +226,8 @@ def _dilation(c, n, earlier=()):
     x[t] is the value of level t, and x[-1] = 0.
 
     - pins[i] = (t, off): coordinate i is x[t] + off.
-    - bounds[i]: the lowest and highest value of coordinate i, attained.
+    - bounds[i]: the lowest and highest value of coordinate i, attained;
+      reach is the largest magnitude among them.
     - boxes[t]: level t's range through the top.  ups[t] and lows[t]:
       (u, w) with x[t] <= x[u] + w and x[t] >= x[u] - w, for the levels u
       of fronts[t] whose bound is not implied through the top.
@@ -265,6 +268,7 @@ def _dilation(c, n, earlier=()):
         checks=tuple(
             [tuple([(bit, _scaled(tests, n)) for bit, tests in level]) for level in plan.checks]
         ),
+        reach=n * plan.reach,
     )
 
 
@@ -313,7 +317,7 @@ def _unit_plan(p, eps, equalities, g_parts, earlier):
             w += ob - oa  # x[ua] - x[ub] = w
             if ua == ub:
                 if w:
-                    break  # never tight
+                    break  # the ties hold the pair apart: never tight
             elif ua > ub:
                 tests.setdefault(ua, []).append((ub, w))
             else:
@@ -355,6 +359,7 @@ def _unit_plan(p, eps, equalities, g_parts, earlier):
         tuple(ends),
         tuple(keeps),
         live,
+        max([max(-lo, hi) for lo, hi in bounds]),
     )
 
 
@@ -663,14 +668,15 @@ def _value_tasks(lo, hi, stay, tight, done):
             yield 1, v, stay | bits
 
 
-def _section_reach(c, n):
-    """Largest coordinate magnitude over the n-fold dilation; 0 when it is empty.
+def _section_reach(c):
+    """Largest coordinate magnitude over the first dilation; 0 when it is empty.
 
-    The plan is the first dilation's scaled by n (_dilation), so the
-    reach is n times the reach at n = 1.
+    The n-fold dilation reaches n times as far (_dilation).  The reach is
+    read off the kept unit plan: its bounds are sums of the poset's chain
+    lengths, far inside the 64-bit range, so they need no check here.
     """
-    plan = _dilation(c, n)
-    return 0 if plan is None else max(max(-lo, hi) for lo, hi in plan.bounds)
+    plan = _unit_plan(c.poset, c.epsilon, c.equalities, c.g_parts, ())
+    return 0 if plan is None else plan.reach
 
 
 def dim_bruteforce(c):
@@ -721,7 +727,7 @@ def is_standard(c, n_max):
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    packing = _Packing(len(c.poset.elements), n_max * _section_reach(c, 1))
+    packing = _Packing(len(c.poset.elements), n_max * _section_reach(c))
     tiers = [
         set(chain.from_iterable(_run_ints(_section_runs(c, n), packing)))
         for n in range(1, n_max + 1)

@@ -168,7 +168,7 @@ def _reach(pairs, prime, e):
     of the first dilation's reach, as each section's closed bounds scale
     with n.
     """
-    reach = (prime**e - 1) * max((_section_reach(c, 1) for c, _ in pairs), default=0)
+    reach = (prime**e - 1) * max((_section_reach(c) for c, _ in pairs), default=0)
     if reach > INT64_MAX:
         raise BudgetExceeded(f"exponent {e} takes the dilation past the 64-bit range")
     return reach

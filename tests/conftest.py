@@ -20,6 +20,9 @@ library code is never checked against itself.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
@@ -29,6 +32,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import hibi
 from hibi.cones import (
     _close,
     _dilation,
@@ -85,6 +89,34 @@ def bench_rooted(size, tag):
     """The benchmark's random rooted poset workloads.rooted(size, tag), as a poset."""
     doc = bench_workloads().rooted(size, tag)
     return build_poset(doc["elements"], doc["covers"], doc["bottom"])
+
+
+def python_probe(script):
+    """The finished `python -c script` of a new interpreter that imports this hibi; it exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def hibi_probe(argv, before="", after=""):
+    """python_probe of `python -m hibi argv`, run by runpy between two snippets of code.
+
+    before runs first, after once the run's SystemExit is caught, with
+    its exit code as code; sys is imported.
+    """
+    return python_probe(
+        "import runpy, sys\n"
+        + before
+        + f"sys.argv = ['hibi'] + {list(argv)!r}\n"
+        "code = None\n"
+        "try:\n"
+        "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n" + after
+    )
 
 
 def chain_lengths_dfs(p, x, y):
@@ -638,6 +670,7 @@ def dilation_fresh(c, n, earlier=()):
         tuple(ends),
         tuple(keeps),
         live,
+        max(max(-lo, hi) for lo, hi in bounds),
     )
 
 

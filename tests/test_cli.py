@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, output determinism, file input."""
 
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import hibi
 import hibi.cli as cli
-from conftest import bench_workloads, generators_report, small_posets
+from conftest import bench_workloads, generators_report, hibi_probe, small_posets
 from hibi.cli import main, run_command
 from hibi.documents import PosetDocument, serialize_poset_document
 from hibi.errors import DocumentError
@@ -498,22 +499,12 @@ WATCHED_MODULES = ("json", "hibi.documents", "argparse", "gettext", "locale")
 
 def _modules_loaded_by(argv):
     """(exit code, watched modules loaded before hibi, after) for python -m hibi argv."""
-    script = (
-        "import runpy, sys\n"
-        f"watched = {WATCHED_MODULES!r}\n"
-        "before, code = {m for m in watched if m in sys.modules}, None\n"
-        f"sys.argv = ['hibi'] + {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "sys.stderr.write(repr((code, before, {m for m in watched if m in sys.modules})))\n"
+    proc = hibi_probe(
+        argv,
+        before=f"watched = {WATCHED_MODULES!r}\n"
+        "before = {m for m in watched if m in sys.modules}\n",
+        after="sys.stderr.write(repr((code, before, {m for m in watched if m in sys.modules})))\n",
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stderr)
 
 
@@ -526,6 +517,23 @@ def test_commands_import_json_and_documents_only_when_used(tmp_path):
     assert code == 0 and {"json", "hibi.documents"} <= after
     code, _, after = _modules_loaded_by(["level", "P1", "--format", "json"])
     assert code == 0 and "json" in after and "hibi.documents" not in after
+
+
+def test_only_the_process_command_line_freezes_the_collector():
+    # python -m hibi freezes every object once its report is out
+    proc = hibi_probe(
+        ["level", "P1"],
+        before="import gc\nfrozen = gc.get_freeze_count()\n",
+        after="sys.stderr.write(repr((code, frozen, gc.get_freeze_count() > 0)))\n",
+    )
+    assert ast.literal_eval(proc.stderr) == (0, 0, True)
+    assert proc.stdout == run_command(["level", "P1"])[1] + "\n"
+    # an in-process caller keeps a live collector
+    frozen = gc.get_freeze_count()
+    assert main(["level", "P1"]) == 0
+    assert main(["frobenius", "P1", "--prime", "2", "--emax", "1"]) == 0
+    assert run_command(["frobenius", "P1", "--prime", "2", "--emax", "1"])[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_valid_command_lines_never_import_argparse(tmp_path):

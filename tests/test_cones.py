@@ -22,6 +22,7 @@ from hibi import (
     TOP,
     BudgetExceeded,
     build_C,
+    build_poset,
     dim_bruteforce,
     dim_formula,
     ehrhart_counts,
@@ -342,6 +343,19 @@ def test_meet_lists_the_common_points_random(p):
             for b in sections:
                 for n in (1, 2):
                     assert lattice_points(_meet(a, b), n) == _meet_by_filtering(a, b, n)
+
+
+def test_a_meet_whose_ties_stretch_a_cover_is_empty():
+    # (e6, e1) and (e7, e3) at eps = -1 tie every coordinate to the top,
+    # e8 two above e5, which only one cover step separates: no point has
+    # both, and the tied class's cover check is all that finds it
+    covers = [("b", "e1"), ("b", "e5"), ("e1", "e2"), ("e1", "e3"), ("e2", "e7")]
+    covers += [("e3", "e4"), ("e3", "e8"), ("e4", "e6"), ("e5", "e6"), ("e5", "e8"), ("e6", "e7")]
+    p = build_poset(["b"] + [f"e{i}" for i in range(1, 9)], covers, "b")
+    a, b = build_C(p, -1, ("e6", "e1")), build_C(p, -1, ("e7", "e3"))
+    for n in (1, 2, 3):
+        assert lattice_points(a, n) and lattice_points(b, n)
+        assert lattice_points(_meet(a, b), n) == _meet_by_filtering(a, b, n) == ()
 
 
 def _plan_cases(p):

@@ -39,7 +39,7 @@ from hibi import (
     q_max,
     zero_labeling,
 )
-from hibi.cones import _point_count, _section_runs, _sections, _tight_pairs
+from hibi.cones import _dilation, _point_count, _section_runs, _sections, _tight_pairs
 from hibi.corpus import UPWARD_PURE_NAMES, antichain, builtin, chain, p1, p2, upward_pure
 from hibi.fiber import _generator_count, _generator_runs
 from hibi.frobenius import Budget, c_e_fiber, h_e_fiber, t_piece
@@ -424,6 +424,30 @@ OVERLAP_COVERS = (
     "x0<e0 x0<e2 e0<e1 e0<e5 e1<e3 e1<e4 e1<e7 e2<e4 e2<e6 e3<e8 e4<e8 e5<e6 e5<e8",
     "x0<e0 x0<e2 e0<e1 e0<e7 e1<e5 e1<e6 e2<e3 e2<e5 e3<e4 e3<e7 e4<e6",
 )
+
+
+# At eps = -1 the section ('e11', 'e5', 'e6', 'e1') ties e2, e3 and e9 to
+# the top, with nu(e2) - nu(e9) = -1 and nu(e3) - nu(e9) = 0.  The earlier
+# sections ('e6', 'e2', 'e9', 'e7') and ('e6', 'e3', 'e9', 'e7') hold only
+# where those differences are -2 and -1, so on none of its points.
+NEVER_TIGHT_COVERS = (
+    "x0<e1 x0<e5 x0<e12 e1<e2 e1<e8 e2<e3 e3<e4 e3<e6 e3<e9 e5<e6 e5<e7 "
+    "e6<e10 e7<e11 e7<e8 e8<e9 e9<e10 e12<e11"
+)
+
+
+def test_an_earlier_section_the_ties_hold_apart_is_left_out_of_the_plan():
+    p = _poset_of(NEVER_TIGHT_COVERS)
+    sections = hibi.fiber._first_sections(p, -1)
+    c, earlier = sections[7]
+    assert c.seq.items == ("e11", "e5", "e6", "e1")
+    assert [sections[s][0].seq.items for s in (5, 6)] == [
+        ("e6", "e2", "e9", "e7"),
+        ("e6", "e3", "e9", "e7"),
+    ]
+    assert _dilation(c, 1, earlier).live == 0b11111  # sections 5 and 6 dropped
+    for n in (-1, -2, -3):
+        assert_first_section_rule(p, n)
 
 
 def _partly_covered(p, n):

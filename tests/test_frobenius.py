@@ -36,7 +36,7 @@ from hibi import (
     zero_labeling,
 )
 from hibi.cli import run_command
-from hibi.cones import _Packing, _section_reach, _section_runs, _sections
+from hibi.cones import _dilation, _Packing, _section_reach, _section_runs, _sections
 from hibi.corpus import antichain, chain, filters1, filters2, p1, p2, p3
 from hibi.fiber import _first_sections, _generator_runs, _pair_runs
 from hibi.poset import Poset, build_poset
@@ -617,10 +617,10 @@ def test_pieces_at_the_largest_coordinates_the_default_budget_admits():
 def test_section_reach_is_exact_and_scales_with_the_dilation(corpus):
     for _, p in corpus:
         for c in _sections_of(p):
-            unit = _section_reach(c, 1)
+            unit = _section_reach(c)
             for n in (1, 2, 7):
                 points = lattice_points(c, n)
-                assert _section_reach(c, n) == n * unit
+                assert _dilation(c, n).reach == n * unit
                 assert max(abs(v) for nu in points for v in nu.values) == n * unit
 
 
@@ -771,7 +771,7 @@ def _assert_target_is_its_pairs(p, ns=(1, 2, 3, 4)):
     _, pairs, owner, key = frobenius._resolve(p)
     assert owner is p and key is None
     assert frobenius._reach(pairs, 2, 1) == max(
-        (_section_reach(c, 1) for c in _sections(p, -1)), default=0
+        (_section_reach(c) for c in _sections(p, -1)), default=0
     )
     for n in ns:
         # the loop the fiber cone's runs took before they were pairs
@@ -781,7 +781,7 @@ def _assert_target_is_its_pairs(p, ns=(1, 2, 3, 4)):
     for c in _sections_of(p):
         _, pairs, owner, key = frobenius._resolve(c)
         assert owner is p and key == (c.epsilon, c.equalities, c.g_parts)
-        assert frobenius._reach(pairs, 2, 1) == _section_reach(c, 1)
+        assert frobenius._reach(pairs, 2, 1) == _section_reach(c)
         for n in ns:
             assert list(_pair_runs(pairs, n)) == list(_section_runs(c, n))
 

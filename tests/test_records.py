@@ -1,14 +1,11 @@
 """Value records: hashing, printing, immutability, validation and import cost."""
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import hibi
+from conftest import hibi_probe, python_probe
 from hibi.birkhoff import DistLattice, lattice_from_poset
 from hibi.cones import ConeSection, build_C
 from hibi.corpus import antichain, builtin, chain, p1
@@ -167,48 +164,20 @@ def test_defaults():
 
 
 def test_cli_import_skips_dataclasses_and_fractions():
-    probe = (
-        "import runpy, sys\n"
-        "import hibi.cli\n"
-        "first = sorted(m for m in ('dataclasses', 'fractions') if m in sys.modules)\n"
-        "sys.argv = ['hibi', 'level', 'P1']\n"
-        "try:\n"
-        "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "after = sorted(m for m in ('dataclasses', 'fractions') if m in sys.modules)\n"
-        "print(first, after, code)\n"
+    watched = "sorted(m for m in ('dataclasses', 'fractions') if m in sys.modules)"
+    proc = hibi_probe(
+        ["level", "P1"],
+        before=f"import hibi.cli\nfirst = {watched}\n",
+        after=f"after = {watched}\nprint(first, after, code)\n",
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
     assert "level: true" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[] [] 0"
 
 
-def _run_probe(probe):
-    env = dict(os.environ, PYTHONPATH=str(Path(hibi.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
-
-
 def test_analyze_loads_neither_frobenius_nor_birkhoff():
-    probe = (
-        "import runpy, sys\n"
-        "sys.argv = ['hibi', 'analyze', 'P1']\n"
-        "try:\n"
-        "    runpy.run_module('hibi', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "names = ('hibi.frobenius', 'hibi.birkhoff', 'hibi.cli')\n"
-        "print(sorted(m for m in names if m in sys.modules), code)\n"
-    )
-    lines = _run_probe(probe)
+    names = ("hibi.frobenius", "hibi.birkhoff", "hibi.cli")
+    after = f"print(sorted(m for m in {names!r} if m in sys.modules), code)\n"
+    lines = hibi_probe(["analyze", "P1"], after=after).stdout.splitlines()
     assert "generators (n=1): 4, degrees 4..4" in lines
     assert lines[-1] == "['hibi.cli'] 0"
 
@@ -222,7 +191,7 @@ def test_lattice_documents_load_birkhoff_only_when_parsed():
         "{\"elements\": [\"a\", \"b\"], \"order\": [[\"a\", \"b\"]]}}')\n"
         "print(before, 'hibi.birkhoff' in sys.modules)\n"
     )
-    assert _run_probe(probe) == ["False True"]
+    assert python_probe(probe).stdout.splitlines() == ["False True"]
 
 
 def test_every_public_name_is_the_object_its_module_defines():
